@@ -3,8 +3,9 @@ fans the spec out for bids and picks the cheapest eligible cluster.
 
 Selection is a pure function of the received bids: lowest price wins, ties
 break toward the bytewise-smallest cluster_id, so identical market states
-always produce identical selections. A hanging front-end costs at most the
-per-cluster bid timeout and never blocks selection among responsive ones.
+always produce identical selections. All quotes of one request go out at
+once from one thread and share one bid timeout, so a hanging front-end costs
+at most that timeout and never blocks selection among responsive ones.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import logging
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -83,14 +83,11 @@ def select_lowest(bids: list[tuple[str, int]]) -> tuple[str, int] | None:
     return best
 
 
-QuoteFn = Callable[[str, JobSpec, int], "Bid | dict[str, Any]"]
+QuoteFn = Callable[[list[str], JobSpec, int], "list[Bid | dict[str, Any] | wire.RpcError]"]
 
 
-def _rpc_quote(address: str, spec: JobSpec, timeout_ms: int) -> Bid | dict[str, Any]:
-    """Ask one front-end for a bid; returns a Bid or a no-bid/error marker."""
-    result = wire.rpc_call(
-        address, "node.quote", {"spec": spec.to_dict()}, timeout_ms=timeout_ms
-    )
+def _parse_quote(result: Any) -> Bid | dict[str, Any]:
+    """A front-end's node.quote result as a Bid or a no-bid marker."""
     if not isinstance(result, dict):
         return {"reason": "bad_bid"}
     if "no_bid" in result:
@@ -102,6 +99,15 @@ def _rpc_quote(address: str, spec: JobSpec, timeout_ms: int) -> Bid | dict[str, 
         return {"reason": "bad_bid"}
 
 
+def _rpc_quotes(
+    addresses: list[str], spec: JobSpec, timeout_ms: int
+) -> list[Bid | dict[str, Any] | wire.RpcError]:
+    """Ask every front-end for a bid at once; per address, a Bid, a no-bid
+    marker, or the RpcError of a call that failed."""
+    replies = wire.rpc_fanout(addresses, "node.quote", {"spec": spec.to_dict()}, timeout_ms)
+    return [r if isinstance(r, wire.RpcError) else _parse_quote(r) for r in replies]
+
+
 class BrokerCore:
     """Registry plus selection; the registry is one guarded map, and the
     quote fan-out never holds its lock while waiting on the network."""
@@ -111,7 +117,7 @@ class BrokerCore:
         bid_timeout_ms: int = DEFAULT_BID_TIMEOUT_MS,
         default_ttl_s: int = DEFAULT_TTL_S,
         clock: VirtualClock | WallClock | None = None,
-        quote_fn: QuoteFn = _rpc_quote,
+        quote_fn: QuoteFn = _rpc_quotes,
     ):
         self.bid_timeout_ms = bid_timeout_ms
         self.default_ttl_s = default_ttl_s
@@ -142,28 +148,17 @@ class BrokerCore:
         if not candidates:
             return NoEligibleCluster(reasons={})
         addresses = {d.cluster_id: d.address for d in candidates}
-
-        def ask(descriptor: ClusterDescriptor) -> tuple[str, Bid | dict[str, Any]]:
-            try:
-                answer = self._quote_fn(
-                    descriptor.address, spec, self.bid_timeout_ms
-                )
-            except wire.RpcError as exc:
-                kind = "timeout" if exc.code == wire.RpcErrorCode.TIMEOUT else "rpc_error"
-                answer = {"reason": kind}
-            except Exception:  # pragma: no cover - defensive
-                log.exception("quote to %s crashed", descriptor.cluster_id)
-                answer = {"reason": "rpc_error"}
-            return descriptor.cluster_id, answer
-
-        with ThreadPoolExecutor(max_workers=len(candidates)) as pool:
-            answers = list(pool.map(ask, candidates))
-
+        answers = self._quote_fn(
+            list(addresses.values()), spec, self.bid_timeout_ms
+        )
         bids: dict[str, Bid] = {}
         reasons: dict[str, str] = {}
-        for cluster_id, answer in answers:
+        for cluster_id, answer in zip(addresses, answers):
             if isinstance(answer, Bid):
                 bids[cluster_id] = answer
+            elif isinstance(answer, wire.RpcError):
+                timed_out = answer.code == wire.RpcErrorCode.TIMEOUT
+                reasons[cluster_id] = "timeout" if timed_out else "rpc_error"
             else:
                 reasons[cluster_id] = answer["reason"]
         chosen = select_lowest([(cid, bid.price.amount) for cid, bid in bids.items()])

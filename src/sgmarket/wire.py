@@ -1,24 +1,41 @@
-"""Line-delimited JSON RPC: framing, a blocking client, and a threaded server.
+"""Line-delimited JSON RPC: framing, a pooled blocking client, a one-thread
+fan-out, and a threaded server.
 
 Transport contract: raw TCP, one message per line, each line the canonical
 JSON of a request or response followed by a single LF. JSON string escaping
 guarantees no raw LF/CR ever appears inside a payload, so LF is an
 unambiguous frame boundary. One request is in flight per connection at a
-time; callers open parallel connections for parallelism.
+time, and a connection carries any number of requests in sequence.
+
+Client side, :func:`rpc_call` draws on one process-wide pool of idle
+connections keyed by address. A call takes an idle connection whose peer
+has not closed it, or opens a new one, and hands it back only after a clean
+reply; any error or timeout closes it. A request is never sent twice.
+:func:`rpc_fanout` sends one request to many addresses from the calling
+thread, over pooled or non-blocking new connections, and collects the
+replies under one shared deadline.
+
+Server side, one process-wide acceptor thread accepts for every
+:class:`Server` and gives each connection a thread of its own, which serves
+that connection's requests in order.
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import logging
+import os
 import re
+import select
+import selectors
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from .domain import ServiceError, canonical_json_bytes
 
@@ -27,8 +44,11 @@ log = logging.getLogger(__name__)
 _METHOD_RE = re.compile(r"^[a-z_.]+$")
 
 _RECV_CHUNK = 65536
-_POLL_INTERVAL_S = 0.1
+# A serving thread spends most of its life parked in recv on an idle pooled
+# connection, and CPython allocates the whole recv buffer before it blocks.
+_SERVE_RECV_CHUNK = 4096
 _MAX_LINE_BYTES = 4 * 1024 * 1024
+_MAX_IDLE_PER_ADDRESS = 4
 
 
 class RpcErrorCode(IntEnum):
@@ -160,15 +180,28 @@ def parse_address(address: str) -> tuple[str, int]:
 _request_ids = itertools.count(1)
 
 
-def _read_line(sock: socket.socket, deadline: float) -> bytes:
-    """Read one LF-terminated line (terminator stripped) before ``deadline``."""
-    buf = bytearray()
-    while True:
-        newline = buf.find(b"\n")
-        if newline >= 0:
-            return bytes(buf[:newline])
+def _new_request(method: str, params: Mapping[str, Any] | None) -> RpcRequest:
+    return RpcRequest(id=str(next(_request_ids)), method=method, params=dict(params or {}))
+
+
+def _take_line(buf: bytearray) -> tuple[bytes, bool] | None:
+    """The first LF-terminated line in ``buf`` (terminator stripped) and
+    whether it ends the buffer exactly; None while the line is incomplete."""
+    newline = buf.find(b"\n")
+    if newline < 0:
         if len(buf) > _MAX_LINE_BYTES:
             raise RpcError(RpcErrorCode.MALFORMED, "response line too long")
+        return None
+    return bytes(buf[:newline]), newline == len(buf) - 1
+
+
+def _read_line(sock: socket.socket, deadline: float) -> tuple[bytes, bool]:
+    """Read one response line before ``deadline``; see :func:`_take_line`."""
+    buf = bytearray()
+    while True:
+        line = _take_line(buf)
+        if line is not None:
+            return line
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise RpcError(RpcErrorCode.TIMEOUT, "timed out waiting for response")
@@ -184,6 +217,69 @@ def _read_line(sock: socket.socket, deadline: float) -> bytes:
         buf.extend(chunk)
 
 
+def _decode_reply(line: bytes, request_id: str) -> RpcResponse:
+    try:
+        response = decode_message(line)
+    except FramingError as exc:
+        raise RpcError(RpcErrorCode.MALFORMED, f"bad response frame: {exc}") from None
+    if not isinstance(response, RpcResponse) or response.id != request_id:
+        raise RpcError(RpcErrorCode.MALFORMED, "response does not match request")
+    return response
+
+
+def _remote_error(response: RpcResponse) -> RpcError | None:
+    if response.error is None:
+        return None
+    return RpcError(response.error["code"], response.error["message"])
+
+
+def _peer_closed(sock: socket.socket) -> bool:
+    """On an idle connection, readable means the peer closed or reset it,
+    or sent bytes nobody asked for; either way it is unusable."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+class _ConnectionPool:
+    """Idle client connections keyed by address. A connection is either
+    idle here or in use by exactly one call."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: dict[str, list[socket.socket]] = {}
+
+    def take(self, address: str) -> socket.socket | None:
+        """An idle connection to ``address`` that is still open, if any."""
+        while True:
+            with self._lock:
+                idle = self._idle.get(address)
+                if not idle:
+                    return None
+                sock = idle.pop()
+            if not _peer_closed(sock):
+                return sock
+            sock.close()
+
+    def put(self, address: str, sock: socket.socket) -> None:
+        with self._lock:
+            idle = self._idle.setdefault(address, [])
+            if len(idle) < _MAX_IDLE_PER_ADDRESS:
+                idle.append(sock)
+                return
+        sock.close()
+
+    def drop(self, address: str) -> None:
+        """Close every idle connection to ``address``."""
+        with self._lock:
+            idle = self._idle.pop(address, [])
+        for sock in idle:
+            sock.close()
+
+
+_pool = _ConnectionPool()
+
+
 def rpc_call(
     address: str,
     method: str,
@@ -192,41 +288,193 @@ def rpc_call(
 ) -> Any:
     """Send one request, wait for the matching response, return its result.
 
-    Remote errors surface as :class:`RpcError`. Connection failures and
-    silence past the deadline both map to TIMEOUT semantics.
+    Remote errors surface as :class:`RpcError`. Connection failures, send
+    failures and silence past the deadline all map to TIMEOUT semantics.
     """
     if timeout_ms <= 0:
         raise ValueError("timeout_ms must be > 0")
     host, port = parse_address(address)
     deadline = time.monotonic() + timeout_ms / 1000.0
-    request = RpcRequest(
-        id=str(next(_request_ids)), method=method, params=dict(params or {})
-    )
-    try:
-        sock = socket.create_connection((host, port), timeout=timeout_ms / 1000.0)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    except OSError as exc:
-        raise RpcError(RpcErrorCode.TIMEOUT, f"cannot connect to {address}: {exc}") from None
-    try:
-        sock.sendall(encode_message(request))
-        line = _read_line(sock, deadline)
-    finally:
+    request = _new_request(method, params)
+    payload = encode_message(request)
+    sock = _pool.take(address)
+    if sock is None:
         try:
-            sock.close()
-        except OSError:
-            pass
+            sock = socket.create_connection((host, port), timeout=timeout_ms / 1000.0)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as exc:
+            raise RpcError(RpcErrorCode.TIMEOUT, f"cannot connect to {address}: {exc}") from None
     try:
-        response = decode_message(line)
-    except FramingError as exc:
-        raise RpcError(RpcErrorCode.MALFORMED, f"bad response frame: {exc}") from None
-    if not isinstance(response, RpcResponse) or response.id != request.id:
-        raise RpcError(RpcErrorCode.MALFORMED, "response does not match request")
-    if response.error is not None:
-        raise RpcError(response.error["code"], response.error["message"])
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise RpcError(RpcErrorCode.TIMEOUT, "timed out before sending")
+        sock.settimeout(remaining)
+        try:
+            sock.sendall(payload)
+        except OSError as exc:
+            raise RpcError(RpcErrorCode.TIMEOUT, f"send to {address} failed: {exc}") from None
+        line, clean = _read_line(sock, deadline)
+        response = _decode_reply(line, request.id)
+    except BaseException:
+        sock.close()
+        raise
+    if clean:
+        _pool.put(address, sock)
+    else:
+        sock.close()
+    error = _remote_error(response)
+    if error is not None:
+        raise error
     return response.result
 
 
+@dataclass
+class _Exchange:
+    """One fan-out request in flight: what is left to send, then what has
+    arrived of the reply."""
+
+    index: int
+    address: str
+    unsent: memoryview
+    received: bytearray = field(default_factory=bytearray)
+
+
+def _connect_nonblocking(address: str) -> socket.socket:
+    host_port = parse_address(address)
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setblocking(False)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    err = sock.connect_ex(host_port)
+    if err not in (0, errno.EINPROGRESS):
+        sock.close()
+        raise OSError(err, os.strerror(err))
+    return sock
+
+
+def _advance(sock: socket.socket, exchange: _Exchange) -> tuple[bytes, bool] | None:
+    """Move one exchange on along a ready socket: send more of the request,
+    or read more of the reply. Returns the reply line once complete."""
+    try:
+        if exchange.unsent:
+            exchange.unsent = exchange.unsent[sock.send(exchange.unsent):]
+            return None
+        chunk = sock.recv(_RECV_CHUNK)
+    except BlockingIOError:  # a spurious wake-up
+        return None
+    except OSError as exc:
+        raise RpcError(RpcErrorCode.TIMEOUT, f"connection to {exchange.address} lost: {exc}") from None
+    if not chunk:
+        raise RpcError(RpcErrorCode.TIMEOUT, "connection closed before response")
+    exchange.received.extend(chunk)
+    return _take_line(exchange.received)
+
+
+def rpc_fanout(
+    addresses: Sequence[str],
+    method: str,
+    params: Mapping[str, Any] | None,
+    timeout_ms: int,
+) -> list[Any]:
+    """Send the same request to every address at once from the calling
+    thread, and wait for the replies until one shared deadline.
+
+    Returns one entry per address, in order: the call's result, or the
+    :class:`RpcError` that :func:`rpc_call` would have raised. Addresses
+    without an idle pooled connection get a non-blocking connect, so one
+    whose connect hangs costs no more than the deadline.
+    """
+    if timeout_ms <= 0:
+        raise ValueError("timeout_ms must be > 0")
+    deadline = time.monotonic() + timeout_ms / 1000.0
+    request = _new_request(method, params)
+    payload = encode_message(request)
+    results: list[Any] = [None] * len(addresses)
+    selector = selectors.DefaultSelector()
+    try:
+        for index, address in enumerate(addresses):
+            try:
+                sock = _pool.take(address) or _connect_nonblocking(address)
+            except (OSError, ValueError) as exc:
+                results[index] = RpcError(
+                    RpcErrorCode.TIMEOUT, f"cannot connect to {address}: {exc}"
+                )
+                continue
+            sock.setblocking(False)
+            exchange = _Exchange(index, address, memoryview(payload))
+            selector.register(sock, selectors.EVENT_WRITE, exchange)
+        while selector.get_map():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            for key, _ in selector.select(remaining):
+                sock, exchange = key.fileobj, key.data
+                try:
+                    line = _advance(sock, exchange)
+                    if line is None:
+                        if not exchange.unsent and key.events != selectors.EVENT_READ:
+                            selector.modify(sock, selectors.EVENT_READ, exchange)
+                        continue
+                    response = _decode_reply(line[0], request.id)
+                except RpcError as exc:
+                    results[exchange.index] = exc
+                    selector.unregister(sock)
+                    sock.close()
+                    continue
+                selector.unregister(sock)
+                if line[1]:
+                    _pool.put(exchange.address, sock)
+                else:
+                    sock.close()
+                error = _remote_error(response)
+                results[exchange.index] = response.result if error is None else error
+    finally:
+        for key in list(selector.get_map().values()):
+            results[key.data.index] = RpcError(
+                RpcErrorCode.TIMEOUT, "timed out waiting for response"
+            )
+            key.fileobj.close()
+        selector.close()
+    return results
+
+
 Handler = Callable[[dict[str, Any]], Any]
+
+
+class _Acceptor:
+    """The one thread that accepts connections for every :class:`Server` in
+    the process. Listeners join and leave its selector from other threads
+    while it waits; with epoll and kqueue, the default selectors on Linux
+    and the BSDs, such changes take effect at once."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._selector: selectors.BaseSelector | None = None
+
+    def add(self, listener: socket.socket, server: "Server") -> None:
+        with self._lock:
+            if self._selector is None:
+                self._selector = selectors.DefaultSelector()
+                threading.Thread(target=self._run, name="rpc-acceptor", daemon=True).start()
+            self._selector.register(listener, selectors.EVENT_READ, server)
+
+    def remove(self, listener: socket.socket) -> None:
+        """Stop accepting on ``listener``; call before closing it."""
+        with self._lock:
+            self._selector.unregister(listener)
+
+    def _run(self) -> None:
+        while True:
+            for key, _ in self._selector.select():
+                try:
+                    conn, peer = key.fileobj.accept()
+                    conn.setblocking(True)
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                except OSError:  # the listener closed, or the client gave up
+                    continue
+                key.data._start_connection(conn, peer)
+
+
+_acceptor = _Acceptor()
 
 
 class Server:
@@ -240,44 +488,35 @@ class Server:
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(128)
+        self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()[:2]
         self._shutdown = threading.Event()
         self._conn_threads: set[threading.Thread] = set()
         self._conns: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"rpc-accept-{self.port}", daemon=True
-        )
-        self._accept_thread.start()
+        _acceptor.add(self._listener, self)
 
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
 
-    def _accept_loop(self) -> None:
-        self._listener.settimeout(_POLL_INTERVAL_S)
-        while not self._shutdown.is_set():
-            try:
-                conn, peer = self._listener.accept()
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn, peer),
-                name=f"rpc-conn-{peer[1]}",
-                daemon=True,
-            )
-            with self._conn_lock:
-                self._conn_threads.add(thread)
+    def _start_connection(self, conn: socket.socket, peer: tuple) -> None:
+        """Serve a newly accepted connection on a thread of its own."""
+        thread = threading.Thread(
+            target=self._serve_connection,
+            args=(conn,),
+            name=f"rpc-conn-{peer[1]}",
+            daemon=True,
+        )
+        with self._conn_lock:
+            if self._shutdown.is_set():
+                conn.close()
+                return
+            self._conns.add(conn)
+            self._conn_threads.add(thread)
             thread.start()
 
-    def _serve_connection(self, conn: socket.socket, peer: tuple) -> None:
-        conn.settimeout(_POLL_INTERVAL_S)
-        with self._conn_lock:
-            self._conns.add(conn)
+    def _serve_connection(self, conn: socket.socket) -> None:
         buf = bytearray()
         try:
             while not self._shutdown.is_set():
@@ -288,22 +527,14 @@ class Server:
                     response = self._handle_line(line)
                     conn.sendall(encode_message(response))
                     continue
-                try:
-                    chunk = conn.recv(_RECV_CHUNK)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
+                chunk = conn.recv(_SERVE_RECV_CHUNK)
                 if not chunk:
                     break
                 buf.extend(chunk)
         except OSError:
             pass
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn.close()
             with self._conn_lock:
                 self._conns.discard(conn)
                 self._conn_threads.discard(threading.current_thread())
@@ -343,29 +574,22 @@ class Server:
 
     def shutdown(self) -> None:
         """Stop accepting, finish in-flight requests, close all connections."""
+        if self._shutdown.is_set():
+            return
         self._shutdown.set()
-        try:
-            # Wake the blocked accept immediately rather than waiting out its
-            # poll interval.
-            with socket.create_connection((self.host, self.port), timeout=1.0):
-                pass
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        _acceptor.remove(self._listener)
+        self._listener.close()
         with self._conn_lock:
-            for conn in list(self._conns):
+            for conn in self._conns:
                 try:
                     conn.shutdown(socket.SHUT_RD)  # wakes idle recv; writes still ok
                 except OSError:
                     pass
-        self._accept_thread.join(timeout=5.0)
-        with self._conn_lock:
             threads = list(self._conn_threads)
         for thread in threads:
             thread.join(timeout=5.0)
+        # This process's idle connections to the server are dead now.
+        _pool.drop(self.address)
 
 
 def serve(bind: str, handlers: Mapping[str, Handler]) -> Server:

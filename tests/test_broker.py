@@ -2,6 +2,7 @@
 
 import itertools
 import socket
+import threading
 import time
 
 import pytest
@@ -61,9 +62,11 @@ def test_select_lowest_order_independent_with_ties():
 # -- registry -------------------------------------------------------------------
 
 def _quotes_from(table):
-    """Fake quote fn answering from {cluster_id: price-or-marker}."""
+    """Fake batch quote fn answering from {cluster_id: price-or-marker}."""
 
-    def fn(address, spec, timeout_ms):
+    def quote(address):
+        if address not in table:  # nothing listens there
+            return wire.RpcError(wire.RpcErrorCode.APPLICATION_ERROR, "no such front-end")
         answer = table[address]
         if isinstance(answer, int):
             return Bid(
@@ -73,8 +76,11 @@ def _quotes_from(table):
                 expires_at=10**9,
             )
         if answer == "hang":
-            raise wire.RpcError(wire.RpcErrorCode.TIMEOUT, "no answer")
+            return wire.RpcError(wire.RpcErrorCode.TIMEOUT, "no answer")
         return {"reason": answer}
+
+    def fn(addresses, spec, timeout_ms):
+        return [quote(address) for address in addresses]
 
     return fn
 
@@ -236,3 +242,60 @@ def test_hanging_frontend_does_not_block_selection(market_factory):
         assert elapsed <= 0.5 * 1.1 + 0.2
     finally:
         silent.close()
+
+
+def test_black_holed_frontend_does_not_block_selection(market_factory):
+    """A cluster whose connect never completes, listed before a live one,
+    costs one bid timeout, not the live cluster's bid."""
+    runtime = market_factory(
+        clusters=[{"cluster_id": "alive", "capacity_nodes": 8, "base_rate": 1}],
+        users=[{"account": "alice", "initial_deposit": 0}],
+        bid_timeout_ms=500,
+    )
+    # A full accept queue: with backlog 0 and one connection waiting, later
+    # connection attempts get no answer at all.
+    hole = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    hole.bind(("127.0.0.1", 0))
+    hole.listen(0)
+    host, port = hole.getsockname()
+    filler = socket.create_connection((host, port), timeout=1.0)
+    try:
+        runtime.broker_core.register_cluster(
+            _descriptor("a-hole", address=f"{host}:{port}"), ttl_s=600
+        )
+        started = time.monotonic()
+        outcome = runtime.broker_core.find_cluster(_spec())
+        elapsed = time.monotonic() - started
+        assert isinstance(outcome, Selection)
+        assert outcome.cluster_id == "alive"
+        assert elapsed <= 0.5 * 1.1 + 0.2
+    finally:
+        filler.close()
+        hole.close()
+
+
+def test_find_cluster_over_64_clusters_starts_no_thread(monkeypatch):
+    silent = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    silent.bind(("127.0.0.1", 0))
+    silent.listen(128)
+    host, port = silent.getsockname()
+    core = BrokerCore(clock=VirtualClock(), bid_timeout_ms=200)
+    for i in range(64):
+        core.register_cluster(_descriptor(f"c{i:02d}", address=f"{host}:{port}"), 60)
+    started = []
+    thread_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    try:
+        before = threading.active_count()
+        outcome = core.find_cluster(_spec())
+        assert threading.active_count() == before
+    finally:
+        silent.close()
+    assert started == []
+    assert isinstance(outcome, NoEligibleCluster)
+    assert outcome.reasons == {f"c{i:02d}": "timeout" for i in range(64)}

@@ -195,6 +195,7 @@ def test_fifty_concurrent_pings(server):
     for t in threads:
         t.join()
     assert results == [{"i": i} for i in range(50)]
+    assert len(wire._pool._idle[server.address]) <= wire._MAX_IDLE_PER_ADDRESS
 
 
 def test_sequential_requests_share_a_connection(server):
@@ -235,3 +236,128 @@ def test_shutdown_completes_in_flight_request():
     srv.shutdown()
     thread.join(timeout=5.0)
     assert result.get("value") == "done"
+
+
+# -- send failures and fan-out -------------------------------------------------
+
+@pytest.fixture()
+def resetting_peer():
+    """Address of a peer that reads a little of a request, then resets."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    listener.settimeout(5.0)
+    host, port = listener.getsockname()
+
+    def reset_after_first_bytes() -> None:
+        conn, _ = listener.accept()
+        conn.recv(1024)
+        conn.close()  # unread data pending, so the kernel answers with RST
+
+    peer = threading.Thread(target=reset_after_first_bytes)
+    peer.start()
+    yield f"{host}:{port}"
+    peer.join(timeout=5.0)
+    listener.close()
+    assert not peer.is_alive()
+
+
+_BIG_PARAMS = {"blob": "x" * (8 * 1024 * 1024)}
+
+
+def test_send_failure_maps_to_timeout(resetting_peer):
+    with pytest.raises(RpcError) as err:
+        rpc_call(resetting_peer, "echo", _BIG_PARAMS, timeout_ms=5000)
+    assert err.value.code == RpcErrorCode.TIMEOUT
+
+
+def test_fanout_send_failure_maps_to_timeout(resetting_peer):
+    (outcome,) = wire.rpc_fanout([resetting_peer], "echo", _BIG_PARAMS, timeout_ms=5000)
+    assert isinstance(outcome, RpcError)
+    assert outcome.code == RpcErrorCode.TIMEOUT
+
+
+def test_fanout_answers_every_address_in_order(server):
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    _, free_port = probe.getsockname()
+    probe.close()
+    addresses = [server.address, f"127.0.0.1:{free_port}", server.address]
+    echoed, refused, again = wire.rpc_fanout(addresses, "echo", {"x": 1}, timeout_ms=2000)
+    assert echoed == again == {"x": 1}
+    assert isinstance(refused, RpcError) and refused.code == RpcErrorCode.TIMEOUT
+    (unknown,) = wire.rpc_fanout([server.address], "nope", {}, timeout_ms=2000)
+    assert isinstance(unknown, RpcError) and unknown.code == RpcErrorCode.UNKNOWN_METHOD
+
+
+# -- connection pool -----------------------------------------------------------
+
+@pytest.fixture()
+def connects(monkeypatch):
+    """Every address ``socket.create_connection`` is asked for."""
+    opened: list = []
+    create_connection = socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        opened.append(address)
+        return create_connection(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return opened
+
+
+def test_sequential_calls_share_one_connection(server, connects):
+    for i in range(10):
+        assert rpc_call(server.address, "echo", {"i": i}, timeout_ms=2000) == {"i": i}
+    assert len(connects) == 1
+
+
+def test_timed_out_call_does_not_pool_its_connection(server):
+    with pytest.raises(RpcError) as err:
+        rpc_call(server.address, "slow", {"s": 0.3}, timeout_ms=100)
+    assert err.value.code == RpcErrorCode.TIMEOUT
+    # Had the connection gone back to the pool, this call would read the
+    # slow call's late reply.
+    assert rpc_call(server.address, "echo", {"n": 1}, timeout_ms=2000) == {"n": 1}
+
+
+def test_restarted_server_is_reached_on_a_fresh_connection(connects):
+    first = wire.serve("127.0.0.1:0", {"who": lambda params: "first"})
+    address = first.address
+    assert rpc_call(address, "who", {}, timeout_ms=2000) == "first"
+    first.shutdown()
+    second = wire.serve(address, {"who": lambda params: "second"})
+    try:
+        assert rpc_call(address, "who", {}, timeout_ms=2000) == "second"
+    finally:
+        second.shutdown()
+    assert len(connects) == 2
+
+
+def test_connection_its_peer_closed_is_not_reused(connects):
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(2)
+    listener.settimeout(5.0)
+    host, port = listener.getsockname()
+    closed = threading.Event()
+
+    def answer_once_per_connection() -> None:
+        for _ in range(2):
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                request = decode_message(reader.readline().rstrip(b"\n"))
+                conn.sendall(encode_message(wire.ok_response(request.id, True)))
+            closed.set()
+
+    peer = threading.Thread(target=answer_once_per_connection)
+    peer.start()
+    try:
+        assert rpc_call(f"{host}:{port}", "ping", {}, timeout_ms=2000) is True
+        assert closed.wait(timeout=5.0)
+        assert rpc_call(f"{host}:{port}", "ping", {}, timeout_ms=2000) is True
+    finally:
+        peer.join(timeout=5.0)
+        listener.close()
+    assert not peer.is_alive()
+    assert len(connects) == 2
