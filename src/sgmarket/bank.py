@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from . import wire
-from .domain import Money, ServiceError, canonical_json_bytes, parse_money
+from .domain import Money, ServiceError, canonical_json_bytes, parse_money, secret_matches
 
 log = logging.getLogger(__name__)
 
@@ -232,19 +232,23 @@ class BankCore:
         self._held_by_job[job_id] = escrow_id
 
     def settle_escrow(
-        self, escrow_id: str, outcome: str, reporter_secret: str
+        self, escrow_id: str, job_id: str, outcome: str, reporter_secret: str
     ) -> EscrowRecord:
+        """Release or refund an escrow. Only the payee cluster may report,
+        and only for the job the escrow was held for, so a submission that
+        names someone else's escrow cannot void it."""
         if outcome not in ("COMPLETED", "FAILED"):
             raise wire.InvalidParams(f"outcome must be COMPLETED or FAILED, got {outcome!r}")
         with self._lock:
             escrow = self._escrows.get(escrow_id)
             if escrow is None:
                 raise UnknownEscrow(f"no escrow {escrow_id!r}")
+            if escrow.job_id != job_id:
+                raise BadReporter(f"escrow {escrow_id!r} is not for job {job_id!r}")
             if escrow.state is not EscrowState.HELD:
                 raise AlreadySettled(f"escrow {escrow_id!r} is {escrow.state.value}")
             payee_owner = self._accounts[escrow.payee].owner
-            expected = self.cluster_secrets.get(payee_owner)
-            if expected is None or reporter_secret != expected:
+            if not secret_matches(self.cluster_secrets.get(payee_owner), reporter_secret):
                 raise BadReporter(f"secret does not match payee cluster {payee_owner!r}")
             self._apply_settle_escrow(escrow_id, outcome)
             self._log("settle_escrow", escrow_id=escrow_id, outcome=outcome)
@@ -383,6 +387,7 @@ def rpc_handlers(core: BankCore) -> dict[str, wire.Handler]:
     def settle_escrow(params: Mapping[str, Any]) -> dict[str, Any]:
         record = core.settle_escrow(
             escrow_id=_str_param(params, "escrow_id"),
+            job_id=_str_param(params, "job_id"),
             outcome=_str_param(params, "outcome"),
             reporter_secret=_str_param(params, "reporter_secret"),
         )
@@ -442,11 +447,12 @@ class BankClient:
         return result["escrow_id"]
 
     def settle_escrow(
-        self, escrow_id: str, outcome: str, reporter_secret: str
+        self, escrow_id: str, job_id: str, outcome: str, reporter_secret: str
     ) -> dict[str, Any]:
         return self._call(
             "bank.settle_escrow",
             escrow_id=escrow_id,
+            job_id=job_id,
             outcome=outcome,
             reporter_secret=reporter_secret,
         )

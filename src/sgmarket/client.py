@@ -209,13 +209,13 @@ class ClientSession:
             if exc.app_error_name() is not None:
                 # The front-end definitively rejected (and refunds on its
                 # side); confirm the refund and report.
-                self._request_refund(escrow_id)
+                self._request_refund(escrow_id, spec.job_id)
                 raise SubmissionRejected(f"submission rejected: {exc.message}") from None
             # Transport trouble: the node may or may not have accepted.
             try:
                 self.job_status(spec.job_id, selection["address"])
             except UnknownEntityError:
-                self._request_refund(escrow_id)
+                self._request_refund(escrow_id, spec.job_id)
                 raise SubmissionRejected(f"submission failed: {exc.message}") from None
             except ClientError:
                 raise ClientError(
@@ -229,11 +229,11 @@ class ClientSession:
             "escrow_id": escrow_id,
         }
 
-    def _request_refund(self, escrow_id: str) -> None:
+    def _request_refund(self, escrow_id: str, job_id: str) -> None:
         """The rejecting front-end refunds on its own; this confirms it (the
         bank answers AlreadySettled) and reports anything still held."""
         try:
-            self._bank.settle_escrow(escrow_id, "FAILED", self.config.secret)
+            self._bank.settle_escrow(escrow_id, job_id, "FAILED", self.config.secret)
         except wire.RpcError as exc:
             if exc.app_error_name() != "AlreadySettled":
                 print(

@@ -8,6 +8,7 @@ values always produce byte-identical output.
 
 from __future__ import annotations
 
+import hmac
 import json
 import re
 from dataclasses import dataclass
@@ -59,6 +60,15 @@ def canonical_encode(value: Any) -> bytes:
     if to_dict is not None:
         value = to_dict()
     return canonical_json_bytes(value)
+
+
+def secret_matches(expected: str | None, given: str) -> bool:
+    """Whether ``given`` equals the registered secret, in time independent
+    of where they differ. ``None`` (nobody registered) matches nothing.
+    Compares UTF-8 bytes: ``hmac.compare_digest`` rejects non-ASCII ``str``."""
+    return expected is not None and hmac.compare_digest(
+        expected.encode("utf-8"), given.encode("utf-8")
+    )
 
 
 def _require(data: Mapping[str, Any], field: str) -> Any:

@@ -37,6 +37,7 @@ from .domain import (
     ValidationError,
     is_legal_transition,
     parse_money,
+    secret_matches,
     validate_jobspec,
 )
 
@@ -328,7 +329,8 @@ class FrontendCore:
         self._lock = threading.RLock()
         self._quotes: dict[str, _QuoteRecord] = {}
         self._quote_seq = 0
-        self._pending_settlements: list[tuple[str, str]] = []  # (escrow_id, outcome)
+        # (escrow_id, job_id, outcome)
+        self._pending_settlements: list[tuple[str, str, str]] = []
 
     # -- pricing ------------------------------------------------------------
 
@@ -383,7 +385,7 @@ class FrontendCore:
         try:
             with self._lock:
                 record = self._check_quote(spec, bid_token)
-                if self.users.get(spec.user) != spec.secret:
+                if not secret_matches(self.users.get(spec.user), spec.secret):
                     raise AuthFailed(f"bad credentials for user {spec.user!r}")
                 if spec.job_id in self.scheduler.jobs:
                     raise DuplicateJob(f"job {spec.job_id!r} already submitted")
@@ -411,16 +413,17 @@ class FrontendCore:
                 known = self.scheduler.jobs.get(spec.job_id)
                 backs_live_job = known is not None and known.escrow_id == escrow_id
             if not backs_live_job:
-                self._refund_escrow(escrow_id)
+                self._refund_escrow(escrow_id, spec.job_id)
             raise
 
-    def _refund_escrow(self, escrow_id: str) -> None:
+    def _refund_escrow(self, escrow_id: str, job_id: str) -> None:
         """Best-effort refund of a rejected submission's escrow; the bank
-        rejects the attempt unless the escrow is really ours and still held."""
+        rejects the attempt unless the escrow is really ours, held for this
+        job, and still held."""
         if not escrow_id:
             return
         try:
-            self.bank.settle_escrow(escrow_id, "FAILED", self.cluster_secret)
+            self.bank.settle_escrow(escrow_id, job_id, "FAILED", self.cluster_secret)
         except wire.RpcError as exc:
             if exc.app_error_name() not in (
                 "UnknownEscrow",
@@ -439,9 +442,10 @@ class FrontendCore:
             for event in events:
                 if event["type"] != "COMPLETED":
                     continue
-                escrow_id = self.scheduler.jobs[event["job_id"]].escrow_id
+                job_id = event["job_id"]
+                escrow_id = self.scheduler.jobs[job_id].escrow_id
                 if escrow_id is not None:
-                    self._pending_settlements.append((escrow_id, "COMPLETED"))
+                    self._pending_settlements.append((escrow_id, job_id, "COMPLETED"))
             # Expired quotes linger one extra ttl so a late submission still
             # gets the honest QuoteExpired answer rather than UnknownQuote.
             clock = self.scheduler.clock
@@ -456,16 +460,16 @@ class FrontendCore:
     def _drain_settlements(self) -> None:
         with self._lock:
             pending, self._pending_settlements = self._pending_settlements, []
-        retry: list[tuple[str, str]] = []
-        for escrow_id, outcome in pending:
+        retry: list[tuple[str, str, str]] = []
+        for escrow_id, job_id, outcome in pending:
             try:
-                self.bank.settle_escrow(escrow_id, outcome, self.cluster_secret)
+                self.bank.settle_escrow(escrow_id, job_id, outcome, self.cluster_secret)
             except wire.RpcError as exc:
                 name = exc.app_error_name()
                 if name == "AlreadySettled":
                     continue
                 if name is None:  # transport trouble; try again next tick
-                    retry.append((escrow_id, outcome))
+                    retry.append((escrow_id, job_id, outcome))
                 else:
                     log.error("settlement of %s rejected: %s", escrow_id, exc)
             except ServiceError as exc:

@@ -2,11 +2,15 @@
 run in-process over real loopback sockets while scripted clients submit a
 workload in virtual time.
 
-The harness is the only driver of time. Each virtual second it delivers the
-submissions due (sequentially, in workload order), then ticks every
-front-end; stretches with no due submissions are ticked in one jump, pausing
-at every tenth second for a conservation audit. Given a fixed seed, two runs
-of the same scenario produce byte-identical reports.
+Only market traffic crosses loopback: find, quotes, describe, escrow,
+submit and settlement. The harness alone advances time, and does so
+in-process, the way a wall-mode front-end's own ticker does. Each virtual
+second it delivers the submissions due (sequentially, in workload order),
+then calls every front-end core's ``tick`` in turn; stretches with no due
+submissions are ticked in one jump, pausing at every tenth second for a
+conservation audit. It audits the bank and reads final job states from the
+cores directly as well. Given a fixed seed, two runs of the same scenario
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from .bank import BankClient, BankCore, rpc_handlers as bank_handlers
 from .broker import BrokerCore, MAX_TTL_S, MIN_TTL_S, rpc_handlers as broker_handlers
 from .client import ClientConfig, ClientError, ClientSession
 from .clock import VirtualClock
-from .domain import ServiceError, ValidationError, canonical_encode
-from .frontend import FrontendService
+from .domain import JobState, ServiceError, ValidationError, canonical_encode
+from .frontend import FrontendCore, FrontendService
 
 log = logging.getLogger(__name__)
 
@@ -228,9 +232,7 @@ class MarketRuntime:
 
     def _tick_all(self, dt: int) -> None:
         for service in self.frontends:
-            wire.rpc_call(
-                service.address, "node.tick", {"dt": dt}, timeout_ms=30000
-            )
+            service.core.tick(dt)
         self.virtual_clock.advance(dt)
 
     def _conservation_holds(self) -> bool:
@@ -243,10 +245,8 @@ class MarketRuntime:
         jobs_per_cluster = {c["cluster_id"]: 0 for c in scenario.clusters}
         price_series: list[dict[str, Any]] = []
         errors: list[dict[str, Any]] = []
-        accepted: list[tuple[str, str]] = []  # (job_id, node address)
-        addresses = {
-            service.core.cluster_id: service.address for service in self.frontends
-        }
+        accepted: list[tuple[str, FrontendCore]] = []
+        cores = {service.core.cluster_id: service.core for service in self.frontends}
         conservation_ok = self._conservation_holds()
 
         idx = 0
@@ -274,7 +274,7 @@ class MarketRuntime:
                         "price": receipt["price"],
                     }
                 )
-                accepted.append((receipt["job_id"], addresses[cluster_id]))
+                accepted.append((receipt["job_id"], cores[cluster_id]))
 
             next_submit = (
                 scenario.workload[idx]["submit_at"]
@@ -291,11 +291,8 @@ class MarketRuntime:
         conservation_ok = conservation_ok and self._conservation_holds()
 
         all_terminal = self.bank_core.audit()["total_held"] == 0
-        for job_id, address in accepted:
-            result = wire.rpc_call(
-                address, "node.status", {"job_id": job_id}, timeout_ms=5000
-            )
-            if result["status"]["state"] not in ("COMPLETED", "FAILED"):
+        for job_id, core in accepted:
+            if core.status(job_id).state not in (JobState.COMPLETED, JobState.FAILED):
                 all_terminal = False
 
         final_balances = self.bank_core.account_balances()
@@ -349,12 +346,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioInvalid, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: bad scenario: {exc}", file=sys.stderr)
         return 1
-    if args.check_replay and not replay_check(scenario):
+    report = run_scenario(scenario)
+    encoded = canonical_encode(report.to_dict())
+    if args.check_replay and canonical_encode(run_scenario(scenario).to_dict()) != encoded:
         print("error: scenario did not replay identically", file=sys.stderr)
         return 1
-    report = run_scenario(scenario)
     with open(args.report, "wb") as fh:
-        fh.write(canonical_encode(report.to_dict()) + b"\n")
+        fh.write(encoded + b"\n")
     summary = {
         "jobs_per_cluster": report.jobs_per_cluster,
         "conservation_ok": report.conservation_ok,

@@ -61,7 +61,7 @@ def test_criterion_2_money_conservation():
             users = [core.create_account(f"u{i}", "USER") for i in range(2)]
             cluster = core.create_account("c", "CLUSTER")
             deposited = 0
-            open_escrows: list[str] = []
+            open_escrows: list[tuple[str, str]] = []
             job_seq = 0
             for _ in range(rng.randint(5, 25)):
                 op = rng.choice(("deposit", "hold", "settle"))
@@ -71,16 +71,19 @@ def test_criterion_2_money_conservation():
                     deposited += amount
                 elif op == "hold":
                     job_seq += 1
+                    job_id = f"{job_seq:032x}"
                     try:
                         escrow_id = core.hold_escrow(
-                            rng.choice(users), cluster, rng.randint(1, 1500), f"{job_seq:032x}"
+                            rng.choice(users), cluster, rng.randint(1, 1500), job_id
                         )
-                        open_escrows.append(escrow_id)
+                        open_escrows.append((escrow_id, job_id))
                     except InsufficientFunds:
                         pass
                 elif open_escrows:
-                    escrow_id = open_escrows.pop(rng.randrange(len(open_escrows)))
-                    core.settle_escrow(escrow_id, rng.choice(("COMPLETED", "FAILED")), "s")
+                    escrow_id, job_id = open_escrows.pop(rng.randrange(len(open_escrows)))
+                    core.settle_escrow(
+                        escrow_id, job_id, rng.choice(("COMPLETED", "FAILED")), "s"
+                    )
                 totals = core.audit()
                 assert totals["total_balances"] + totals["total_held"] == deposited
 

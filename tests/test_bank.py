@@ -107,7 +107,7 @@ def test_hold_escrow_kind_checks(core):
 def test_settle_completed_pays_the_cluster(core):
     alice, cluster = _funded(core)
     escrow_id = core.hold_escrow(alice, cluster, 2000, "j" * 32)
-    record = core.settle_escrow(escrow_id, "COMPLETED", "sekrit")
+    record = core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sekrit")
     assert record.state is EscrowState.RELEASED
     assert core.balance(cluster) == 2000
     assert core.balance(alice) == 8000
@@ -116,7 +116,7 @@ def test_settle_completed_pays_the_cluster(core):
 def test_settle_failed_refunds_the_user(core):
     alice, cluster = _funded(core)
     escrow_id = core.hold_escrow(alice, cluster, 2000, "j" * 32)
-    record = core.settle_escrow(escrow_id, "FAILED", "sekrit")
+    record = core.settle_escrow(escrow_id, "j" * 32, "FAILED", "sekrit")
     assert record.state is EscrowState.REFUNDED
     assert core.balance(alice) == 10000
     assert core.balance(cluster) == 0
@@ -125,9 +125,9 @@ def test_settle_failed_refunds_the_user(core):
 def test_settle_twice_reports_already_settled(core):
     alice, cluster = _funded(core)
     escrow_id = core.hold_escrow(alice, cluster, 2000, "j" * 32)
-    core.settle_escrow(escrow_id, "COMPLETED", "sekrit")
+    core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sekrit")
     with pytest.raises(AlreadySettled):
-        core.settle_escrow(escrow_id, "FAILED", "sekrit")
+        core.settle_escrow(escrow_id, "j" * 32, "FAILED", "sekrit")
     assert core.balance(alice) == 8000
     assert core.balance(cluster) == 2000
 
@@ -136,13 +136,32 @@ def test_settle_requires_cluster_secret(core):
     alice, cluster = _funded(core)
     escrow_id = core.hold_escrow(alice, cluster, 2000, "j" * 32)
     with pytest.raises(BadReporter):
-        core.settle_escrow(escrow_id, "COMPLETED", "wrong")
+        core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "wrong")
     assert core.get_escrow(escrow_id).state is EscrowState.HELD
+
+
+def test_settle_for_another_job_is_refused(core):
+    alice, cluster = _funded(core)
+    escrow_id = core.hold_escrow(alice, cluster, 2000, "j" * 32)
+    with pytest.raises(BadReporter):
+        core.settle_escrow(escrow_id, "k" * 32, "FAILED", "sekrit")
+    assert core.get_escrow(escrow_id).state is EscrowState.HELD
+    assert core.balance(alice) == 8000
+
+
+def test_settle_accepts_non_ascii_cluster_secret():
+    core = BankCore(cluster_secrets={"clusterA": "sëkrit-密"})
+    alice, cluster = _funded(core)
+    escrow_id = core.hold_escrow(alice, cluster, 2000, "j" * 32)
+    with pytest.raises(BadReporter):
+        core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sekrit-密")
+    record = core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sëkrit-密")
+    assert record.state is EscrowState.RELEASED
 
 
 def test_settle_unknown_escrow(core):
     with pytest.raises(UnknownEscrow):
-        core.settle_escrow("esc-999999", "COMPLETED", "sekrit")
+        core.settle_escrow("esc-999999", "j" * 32, "COMPLETED", "sekrit")
 
 
 def test_verify_escrow_matches(core):
@@ -153,7 +172,7 @@ def test_verify_escrow_matches(core):
     assert core.verify_escrow(escrow_id, "cluster:other", "j" * 32, 400) is False
     assert core.verify_escrow(escrow_id, cluster, "k" * 32, 400) is False
     assert core.verify_escrow("esc-000099", cluster, "j" * 32, 400) is False
-    core.settle_escrow(escrow_id, "COMPLETED", "sekrit")
+    core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sekrit")
     assert core.verify_escrow(escrow_id, cluster, "j" * 32, 400) is False
 
 
@@ -213,7 +232,7 @@ def run_random_ops(seed: int, steps: int = 60) -> None:
     for account_id in users + clusters:
         mirror.create(account_id, "USER" if account_id.startswith("user") else "CLUSTER")
     job_counter = 0
-    open_escrows: list[tuple[str, str]] = []  # (escrow_id, cluster owner)
+    open_escrows: list[tuple[str, str, str]] = []  # (escrow_id, job_id, cluster owner)
 
     for _ in range(steps):
         op = rng.choice(["deposit", "hold", "settle", "audit", "audit"])
@@ -234,12 +253,12 @@ def run_random_ops(seed: int, steps: int = 60) -> None:
                 assert mirror.balances[payer] < amount
                 continue
             mirror.hold(escrow_id, payer, payee, amount, job_id)
-            open_escrows.append((escrow_id, payee.split(":", 1)[1]))
+            open_escrows.append((escrow_id, job_id, payee.split(":", 1)[1]))
         elif op == "settle" and open_escrows:
-            escrow_id, owner = open_escrows.pop(rng.randrange(len(open_escrows)))
+            escrow_id, job_id, owner = open_escrows.pop(rng.randrange(len(open_escrows)))
             outcome = rng.choice(["COMPLETED", "FAILED"])
             secret = {"c0": "s0", "c1": "s1"}[owner]
-            core.settle_escrow(escrow_id, outcome, secret)
+            core.settle_escrow(escrow_id, job_id, outcome, secret)
             mirror.settle(escrow_id, outcome)
         totals = core.audit()
         assert totals["total_balances"] + totals["total_held"] == mirror.deposited
@@ -283,7 +302,7 @@ def test_rpc_surface_round_trip():
         client.deposit(alice, 9000)
         escrow_id = client.hold_escrow(alice, cluster, 700, "j" * 32)
         assert client.verify_escrow(escrow_id, cluster, "j" * 32, 700) is True
-        record = client.settle_escrow(escrow_id, "COMPLETED", "sekrit")
+        record = client.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sekrit")
         assert record["state"] == "RELEASED"
         totals = client.audit()
         assert totals["total_balances"] == 9000
@@ -303,8 +322,8 @@ def test_log_replay_reproduces_state(tmp_path):
     alice, cluster = _funded(core)
     e1 = core.hold_escrow(alice, cluster, 1500, "a" * 32)
     e2 = core.hold_escrow(alice, cluster, 500, "b" * 32)
-    core.settle_escrow(e1, "COMPLETED", "sekrit")
-    core.settle_escrow(e2, "FAILED", "sekrit")
+    core.settle_escrow(e1, "a" * 32, "COMPLETED", "sekrit")
+    core.settle_escrow(e2, "b" * 32, "FAILED", "sekrit")
     core.close()
 
     replayed = BankCore.replay(log_path.read_bytes().splitlines())

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sgmarket.bank import BankCore, EscrowState
 from sgmarket.domain import Bid, JobState, Money, validate_jobspec
 from sgmarket.frontend import (
     AuthFailed,
@@ -54,13 +55,13 @@ class FakeBank:
         self.verifications.append((escrow_id, payee, job_id, min_amount))
         return self.verify_ok
 
-    def settle_escrow(self, escrow_id, outcome, reporter_secret):
-        self.settlements.append((escrow_id, outcome, reporter_secret))
+    def settle_escrow(self, escrow_id, job_id, outcome, reporter_secret):
+        self.settlements.append((escrow_id, job_id, outcome, reporter_secret))
         return {"state": "RELEASED" if outcome == "COMPLETED" else "REFUNDED"}
 
 
 def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
-          quote_ttl_s=60, horizon_s=3600, base_rate=1):
+          quote_ttl_s=60, horizon_s=3600, base_rate=1, users=None):
     policy = PricingPolicy(
         policy_id="load_proportional",
         base_rate=Money(base_rate),
@@ -74,7 +75,7 @@ def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
         policy=policy,
         payee_account="cluster:clusterA",
         cluster_secret="cs-A",
-        users={"alice": "pw"},
+        users=users or {"alice": "pw"},
         bank=bank if bank is not None else FakeBank(),
         quote_ttl_s=quote_ttl_s,
         horizon_s=horizon_s,
@@ -272,7 +273,7 @@ def test_submit_expired_quote_rejected_and_refunded():
     with pytest.raises(QuoteExpired):
         core.submit(_spec(), bid.bid_token, "esc-7")
     assert core.scheduler.jobs == {}
-    assert bank.settlements == [("esc-7", "FAILED", "cs-A")]
+    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
 
 
 def test_submit_with_unknown_token_rejected():
@@ -280,7 +281,7 @@ def test_submit_with_unknown_token_rejected():
     core = _core(bank=bank)
     with pytest.raises(UnknownQuote):
         core.submit(_spec(), "clusterA-q999999", "esc-7")
-    assert bank.settlements == [("esc-7", "FAILED", "cs-A")]
+    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
 
 
 def test_submit_token_for_other_job_rejected():
@@ -297,7 +298,7 @@ def test_submit_bad_escrow_rejected():
     with pytest.raises(EscrowInvalid):
         core.submit(_spec(), bid.bid_token, "esc-7")
     assert core.scheduler.jobs == {}
-    assert bank.settlements == [("esc-7", "FAILED", "cs-A")]
+    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
 
 
 def test_submit_bad_credentials_rejected():
@@ -306,7 +307,43 @@ def test_submit_bad_credentials_rejected():
     bid = core.quote(_spec(secret="wrong"))
     with pytest.raises(AuthFailed):
         core.submit(_spec(secret="wrong"), bid.bid_token, "esc-7")
-    assert bank.settlements == [("esc-7", "FAILED", "cs-A")]
+    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+
+
+def test_non_ascii_secret_authenticates():
+    core = _core(users={"zoë": "pässwörd-密"})
+    for job_id, user, secret in (
+        ("b" * 32, "zoë", "passwörd-密"),
+        ("c" * 32, "nobody", "pässwörd-密"),
+    ):
+        spec = _spec(job_id=job_id, user=user, secret=secret)
+        with pytest.raises(AuthFailed):
+            core.submit(spec, core.quote(spec).bid_token, "esc-8")
+    spec = _spec(user="zoë", secret="pässwörd-密")
+    assert core.submit(spec, core.quote(spec).bid_token, "esc-7").state is JobState.QUEUED
+
+
+def test_stranger_cannot_void_a_running_jobs_escrow():
+    bank = BankCore(cluster_secrets={"clusterA": "cs-A"})
+    alice = bank.create_account("alice", "USER")
+    cluster = bank.create_account("clusterA", "CLUSTER")
+    bank.deposit(alice, 10000)
+    core = _core(bank=bank)
+    spec = _spec(walltime_s=3)
+    bid = core.quote(spec)
+    escrow_id = bank.hold_escrow(alice, cluster, bid.price.amount, spec.job_id)
+    core.submit(spec, bid.bid_token, escrow_id)
+    core.tick(1)
+    assert core.status(spec.job_id).state is JobState.RUNNING
+    # Escrow ids are sequential, so a stranger can guess this one.
+    stranger = _spec(job_id="b" * 32, user="mallory", secret="bogus")
+    with pytest.raises(UnknownQuote):
+        core.submit(stranger, "clusterA-q999999", escrow_id)
+    assert bank.get_escrow(escrow_id).state is EscrowState.HELD
+    core.tick(10)
+    assert core.status(spec.job_id).state is JobState.COMPLETED
+    assert bank.balance(cluster) == bid.price.amount == 12
+    assert bank.balance(alice) == 10000 - 12
 
 
 def test_token_single_use_under_race():
@@ -340,9 +377,9 @@ def test_completion_settles_exactly_once():
     bid = core.quote(_spec(walltime_s=3))
     core.submit(_spec(walltime_s=3), bid.bid_token, "esc-9")
     core.tick(10)
-    assert bank.settlements == [("esc-9", "COMPLETED", "cs-A")]
+    assert bank.settlements == [("esc-9", "a" * 32, "COMPLETED", "cs-A")]
     core.tick(10)
-    assert bank.settlements == [("esc-9", "COMPLETED", "cs-A")]
+    assert bank.settlements == [("esc-9", "a" * 32, "COMPLETED", "cs-A")]
     assert core.status("a" * 32).state is JobState.COMPLETED
 
 

@@ -1,10 +1,11 @@
 """Scenario runs: reports, determinism, terminality, and the sg-sim CLI."""
 
+import hashlib
 import json
 
 import pytest
 
-from sgmarket import harness
+from sgmarket import harness, wire
 from sgmarket.domain import canonical_encode
 from sgmarket.harness import MarketReport, Scenario, ScenarioInvalid, replay_check, run_scenario
 
@@ -70,6 +71,24 @@ def test_even_distribution_across_identical_clusters():
     assert report.jobs_per_cluster == {"A": 2, "B": 2, "C": 2, "D": 2}
     assert report.conservation_ok is True
     assert report.all_jobs_terminal is True
+
+
+def test_run_sends_only_market_traffic_over_rpc(monkeypatch):
+    methods = []
+    rpc_call = wire.rpc_call
+
+    def recording(address, method, *args, **kwargs):
+        methods.append(method)
+        return rpc_call(address, method, *args, **kwargs)
+
+    monkeypatch.setattr(wire, "rpc_call", recording)
+    report = run_scenario(four_clusters_eight_jobs())
+    assert "node.submit" in methods and "bank.settle_escrow" in methods
+    assert "node.tick" not in methods and "node.status" not in methods
+    # The canonical report bytes of this scenario, from before the harness
+    # ticked front-ends in-process: driving time directly moves no money.
+    digest = hashlib.sha256(canonical_encode(report.to_dict())).hexdigest()
+    assert digest == "530f5145aa95ac60e347d5373416c4b498733a4e2e10aa61991f72a5fcfd8caf"
 
 
 def test_replay_check_fixed_seed():
@@ -200,14 +219,26 @@ def test_sim_cli_writes_canonical_report(tmp_path):
     assert canonical_encode(payload) + b"\n" == report_path.read_bytes()
 
 
-def test_sim_cli_check_replay(tmp_path):
+def test_sim_cli_check_replay(tmp_path, monkeypatch):
     scenario_path = tmp_path / "scenario.json"
     report_path = tmp_path / "report.json"
+    plain_path = tmp_path / "plain.json"
     scenario_path.write_bytes(canonical_encode(one_cluster_one_job().to_dict()))
+    assert harness.main(["--scenario", str(scenario_path), "--report", str(plain_path)]) == 0
+    runs = []
+    run = harness.MarketRuntime.run
+
+    def counted_run(runtime):
+        runs.append(runtime)
+        return run(runtime)
+
+    monkeypatch.setattr(harness.MarketRuntime, "run", counted_run)
     rc = harness.main(
         ["--scenario", str(scenario_path), "--report", str(report_path), "--check-replay"]
     )
     assert rc == 0
+    assert len(runs) == 2
+    assert report_path.read_bytes() == plain_path.read_bytes()
 
 
 def test_sim_cli_rejects_bad_scenario(tmp_path, capsys):

@@ -111,6 +111,27 @@ def test_tick_rejected_in_wall_mode():
         service.shutdown()
 
 
+def test_tick_over_rpc_matches_core_tick_in_virtual_mode():
+    service = FrontendService(_frontend_config())
+    twin = FrontendService(_frontend_config())
+    try:
+        for frontend in (service, twin):
+            frontend.core.scheduler.enqueue("a" * 32, 4, 3)
+            frontend.core.scheduler.enqueue("b" * 32, 8, 2)
+        result = wire.rpc_call(service.address, "node.tick", {"dt": 10}, timeout_ms=2000)
+        events = twin.core.tick(10)
+        assert len(events) == 4
+        assert result == {"events": events, "clock": twin.core.clock()}
+        for dt in (-1, True, "1"):
+            with pytest.raises(wire.RpcError) as err:
+                wire.rpc_call(service.address, "node.tick", {"dt": dt}, timeout_ms=2000)
+            assert err.value.code == wire.RpcErrorCode.INVALID_PARAMS
+        assert service.core.clock() == 10
+    finally:
+        service.shutdown()
+        twin.shutdown()
+
+
 def test_wall_mode_advances_the_clock_by_itself():
     service = FrontendService(
         _frontend_config(clock_mode="wall", wall_ms_per_second=20)
