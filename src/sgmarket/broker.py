@@ -1,6 +1,10 @@
 """The middleman: keeps a registry of cluster front-ends and, for each job,
 fans the spec out for bids and picks the cheapest eligible cluster.
 
+Only clusters whose registered descriptor can run the job are asked: one
+lacking a required feature, or with fewer nodes than the job needs, is
+refused with the reason its front-end would give, and never sees the spec.
+
 Selection is a pure function of the received bids: lowest price wins, ties
 break toward the bytewise-smallest cluster_id, so identical market states
 always produce identical selections. All quotes of one request go out at
@@ -21,7 +25,16 @@ from typing import Any, Callable, Mapping
 
 from . import wire
 from .clock import VirtualClock, WallClock
-from .domain import Bid, ClusterDescriptor, JobSpec, Money, ServiceError, ValidationError, validate_jobspec
+from .domain import (
+    Bid,
+    ClusterDescriptor,
+    JobSpec,
+    Money,
+    ServiceError,
+    ValidationError,
+    refusal_reason,
+    validate_jobspec,
+)
 
 log = logging.getLogger(__name__)
 
@@ -144,15 +157,22 @@ class BrokerCore:
         return sorted(live, key=lambda d: d.cluster_id)
 
     def find_cluster(self, spec: JobSpec) -> Selection | NoEligibleCluster:
-        candidates = self.list_clusters()
-        if not candidates:
-            return NoEligibleCluster(reasons={})
-        addresses = {d.cluster_id: d.address for d in candidates}
+        addresses: dict[str, str] = {}
+        reasons: dict[str, str] = {}
+        for descriptor in self.list_clusters():
+            refusal = refusal_reason(
+                spec, descriptor.capabilities, descriptor.capacity_nodes
+            )
+            if refusal is None:
+                addresses[descriptor.cluster_id] = descriptor.address
+            else:
+                reasons[descriptor.cluster_id] = refusal
+        if not addresses:
+            return NoEligibleCluster(reasons=reasons)
         answers = self._quote_fn(
             list(addresses.values()), spec, self.bid_timeout_ms
         )
         bids: dict[str, Bid] = {}
-        reasons: dict[str, str] = {}
         for cluster_id, answer in zip(addresses, answers):
             if isinstance(answer, Bid):
                 bids[cluster_id] = answer

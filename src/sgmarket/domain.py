@@ -93,6 +93,9 @@ def _check_int(field: str, value: Any, *, minimum: int | None = None) -> int:
     return value
 
 
+_NO_FEATURES: frozenset[str] = frozenset()
+
+
 def _check_features(field: str, value: Any) -> frozenset[str]:
     if isinstance(value, (set, frozenset)):
         items = sorted(value)
@@ -107,7 +110,8 @@ def _check_features(field: str, value: Any) -> frozenset[str]:
         if item in seen:
             raise ValidationError(field, f"duplicate feature {item!r}")
         seen.add(item)
-    return frozenset(items)
+    # Share one empty set: every held quote keeps the features it priced.
+    return frozenset(items) if items else _NO_FEATURES
 
 
 def _check_address(field: str, value: Any) -> str:
@@ -322,6 +326,23 @@ def validate_jobspec(raw: Mapping[str, Any]) -> JobSpec:
         command=command,
         workdir=workdir,
     )
+
+
+NO_BID_UNSUPPORTED_FEATURE = "unsupported_feature"
+NO_BID_INSUFFICIENT_CAPACITY = "insufficient_capacity"
+
+
+def refusal_reason(
+    spec: JobSpec, capabilities: frozenset[str], capacity_nodes: int
+) -> str | None:
+    """Why a cluster with these capabilities and this capacity can never run
+    ``spec``, or None if it can. The front-end refuses to quote on it, and
+    the broker skips such clusters before asking for bids."""
+    if not spec.required_features <= capabilities:
+        return NO_BID_UNSUPPORTED_FEATURE
+    if spec.nodes > capacity_nodes:
+        return NO_BID_INSUFFICIENT_CAPACITY
+    return None
 
 
 @dataclass(frozen=True)

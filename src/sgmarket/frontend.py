@@ -6,19 +6,21 @@ work raise the offered price, so lightly loaded clusters underbid busy ones.
 The scheduler is strict FIFO with head-of-line blocking; if the queue head
 does not fit in the free nodes, nothing behind it starts.
 
-All arithmetic in the price formula is exact rational arithmetic, rounded up
-to whole millicredits at the end.
+Pricing is exact: the rational price formula is carried as one integer
+numerator and denominator and rounded up to whole millicredits once, at the
+end. A quote costs the same however many jobs a front-end holds, and a tick
+costs only the completions and expired quotes it meets.
 """
 
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import logging
-import math
 import sys
 import threading
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -37,6 +39,7 @@ from .domain import (
     ValidationError,
     is_legal_transition,
     parse_money,
+    refusal_reason,
     secret_matches,
     validate_jobspec,
 )
@@ -47,8 +50,6 @@ DEFAULT_QUOTE_TTL_S = 60
 DEFAULT_HORIZON_S = 3600
 DEFAULT_ANNOUNCE_TTL_S = 60
 
-NO_BID_UNSUPPORTED_FEATURE = "unsupported_feature"
-NO_BID_INSUFFICIENT_CAPACITY = "insufficient_capacity"
 NO_BID_PRICE_ABOVE_MAX = "price_above_max"
 
 
@@ -137,13 +138,20 @@ class PricingPolicy:
         features: frozenset[str],
         load_ratio: Fraction,
     ) -> int:
-        """Price in millicredits, rounded up from exact rationals."""
-        amount = Fraction(self.base_rate.amount) * nodes * walltime_s
+        """Price in millicredits: the exact rational formula as one integer
+        numerator and denominator, rounded up once."""
+        num = self.base_rate.amount * nodes * walltime_s
+        den = 1
         if self.policy_id == "load_proportional":
-            amount *= 1 + self.load_coefficient * load_ratio
+            coefficient = self.load_coefficient
+            den = coefficient.denominator * load_ratio.denominator
+            num *= den + coefficient.numerator * load_ratio.numerator
         for feature in features:
-            amount *= self.feature_multipliers.get(feature, Fraction(1))
-        return math.ceil(amount)
+            multiplier = self.feature_multipliers.get(feature)
+            if multiplier is not None:
+                num *= multiplier.numerator
+                den *= multiplier.denominator
+        return -(-num // den)
 
     @classmethod
     def from_config(cls, config: Mapping[str, Any]) -> "PricingPolicy":
@@ -188,12 +196,18 @@ class _JobRecord:
 
 
 class SchedulerCore:
-    """Tick-driven FIFO batch scheduler over a fixed node pool.
+    """Event-driven FIFO batch scheduler over a fixed node pool.
 
-    Time advances in whole virtual seconds. At each time point, jobs whose
-    end time arrived complete first, then queued jobs start in strict FIFO
-    order while the head fits. Jobs never execute anything; the command is
-    recorded and the job occupies its nodes for exactly its walltime.
+    Time is whole virtual seconds. At each time point, jobs whose end time
+    arrived complete first (ties in start order), then queued jobs start in
+    strict FIFO order while the head fits. ``tick`` visits only the times
+    where that can change anything: now, each completion time, and the end
+    of the step. Jobs never execute anything; the command is recorded and
+    the job occupies its nodes for exactly its walltime.
+
+    Running totals of used nodes, nodes x end time over running jobs, and
+    queued node-seconds make the load O(1); ``recount`` is the O(jobs)
+    cross-check.
     """
 
     def __init__(self, capacity_nodes: int, start_clock: int = 0):
@@ -202,29 +216,43 @@ class SchedulerCore:
         self.capacity_nodes = capacity_nodes
         self.clock = start_clock
         self.queue: deque[str] = deque()
-        self.running: list[str] = []
+        self.running: set[str] = set()
         self.jobs: dict[str, _JobRecord] = {}
+        self._ends: list[tuple[int, int, str]] = []  # heap of (end_time, start_seq, job_id)
+        self._started = 0
+        self._used = 0
+        self._running_end_sum = 0
+        self._queued_node_seconds = 0
 
     def used_nodes(self) -> int:
-        return sum(self.jobs[j].nodes for j in self.running)
+        return self._used
 
     def free_nodes(self) -> int:
-        return self.capacity_nodes - self.used_nodes()
+        return self.capacity_nodes - self._used
 
     def committed_node_seconds(self) -> int:
-        """Remaining node-seconds of running work plus all queued work."""
-        committed = 0
+        """Remaining node-seconds of running work plus all queued work.
+        Exact because every running job ends after ``clock`` between ticks."""
+        return self._running_end_sum - self._used * self.clock + self._queued_node_seconds
+
+    def recount(self) -> tuple[int, int]:
+        """``(used_nodes, committed_node_seconds)`` recounted from every held
+        job, to cross-check the running totals."""
+        used = committed = 0
         for job_id in self.running:
             record = self.jobs[job_id]
+            used += record.nodes
             committed += record.nodes * max(0, record.end_time - self.clock)
         for job_id in self.queue:
             record = self.jobs[job_id]
             committed += record.nodes * record.walltime_s
-        return committed
+        return used, committed
 
     def enqueue(self, job_id: str, nodes: int, walltime_s: int) -> JobStatus:
         if job_id in self.jobs:
             raise DuplicateJob(f"job {job_id!r} already submitted here")
+        if walltime_s < 1:
+            raise ValidationError("walltime_s", "must be >= 1")
         record = _JobRecord(
             job_id=job_id,
             nodes=nodes,
@@ -234,6 +262,7 @@ class SchedulerCore:
         )
         self.jobs[job_id] = record
         self.queue.append(job_id)
+        self._queued_node_seconds += nodes * walltime_s
         return record.status()
 
     def status(self, job_id: str) -> JobStatus:
@@ -247,47 +276,66 @@ class SchedulerCore:
         if dt < 0:
             raise ValidationError("dt", "must be >= 0")
         events: list[dict[str, Any]] = []
-        for _ in range(dt):
+        target = self.clock + dt
+        while True:
             self._complete_due(events)
+            if self.clock == target:
+                return events
             self._start_fifo(events)
-            self.clock += 1
-        self._complete_due(events)
-        return events
+            # Started jobs end at least one second from now.
+            self.clock = min(self._ends[0][0], target) if self._ends else target
 
     def _complete_due(self, events: list[dict[str, Any]]) -> None:
-        for job_id in list(self.running):
+        ends = self._ends
+        while ends and ends[0][0] <= self.clock:
+            end_time, _, job_id = heapq.heappop(ends)
             record = self.jobs[job_id]
-            if record.end_time <= self.clock:
-                self.running.remove(job_id)
-                record._transition(JobState.COMPLETED)
-                record.finished_at = self.clock
-                events.append(
-                    {"type": "COMPLETED", "job_id": job_id, "time": self.clock}
-                )
+            self.running.remove(job_id)
+            self._used -= record.nodes
+            self._running_end_sum -= record.nodes * end_time
+            record._transition(JobState.COMPLETED)
+            record.finished_at = self.clock
+            events.append({"type": "COMPLETED", "job_id": job_id, "time": self.clock})
 
     def _start_fifo(self, events: list[dict[str, Any]]) -> None:
         while self.queue:
             record = self.jobs[self.queue[0]]
-            if record.nodes > self.free_nodes():
+            if record.nodes > self.capacity_nodes - self._used:
                 break  # head of line blocks everything behind it
             self.queue.popleft()
             record._transition(JobState.RUNNING)
             record.started_at = self.clock
             record.end_time = self.clock + record.walltime_s
-            self.running.append(record.job_id)
+            self._started += 1
+            heapq.heappush(self._ends, (record.end_time, self._started, record.job_id))
+            self.running.add(record.job_id)
+            self._used += record.nodes
+            self._running_end_sum += record.nodes * record.end_time
+            self._queued_node_seconds -= record.nodes * record.walltime_s
             events.append(
                 {"type": "STARTED", "job_id": record.job_id, "time": self.clock}
             )
-        assert self.used_nodes() <= self.capacity_nodes
+        assert self._used <= self.capacity_nodes
 
 
-@dataclass
+@dataclass(slots=True)
 class _QuoteRecord:
-    bid_token: str
+    """A live quote: the price offered for exactly these terms."""
+
     job_id: str
+    nodes: int
+    walltime_s: int
+    required_features: frozenset[str]
     price: int
     expires_at: int
-    consumed: bool = False
+
+    def binds(self, spec: JobSpec) -> bool:
+        return (
+            self.job_id == spec.job_id
+            and self.nodes == spec.nodes
+            and self.walltime_s == spec.walltime_s
+            and self.required_features == spec.required_features
+        )
 
 
 class FrontendCore:
@@ -327,7 +375,8 @@ class FrontendCore:
         self.horizon_s = horizon_s
         self.scheduler = SchedulerCore(capacity_nodes)
         self._lock = threading.RLock()
-        self._quotes: dict[str, _QuoteRecord] = {}
+        # Created in expiry order: the ttl is fixed and the clock never goes back.
+        self._quotes: OrderedDict[str, _QuoteRecord] = OrderedDict()
         self._quote_seq = 0
         # (escrow_id, job_id, outcome)
         self._pending_settlements: list[tuple[str, str, str]] = []
@@ -342,11 +391,11 @@ class FrontendCore:
 
     def quote(self, spec: JobSpec) -> Bid | NoBid:
         with self._lock:
-            missing = spec.required_features - self.capabilities
-            if missing:
-                return NoBid(NO_BID_UNSUPPORTED_FEATURE)
-            if spec.nodes > self.scheduler.capacity_nodes:
-                return NoBid(NO_BID_INSUFFICIENT_CAPACITY)
+            refusal = refusal_reason(
+                spec, self.capabilities, self.scheduler.capacity_nodes
+            )
+            if refusal is not None:
+                return NoBid(refusal)
             price = self.policy.price(
                 spec.nodes, spec.walltime_s, spec.required_features, self.load_ratio()
             )
@@ -356,8 +405,10 @@ class FrontendCore:
             token = f"{self.cluster_id}-q{self._quote_seq:06d}"
             expires_at = self.scheduler.clock + self.quote_ttl_s
             self._quotes[token] = _QuoteRecord(
-                bid_token=token,
                 job_id=spec.job_id,
+                nodes=spec.nodes,
+                walltime_s=spec.walltime_s,
+                required_features=spec.required_features,
                 price=price,
                 expires_at=expires_at,
             )
@@ -372,7 +423,7 @@ class FrontendCore:
 
     def _check_quote(self, spec: JobSpec, bid_token: str) -> _QuoteRecord:
         record = self._quotes.get(bid_token)
-        if record is None or record.job_id != spec.job_id or record.consumed:
+        if record is None or not record.binds(spec):
             raise UnknownQuote(f"no live quote {bid_token!r} for job {spec.job_id!r}")
         if self.scheduler.clock >= record.expires_at:
             raise QuoteExpired(f"quote {bid_token!r} expired at {record.expires_at}")
@@ -401,8 +452,8 @@ class FrontendCore:
                     f"escrow {escrow_id!r} does not cover job {spec.job_id!r}"
                 )
             with self._lock:
-                record = self._check_quote(spec, bid_token)
-                record.consumed = True
+                self._check_quote(spec, bid_token)
+                del self._quotes[bid_token]
                 status = self.scheduler.enqueue(spec.job_id, spec.nodes, spec.walltime_s)
                 self.scheduler.jobs[spec.job_id].escrow_id = escrow_id
                 return status
@@ -448,12 +499,10 @@ class FrontendCore:
                     self._pending_settlements.append((escrow_id, job_id, "COMPLETED"))
             # Expired quotes linger one extra ttl so a late submission still
             # gets the honest QuoteExpired answer rather than UnknownQuote.
-            clock = self.scheduler.clock
-            self._quotes = {
-                token: q
-                for token, q in self._quotes.items()
-                if not q.consumed and q.expires_at + self.quote_ttl_s > clock
-            }
+            cutoff = self.scheduler.clock - self.quote_ttl_s
+            quotes = self._quotes
+            while quotes and next(iter(quotes.values())).expires_at <= cutoff:
+                quotes.popitem(last=False)
         self._drain_settlements()
         return events
 

@@ -6,6 +6,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sgmarket import wire
 from sgmarket.broker import (
@@ -18,14 +19,15 @@ from sgmarket.broker import (
 )
 from sgmarket.clock import VirtualClock
 from sgmarket.domain import Bid, ClusterDescriptor, Money, validate_jobspec
+from sgmarket.frontend import FrontendCore, NoBid, PricingPolicy
 
 
-def _descriptor(cluster_id, address="127.0.0.1:9999", capacity=8):
+def _descriptor(cluster_id, address="127.0.0.1:9999", capacity=8, capabilities=()):
     return ClusterDescriptor(
         cluster_id=cluster_id,
         address=address,
         capacity_nodes=capacity,
-        capabilities=frozenset(),
+        capabilities=frozenset(capabilities),
         base_rate=Money(1),
         payee_account=f"cluster:{cluster_id}",
     )
@@ -180,6 +182,107 @@ def test_find_cluster_with_empty_registry():
     assert outcome.reasons == {}
 
 
+# -- matchmaking ------------------------------------------------------------------
+
+def _recording_quotes():
+    """Fake batch quote fn that bids 100 everywhere and records every
+    address it was asked."""
+    asked = []
+
+    def fn(addresses, spec, timeout_ms):
+        asked.extend(addresses)
+        return [
+            Bid(
+                cluster_id=address.split("#", 1)[1],
+                price=Money(100),
+                bid_token=f"tok-{address}",
+                expires_at=10**9,
+            )
+            for address in addresses
+        ]
+
+    return fn, asked
+
+
+def _register_fleet(core, fleet):
+    for cluster_id, capacity, capabilities in fleet:
+        core.register_cluster(
+            _descriptor(
+                cluster_id,
+                address=f"127.0.0.1:1#{cluster_id}",
+                capacity=capacity,
+                capabilities=capabilities,
+            ),
+            60,
+        )
+
+
+def test_find_cluster_quotes_only_clusters_that_can_run_the_job():
+    quote_fn, asked = _recording_quotes()
+    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    _register_fleet(
+        core,
+        [
+            ("A", 8, ("gpu",)),
+            ("B", 8, ()),  # lacks the feature
+            ("C", 2, ("gpu",)),  # too small
+            ("D", 2, ()),  # both: the feature is checked first
+            ("E", 4, ("gpu", "deadline")),
+        ],
+    )
+    outcome = core.find_cluster(_spec(nodes=4, required_features=["gpu"]))
+    assert asked == ["127.0.0.1:1#A", "127.0.0.1:1#E"]
+    assert isinstance(outcome, Selection)
+    assert outcome.cluster_id == "A"
+
+
+def test_find_cluster_with_no_capable_cluster_asks_nobody():
+    quote_fn, asked = _recording_quotes()
+    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    _register_fleet(core, [("B", 8, ()), ("C", 2, ("gpu",)), ("D", 2, ())])
+    outcome = core.find_cluster(_spec(nodes=4, required_features=["gpu"]))
+    assert asked == []
+    assert isinstance(outcome, NoEligibleCluster)
+    assert outcome.reasons == {
+        "B": "unsupported_feature",
+        "C": "insufficient_capacity",
+        "D": "unsupported_feature",
+    }
+
+
+@given(
+    capacity=st.integers(1, 8),
+    capabilities=st.frozensets(st.sampled_from(["gpu", "deadline", "ssd"])),
+    nodes=st.integers(1, 10),
+    features=st.frozensets(st.sampled_from(["gpu", "deadline", "ssd"])),
+)
+def test_broker_refusal_matches_the_frontends(capacity, capabilities, nodes, features):
+    """The broker refuses exactly where the registered front-end would, with
+    the same reason."""
+    frontend = FrontendCore(
+        cluster_id="A",
+        capacity_nodes=capacity,
+        capabilities=capabilities,
+        policy=PricingPolicy("flat", Money(1)),
+        payee_account="cluster:A",
+        cluster_secret="cs-A",
+        users={"alice": "pw-alice"},
+        bank=None,
+    )
+    quote_fn, asked = _recording_quotes()
+    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    core.register_cluster(frontend.descriptor("127.0.0.1:1#A"), 60)
+    spec = _spec(nodes=nodes, required_features=sorted(features))
+    outcome = core.find_cluster(spec)
+    answer = frontend.quote(spec)
+    if isinstance(answer, NoBid):
+        assert asked == []
+        assert outcome == NoEligibleCluster(reasons={"A": answer.reason})
+    else:
+        assert asked == ["127.0.0.1:1#A"]
+        assert isinstance(outcome, Selection)
+
+
 # -- end-to-end over sockets -----------------------------------------------------
 
 def test_selection_across_real_frontends(market_factory):
@@ -269,6 +372,37 @@ def test_black_holed_frontend_does_not_block_selection(market_factory):
         assert isinstance(outcome, Selection)
         assert outcome.cluster_id == "alive"
         assert elapsed <= 0.5 * 1.1 + 0.2
+    finally:
+        filler.close()
+        hole.close()
+
+
+def test_black_holed_cluster_without_the_feature_costs_nothing(market_factory):
+    """A black-holed cluster whose descriptor lacks the job's feature is
+    never asked, so it does not cost the bid timeout."""
+    runtime = market_factory(
+        clusters=[
+            {"cluster_id": "alive", "capacity_nodes": 8, "base_rate": 1,
+             "capabilities": ["gpu"]},
+        ],
+        users=[{"account": "alice", "initial_deposit": 0}],
+        bid_timeout_ms=2000,
+    )
+    hole = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    hole.bind(("127.0.0.1", 0))
+    hole.listen(0)
+    host, port = hole.getsockname()
+    filler = socket.create_connection((host, port), timeout=1.0)
+    try:
+        runtime.broker_core.register_cluster(
+            _descriptor("a-hole", address=f"{host}:{port}"), ttl_s=600
+        )
+        started = time.monotonic()
+        outcome = runtime.broker_core.find_cluster(_spec(required_features=["gpu"]))
+        elapsed = time.monotonic() - started
+        assert isinstance(outcome, Selection)
+        assert outcome.cluster_id == "alive"
+        assert elapsed < 1.0
     finally:
         filler.close()
         hole.close()

@@ -1,14 +1,17 @@
 """Pricing, the simulated FIFO scheduler, and the quote/submit/settle flow."""
 
+import math
 import random
 import threading
+import time
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sgmarket.bank import BankCore, EscrowState
-from sgmarket.domain import Bid, JobState, Money, validate_jobspec
+from sgmarket.domain import Bid, JobState, Money, ValidationError, validate_jobspec
 from sgmarket.frontend import (
     AuthFailed,
     DuplicateJob,
@@ -160,7 +163,142 @@ def test_price_monotonicity(base, nodes, walltime, bump, r1, r2):
     assert grown > policy.price(nodes, walltime, features, lo)
 
 
+def _fraction_price(policy, nodes, walltime_s, features, load_ratio):
+    """The price formula in Fraction arithmetic: the oracle for the integer
+    implementation."""
+    amount = Fraction(policy.base_rate.amount) * nodes * walltime_s
+    if policy.policy_id == "load_proportional":
+        amount *= 1 + policy.load_coefficient * load_ratio
+    for feature in features:
+        amount *= policy.feature_multipliers.get(feature, Fraction(1))
+    return math.ceil(amount)
+
+
+_ratios = st.tuples(st.integers(0, 20), st.integers(1, 20)).map(list)
+_multipliers = st.integers(1, 9).flatmap(
+    lambda q: st.tuples(st.integers(q, 5 * q), st.just(q)).map(list)
+)
+
+
+@given(
+    policy_id=st.sampled_from(["flat", "load_proportional"]),
+    base=st.integers(1, 10**6),
+    coefficient=st.one_of(st.integers(0, 5), _ratios),
+    multipliers=st.dictionaries(st.sampled_from(["gpu", "deadline"]), _multipliers),
+    nodes=st.integers(1, 128),
+    walltime=st.integers(1, 10**5),
+    features=st.frozensets(st.sampled_from(["gpu", "deadline", "ssd"])),
+    load=st.one_of(
+        st.fractions(min_value=0, max_value=50),
+        st.tuples(st.integers(0, 10**7), st.integers(1, 10**6)).map(
+            lambda t: Fraction(*t)
+        ),
+    ),
+)
+def test_integer_price_equals_fraction_formula(
+    policy_id, base, coefficient, multipliers, nodes, walltime, features, load
+):
+    policy = PricingPolicy.from_config(
+        {
+            "policy": policy_id,
+            "base_rate": base,
+            "load_coefficient": coefficient,
+            "feature_multipliers": multipliers,
+        }
+    )
+    assert policy.price(nodes, walltime, features, load) == _fraction_price(
+        policy, nodes, walltime, features, load
+    )
+
+
 # -- scheduler ------------------------------------------------------------------
+
+class _SteppingScheduler:
+    """The per-second stepper that ``SchedulerCore.tick`` replaced: every
+    virtual second, complete what is due in start order, then start the FIFO
+    head while it fits. Kept as the reference for the event-driven tick."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.clock = 0
+        self.queue = deque()
+        self.running = []  # in start order
+        self.jobs = {}  # job_id -> [nodes, walltime, end_time]
+
+    def enqueue(self, job_id, nodes, walltime):
+        self.jobs[job_id] = [nodes, walltime, None]
+        self.queue.append(job_id)
+
+    def tick(self, dt):
+        events = []
+        for _ in range(dt):
+            self._complete_due(events)
+            self._start_fifo(events)
+            self.clock += 1
+        self._complete_due(events)
+        return events
+
+    def _complete_due(self, events):
+        for job_id in list(self.running):
+            if self.jobs[job_id][2] <= self.clock:
+                self.running.remove(job_id)
+                events.append({"type": "COMPLETED", "job_id": job_id, "time": self.clock})
+
+    def _start_fifo(self, events):
+        used = sum(self.jobs[j][0] for j in self.running)
+        while self.queue:
+            nodes, walltime, _ = self.jobs[self.queue[0]]
+            if nodes > self.capacity - used:
+                break
+            job_id = self.queue.popleft()
+            self.jobs[job_id][2] = self.clock + walltime
+            self.running.append(job_id)
+            used += nodes
+            events.append({"type": "STARTED", "job_id": job_id, "time": self.clock})
+
+
+@st.composite
+def _scheduler_script(draw):
+    capacity = draw(st.integers(1, 8))
+    step = st.one_of(
+        # nodes up to capacity + 1: an oversized head blocks the queue forever
+        st.tuples(st.just("enqueue"), st.integers(1, capacity + 1), st.integers(1, 8)),
+        st.tuples(st.just("tick"), st.integers(0, 50)),
+    )
+    return capacity, draw(st.lists(step, max_size=40))
+
+
+@given(_scheduler_script())
+def test_event_driven_tick_matches_per_second_stepper(script):
+    capacity, steps = script
+    core = SchedulerCore(capacity)
+    reference = _SteppingScheduler(capacity)
+    for i, step in enumerate(steps):
+        if step[0] == "enqueue":
+            _, nodes, walltime = step
+            core.enqueue(f"job{i}", nodes, walltime)
+            reference.enqueue(f"job{i}", nodes, walltime)
+        else:
+            assert core.tick(step[1]) == reference.tick(step[1])
+            assert core.clock == reference.clock
+        assert len(core.running) == len(reference.running)
+        assert len(core.queue) == len(reference.queue)
+        assert core.recount() == (core.used_nodes(), core.committed_node_seconds())
+
+
+def test_idle_tick_over_a_million_seconds_is_cheap():
+    core = SchedulerCore(8)
+    started = time.perf_counter()
+    assert core.tick(10**6) == []
+    elapsed = time.perf_counter() - started
+    assert core.clock == 10**6
+    assert elapsed < 0.05
+
+
+def test_zero_walltime_rejected():
+    with pytest.raises(ValidationError):
+        SchedulerCore(2).enqueue("j", 1, 0)
+
 
 def test_scheduler_worked_example():
     core = SchedulerCore(8)
@@ -276,6 +414,34 @@ def test_submit_expired_quote_rejected_and_refunded():
     assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
 
 
+def test_submit_in_the_linger_window_gets_quote_expired():
+    core = _core(quote_ttl_s=5)
+    bid = core.quote(_spec())
+    core.tick(9)  # expired at 5; lingers until 10
+    with pytest.raises(QuoteExpired):
+        core.submit(_spec(), bid.bid_token, "esc-7")
+    core.tick(1)
+    with pytest.raises(UnknownQuote):
+        core.submit(_spec(), bid.bid_token, "esc-7")
+
+
+def test_consumed_quote_leaves_the_book():
+    core = _core()
+    bid = core.quote(_spec())
+    core.submit(_spec(), bid.bid_token, "esc-7")
+    assert bid.bid_token not in core._quotes
+
+
+def test_quote_book_is_empty_two_ttls_later():
+    core = _core(quote_ttl_s=60)
+    for i in range(1000):
+        core.quote(_spec(job_id=f"{i:032x}", nodes=1, walltime_s=1))
+    core.tick(119)
+    assert len(core._quotes) == 1000
+    core.tick(1)
+    assert len(core._quotes) == 0
+
+
 def test_submit_with_unknown_token_rejected():
     bank = FakeBank()
     core = _core(bank=bank)
@@ -344,6 +510,48 @@ def test_stranger_cannot_void_a_running_jobs_escrow():
     assert core.status(spec.job_id).state is JobState.COMPLETED
     assert bank.balance(cluster) == bid.price.amount == 12
     assert bank.balance(alice) == 10000 - 12
+
+
+def test_quote_binds_the_jobs_terms():
+    """A cheap quote cannot be stretched over a bigger job: the submitted
+    spec must ask for the nodes, walltime and features that were priced."""
+    bank = BankCore(cluster_secrets={"clusterA": "cs-A"})
+    alice = bank.create_account("alice", "USER")
+    cluster = bank.create_account("clusterA", "CLUSTER")
+    bank.deposit(alice, 10000)
+    core = _core(bank=bank, capacity=8)
+    bid = core.quote(_spec(nodes=1, walltime_s=1))
+    escrow_id = bank.hold_escrow(alice, cluster, bid.price.amount, "a" * 32)
+    with pytest.raises(UnknownQuote):
+        core.submit(_spec(nodes=64, walltime_s=3600), bid.bid_token, escrow_id)
+    assert core.scheduler.jobs == {}
+    assert bank.get_escrow(escrow_id).state is EscrowState.REFUNDED
+    assert bank.balance(alice) == 10000
+    # Nothing blocks the FIFO head, so a later small job runs.
+    later = _spec(job_id="b" * 32, nodes=1, walltime_s=1)
+    later_bid = core.quote(later)
+    later_escrow = bank.hold_escrow(alice, cluster, later_bid.price.amount, later.job_id)
+    core.submit(later, later_bid.bid_token, later_escrow)
+    core.tick(100)
+    assert core.status(later.job_id).state is JobState.COMPLETED
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [{"nodes": 8}, {"walltime_s": 101}, {"features": ("deadline",)}],
+    ids=["nodes", "walltime", "features"],
+)
+def test_submit_with_other_terms_than_quoted_rejected(changed):
+    bank = FakeBank()
+    core = _core(bank=bank)
+    bid = core.quote(_spec())
+    with pytest.raises(UnknownQuote):
+        core.submit(_spec(**changed), bid.bid_token, "esc-7")
+    assert core.scheduler.jobs == {}
+    assert bank.verifications == []
+    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+    # The quote is still good for the terms it priced.
+    assert core.submit(_spec(), bid.bid_token, "esc-8").state is JobState.QUEUED
 
 
 def test_token_single_use_under_race():
