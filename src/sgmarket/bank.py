@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -116,7 +117,16 @@ def _account_id(owner: str, kind: AccountKind) -> str:
 
 
 class BankCore:
-    """In-memory ledger with an optional append-only operation log."""
+    """In-memory ledger with an optional append-only operation log.
+
+    With ``log_path``, the log already there is replayed on construction, so
+    a restarted bank keeps its ledger. Each later operation is written
+    ahead: once all its checks have passed, its entry is appended, flushed
+    and fsynced, and only then applied, so an operation that returned
+    survives a crash of the process or the machine, and one whose write
+    failed changed nothing. A last line torn by a crash mid-write makes the
+    replay raise instead of being guessed at.
+    """
 
     def __init__(
         self,
@@ -131,19 +141,46 @@ class BankCore:
         self.cluster_secrets = dict(cluster_secrets or {})
         self._log_file = None
         if log_path is not None:
-            self._log_file = open(log_path, "ab")
+            self._log_file = open(log_path, "a+b")  # appends whatever the position
+            try:
+                self._log_file.seek(0)
+                self._replay(self._log_file)
+            except BaseException:
+                self.close()
+                raise
 
     def close(self) -> None:
         if self._log_file is not None:
             self._log_file.close()
             self._log_file = None
 
-    def _log(self, op: str, **args: Any) -> None:
-        if self._log_file is None:
-            return
+    def _commit(self, op: str, **args: Any) -> None:
+        """Write one checked operation ahead to the log, then apply it."""
         entry = {"op": op, **args}
-        self._log_file.write(canonical_json_bytes(entry) + b"\n")
-        self._log_file.flush()
+        if self._log_file is not None:
+            self._log_file.write(canonical_json_bytes(entry) + b"\n")
+            self._log_file.flush()
+            os.fsync(self._log_file.fileno())
+        self._apply(entry)
+
+    def _apply(self, entry: Mapping[str, Any]) -> None:
+        op = entry["op"]
+        if op == "create_account":
+            self._apply_create_account(entry["owner"], AccountKind(entry["kind"]))
+        elif op == "deposit":
+            self._apply_deposit(entry["account_id"], entry["amount"])
+        elif op == "hold_escrow":
+            self._apply_hold_escrow(
+                entry["payer"],
+                entry["payee"],
+                entry["amount"],
+                entry["job_id"],
+                entry["escrow_id"],
+            )
+        elif op == "settle_escrow":
+            self._apply_settle_escrow(entry["escrow_id"], entry["outcome"])
+        else:
+            raise ValueError(f"unknown log op {op!r}")
 
     def _get_account(self, account_id: str) -> Account:
         account = self._accounts.get(account_id)
@@ -158,31 +195,28 @@ class BankCore:
         if not owner:
             raise ServiceError("owner must be non-empty")
         with self._lock:
-            account_id = self._apply_create_account(owner, kind)
-            self._log("create_account", owner=owner, kind=kind.value)
+            account_id = _account_id(owner, kind)
+            if account_id in self._accounts:
+                raise DuplicateAccount(f"account for ({owner!r}, {kind.value}) exists")
+            self._commit("create_account", owner=owner, kind=kind.value)
             return account_id
 
-    def _apply_create_account(self, owner: str, kind: AccountKind) -> str:
+    def _apply_create_account(self, owner: str, kind: AccountKind) -> None:
         account_id = _account_id(owner, kind)
-        if account_id in self._accounts:
-            raise DuplicateAccount(f"account for ({owner!r}, {kind.value}) exists")
         self._accounts[account_id] = Account(
             account_id=account_id, owner=owner, kind=kind, balance=0
         )
-        return account_id
 
     def deposit(self, account_id: str, amount: int) -> int:
         if amount <= 0:
             raise NonPositiveAmount(f"deposit amount must be > 0, got {amount}")
         with self._lock:
-            balance = self._apply_deposit(account_id, amount)
-            self._log("deposit", account_id=account_id, amount=amount)
-            return balance
+            account = self._get_account(account_id)
+            self._commit("deposit", account_id=account_id, amount=amount)
+            return account.balance
 
-    def _apply_deposit(self, account_id: str, amount: int) -> int:
-        account = self._get_account(account_id)
-        account.balance += amount
-        return account.balance
+    def _apply_deposit(self, account_id: str, amount: int) -> None:
+        self._get_account(account_id).balance += amount
 
     def balance(self, account_id: str) -> int:
         with self._lock:
@@ -205,8 +239,7 @@ class BankCore:
                     f"balance {payer_account.balance} < amount {amount}"
                 )
             escrow_id = f"esc-{self._escrow_seq + 1:06d}"
-            self._apply_hold_escrow(payer, payee, amount, job_id, escrow_id)
-            self._log(
+            self._commit(
                 "hold_escrow",
                 payer=payer,
                 payee=payee,
@@ -250,8 +283,7 @@ class BankCore:
             payee_owner = self._accounts[escrow.payee].owner
             if not secret_matches(self.cluster_secrets.get(payee_owner), reporter_secret):
                 raise BadReporter(f"secret does not match payee cluster {payee_owner!r}")
-            self._apply_settle_escrow(escrow_id, outcome)
-            self._log("settle_escrow", escrow_id=escrow_id, outcome=outcome)
+            self._commit("settle_escrow", escrow_id=escrow_id, outcome=outcome)
             return escrow
 
     def _apply_settle_escrow(self, escrow_id: str, outcome: str) -> None:
@@ -281,9 +313,7 @@ class BankCore:
         with self._lock:
             total_balances = sum(a.balance for a in self._accounts.values())
             total_held = sum(
-                e.amount
-                for e in self._escrows.values()
-                if e.state is EscrowState.HELD
+                self._escrows[escrow_id].amount for escrow_id in self._held_by_job.values()
             )
             return {"total_balances": total_balances, "total_held": total_held}
 
@@ -318,31 +348,16 @@ class BankCore:
         """Rebuild bank state from an operation log; auth already happened
         when the operations were first applied."""
         core = cls()
+        core._replay(lines)
+        return core
+
+    def _replay(self, lines: Iterable[bytes | str]) -> None:
         for raw in lines:
             if isinstance(raw, bytes):
                 raw = raw.decode("utf-8")
             raw = raw.strip()
-            if not raw:
-                continue
-            entry = json.loads(raw)
-            op = entry["op"]
-            if op == "create_account":
-                core._apply_create_account(entry["owner"], AccountKind(entry["kind"]))
-            elif op == "deposit":
-                core._apply_deposit(entry["account_id"], entry["amount"])
-            elif op == "hold_escrow":
-                core._apply_hold_escrow(
-                    entry["payer"],
-                    entry["payee"],
-                    entry["amount"],
-                    entry["job_id"],
-                    entry["escrow_id"],
-                )
-            elif op == "settle_escrow":
-                core._apply_settle_escrow(entry["escrow_id"], entry["outcome"])
-            else:
-                raise ValueError(f"unknown log op {op!r}")
-        return core
+            if raw:
+                self._apply(json.loads(raw))
 
 
 def rpc_handlers(core: BankCore) -> dict[str, wire.Handler]:

@@ -209,13 +209,13 @@ class ClientSession:
             if exc.app_error_name() is not None:
                 # The front-end definitively rejected (and refunds on its
                 # side); confirm the refund and report.
-                self._request_refund(escrow_id, spec.job_id)
+                self._confirm_refund(escrow_id, payee_account, spec.job_id, price)
                 raise SubmissionRejected(f"submission rejected: {exc.message}") from None
             # Transport trouble: the node may or may not have accepted.
             try:
                 self.job_status(spec.job_id, selection["address"])
             except UnknownEntityError:
-                self._request_refund(escrow_id, spec.job_id)
+                self._confirm_refund(escrow_id, payee_account, spec.job_id, price)
                 raise SubmissionRejected(f"submission failed: {exc.message}") from None
             except ClientError:
                 raise ClientError(
@@ -229,17 +229,20 @@ class ClientSession:
             "escrow_id": escrow_id,
         }
 
-    def _request_refund(self, escrow_id: str, job_id: str) -> None:
-        """The rejecting front-end refunds on its own; this confirms it (the
-        bank answers AlreadySettled) and reports anything still held."""
+    def _confirm_refund(
+        self, escrow_id: str, payee_account: str, job_id: str, price: int
+    ) -> None:
+        """The rejecting front-end refunds on its own; this asks the bank,
+        read-only, whether the escrow is still held, and warns if it is or
+        if the bank cannot say. Only the payee cluster may settle, so the
+        user's secret never goes to the bank."""
         try:
-            self._bank.settle_escrow(escrow_id, job_id, "FAILED", self.config.secret)
+            if not self._bank.verify_escrow(escrow_id, payee_account, job_id, price):
+                return
+            problem = "is still held"
         except wire.RpcError as exc:
-            if exc.app_error_name() != "AlreadySettled":
-                print(
-                    f"warning: refund of escrow {escrow_id} unconfirmed: {exc.message}",
-                    file=sys.stderr,
-                )
+            problem = f"refund unconfirmed: {exc.message}"
+        print(f"warning: escrow {escrow_id} {problem}", file=sys.stderr)
 
     def job_status(self, job_id: str, node_address: str) -> JobStatus:
         result = self._call(node_address, "node.status", {"job_id": job_id})
@@ -278,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--max-price", type=int, dest="max_price")
     submit.add_argument("--command", dest="job_command")
     submit.add_argument("--workdir")
-    submit.add_argument("--qos", dest="qos_class")
 
     status = sub.add_parser("status", help="query a submitted job")
     status.add_argument("--config", required=True)
@@ -307,7 +309,6 @@ def main(argv: list[str] | None = None) -> int:
                 "max_price": args.max_price,
                 "command": args.job_command,
                 "workdir": args.workdir,
-                "qos_class": args.qos_class,
             }
             spec = session.build_spec(args.spec, overrides)
             receipt = session.submit_job(spec)

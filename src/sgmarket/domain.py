@@ -18,8 +18,6 @@ from typing import Any, Mapping
 FEATURE_RE = re.compile(r"^[a-z_]+$")
 JOB_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 
-QOS_CLASSES = ("standard", "priority")
-
 MILLICREDITS_PER_CREDIT = 1000
 
 
@@ -251,7 +249,6 @@ _JOBSPEC_FIELDS = (
     "nodes",
     "walltime_s",
     "required_features",
-    "qos_class",
     "max_price",
     "command",
     "workdir",
@@ -268,7 +265,6 @@ class JobSpec:
     nodes: int
     walltime_s: int
     required_features: frozenset[str]
-    qos_class: str
     max_price: Money | None
     command: str
     workdir: str
@@ -281,7 +277,6 @@ class JobSpec:
             "nodes": self.nodes,
             "walltime_s": self.walltime_s,
             "required_features": sorted(self.required_features),
-            "qos_class": self.qos_class,
             "command": self.command,
             "workdir": self.workdir,
         }
@@ -307,9 +302,6 @@ def validate_jobspec(raw: Mapping[str, Any]) -> JobSpec:
     nodes = _check_int("nodes", _require(raw, "nodes"), minimum=1)
     walltime_s = _check_int("walltime_s", _require(raw, "walltime_s"), minimum=1)
     features = _check_features("required_features", raw.get("required_features", []))
-    qos_class = _check_str("qos_class", raw.get("qos_class", "standard"))
-    if qos_class not in QOS_CLASSES:
-        raise ValidationError("qos_class", f"must be one of {QOS_CLASSES}")
     max_price_raw = raw.get("max_price")
     max_price = None if max_price_raw is None else parse_money("max_price", max_price_raw)
     command = _check_str("command", _require(raw, "command"))
@@ -321,7 +313,6 @@ def validate_jobspec(raw: Mapping[str, Any]) -> JobSpec:
         nodes=nodes,
         walltime_s=walltime_s,
         required_features=features,
-        qos_class=qos_class,
         max_price=max_price,
         command=command,
         workdir=workdir,

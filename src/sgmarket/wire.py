@@ -1,19 +1,22 @@
-"""Line-delimited JSON RPC: framing, a pooled blocking client, a one-thread
-fan-out, and a threaded server.
+"""Line-delimited JSON RPC: framing, one pooled non-blocking client
+exchange, and a threaded server.
 
 Transport contract: raw TCP, one message per line, each line the canonical
 JSON of a request or response followed by a single LF. JSON string escaping
 guarantees no raw LF/CR ever appears inside a payload, so LF is an
 unambiguous frame boundary. One request is in flight per connection at a
-time, and a connection carries any number of requests in sequence.
+time, and a connection carries any number of requests in sequence. Both
+sides read lines with one reader, which gives up on a line longer than
+``_MAX_LINE_BYTES``: the client answers MALFORMED, the server closes that
+connection.
 
-Client side, :func:`rpc_call` draws on one process-wide pool of idle
-connections keyed by address. A call takes an idle connection whose peer
-has not closed it, or opens a new one, and hands it back only after a clean
-reply; any error or timeout closes it. A request is never sent twice.
-:func:`rpc_fanout` sends one request to many addresses from the calling
-thread, over pooled or non-blocking new connections, and collects the
-replies under one shared deadline.
+Client side, every call goes through :func:`rpc_fanout`, which sends one
+request to many addresses from the calling thread and collects the replies
+under one shared deadline; :func:`rpc_call` is the fan-out to one address.
+Both draw on one process-wide pool of idle connections keyed by address. A
+call takes an idle connection whose peer has not closed it, or opens a new
+non-blocking one, and hands it back only after a clean reply; any error or
+timeout closes it. A request is never sent twice.
 
 Server side, one process-wide acceptor thread accepts for every
 :class:`Server` and gives each connection a thread of its own, which serves
@@ -172,7 +175,7 @@ def decode_message(line: bytes) -> RpcRequest | RpcResponse:
 
 def parse_address(address: str) -> tuple[str, int]:
     host, sep, port = address.rpartition(":")
-    if not sep or not host or not port.isdigit():
+    if not sep or not host or not port.isdigit() or int(port) > 65535:
         raise ValueError(f"bad address {address!r}, expected host:port")
     return host, int(port)
 
@@ -184,37 +187,18 @@ def _new_request(method: str, params: Mapping[str, Any] | None) -> RpcRequest:
     return RpcRequest(id=str(next(_request_ids)), method=method, params=dict(params or {}))
 
 
-def _take_line(buf: bytearray) -> tuple[bytes, bool] | None:
-    """The first LF-terminated line in ``buf`` (terminator stripped) and
-    whether it ends the buffer exactly; None while the line is incomplete."""
+def _take_line(buf: bytearray) -> bytes | None:
+    """Remove the first LF-terminated line from ``buf`` and return it,
+    terminator stripped; None while the line is incomplete. A partial line
+    longer than ``_MAX_LINE_BYTES`` raises MALFORMED."""
     newline = buf.find(b"\n")
     if newline < 0:
         if len(buf) > _MAX_LINE_BYTES:
-            raise RpcError(RpcErrorCode.MALFORMED, "response line too long")
+            raise RpcError(RpcErrorCode.MALFORMED, "line too long")
         return None
-    return bytes(buf[:newline]), newline == len(buf) - 1
-
-
-def _read_line(sock: socket.socket, deadline: float) -> tuple[bytes, bool]:
-    """Read one response line before ``deadline``; see :func:`_take_line`."""
-    buf = bytearray()
-    while True:
-        line = _take_line(buf)
-        if line is not None:
-            return line
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise RpcError(RpcErrorCode.TIMEOUT, "timed out waiting for response")
-        sock.settimeout(remaining)
-        try:
-            chunk = sock.recv(_RECV_CHUNK)
-        except socket.timeout:
-            raise RpcError(RpcErrorCode.TIMEOUT, "timed out waiting for response") from None
-        except OSError as exc:
-            raise RpcError(RpcErrorCode.TIMEOUT, f"connection lost: {exc}") from None
-        if not chunk:
-            raise RpcError(RpcErrorCode.TIMEOUT, "connection closed before response")
-        buf.extend(chunk)
+    line = bytes(buf[:newline])
+    del buf[: newline + 1]
+    return line
 
 
 def _decode_reply(line: bytes, request_id: str) -> RpcResponse:
@@ -225,12 +209,6 @@ def _decode_reply(line: bytes, request_id: str) -> RpcResponse:
     if not isinstance(response, RpcResponse) or response.id != request_id:
         raise RpcError(RpcErrorCode.MALFORMED, "response does not match request")
     return response
-
-
-def _remote_error(response: RpcResponse) -> RpcError | None:
-    if response.error is None:
-        return None
-    return RpcError(response.error["code"], response.error["message"])
 
 
 def _peer_closed(sock: socket.socket) -> bool:
@@ -280,93 +258,53 @@ class _ConnectionPool:
 _pool = _ConnectionPool()
 
 
-def rpc_call(
-    address: str,
-    method: str,
-    params: Mapping[str, Any] | None = None,
-    timeout_ms: int = 2000,
-) -> Any:
-    """Send one request, wait for the matching response, return its result.
-
-    Remote errors surface as :class:`RpcError`. Connection failures, send
-    failures and silence past the deadline all map to TIMEOUT semantics.
-    """
-    if timeout_ms <= 0:
-        raise ValueError("timeout_ms must be > 0")
-    host, port = parse_address(address)
-    deadline = time.monotonic() + timeout_ms / 1000.0
-    request = _new_request(method, params)
-    payload = encode_message(request)
-    sock = _pool.take(address)
-    if sock is None:
-        try:
-            sock = socket.create_connection((host, port), timeout=timeout_ms / 1000.0)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError as exc:
-            raise RpcError(RpcErrorCode.TIMEOUT, f"cannot connect to {address}: {exc}") from None
-    try:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise RpcError(RpcErrorCode.TIMEOUT, "timed out before sending")
-        sock.settimeout(remaining)
-        try:
-            sock.sendall(payload)
-        except OSError as exc:
-            raise RpcError(RpcErrorCode.TIMEOUT, f"send to {address} failed: {exc}") from None
-        line, clean = _read_line(sock, deadline)
-        response = _decode_reply(line, request.id)
-    except BaseException:
-        sock.close()
-        raise
-    if clean:
-        _pool.put(address, sock)
-    else:
-        sock.close()
-    error = _remote_error(response)
-    if error is not None:
-        raise error
-    return response.result
-
-
-@dataclass
-class _Exchange:
-    """One fan-out request in flight: what is left to send, then what has
-    arrived of the reply."""
-
-    index: int
-    address: str
-    unsent: memoryview
-    received: bytearray = field(default_factory=bytearray)
-
-
 def _connect_nonblocking(address: str) -> socket.socket:
     host_port = parse_address(address)
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setblocking(False)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    err = sock.connect_ex(host_port)
-    if err not in (0, errno.EINPROGRESS):
+    try:
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        err = sock.connect_ex(host_port)  # resolving a host name may raise
+        if err not in (0, errno.EINPROGRESS):
+            raise OSError(err, os.strerror(err))
+    except OSError:
         sock.close()
-        raise OSError(err, os.strerror(err))
+        raise
     return sock
 
 
-def _advance(sock: socket.socket, exchange: _Exchange) -> tuple[bytes, bool] | None:
-    """Move one exchange on along a ready socket: send more of the request,
-    or read more of the reply. Returns the reply line once complete."""
-    try:
-        if exchange.unsent:
-            exchange.unsent = exchange.unsent[sock.send(exchange.unsent):]
+@dataclass(slots=True)
+class _Exchange:
+    """One request in flight on a non-blocking connection: what is left to
+    send, then what has arrived of the reply."""
+
+    index: int
+    address: str
+    sock: socket.socket
+    unsent: memoryview
+    received: bytearray = field(default_factory=bytearray)
+
+    def send(self) -> None:
+        """Send as much of the rest of the request as the socket takes now."""
+        try:
+            self.unsent = self.unsent[self.sock.send(self.unsent):]
+        except BlockingIOError:  # still connecting, or the send buffer is full
+            pass
+        except OSError as exc:
+            raise RpcError(RpcErrorCode.TIMEOUT, f"send to {self.address} failed: {exc}") from None
+
+    def receive(self) -> bytes | None:
+        """Read what has arrived; the reply line once it is complete."""
+        try:
+            chunk = self.sock.recv(_RECV_CHUNK)
+        except BlockingIOError:  # a spurious wake-up
             return None
-        chunk = sock.recv(_RECV_CHUNK)
-    except BlockingIOError:  # a spurious wake-up
-        return None
-    except OSError as exc:
-        raise RpcError(RpcErrorCode.TIMEOUT, f"connection to {exchange.address} lost: {exc}") from None
-    if not chunk:
-        raise RpcError(RpcErrorCode.TIMEOUT, "connection closed before response")
-    exchange.received.extend(chunk)
-    return _take_line(exchange.received)
+        except OSError as exc:
+            raise RpcError(RpcErrorCode.TIMEOUT, f"connection to {self.address} lost: {exc}") from None
+        if not chunk:
+            raise RpcError(RpcErrorCode.TIMEOUT, "connection closed before response")
+        self.received.extend(chunk)
+        return _take_line(self.received)
 
 
 def rpc_fanout(
@@ -378,10 +316,13 @@ def rpc_fanout(
     """Send the same request to every address at once from the calling
     thread, and wait for the replies until one shared deadline.
 
-    Returns one entry per address, in order: the call's result, or the
-    :class:`RpcError` that :func:`rpc_call` would have raised. Addresses
-    without an idle pooled connection get a non-blocking connect, so one
-    whose connect hangs costs no more than the deadline.
+    Returns one entry per address, in order: the call's result, or an
+    :class:`RpcError`. Connection failures, send failures and silence past
+    the deadline all map to TIMEOUT semantics. Each request goes out as soon
+    as its connection is open; addresses without an idle pooled connection
+    get a non-blocking connect, so one whose connect hangs costs no more
+    than the deadline. A connection goes back to the pool only when its
+    reply ended what it had received; any error or timeout closes it.
     """
     if timeout_ms <= 0:
         raise ValueError("timeout_ms must be > 0")
@@ -389,7 +330,8 @@ def rpc_fanout(
     request = _new_request(method, params)
     payload = encode_message(request)
     results: list[Any] = [None] * len(addresses)
-    selector = selectors.DefaultSelector()
+    poller = select.poll()
+    in_flight: dict[int, _Exchange] = {}
     try:
         for index, address in enumerate(addresses):
             try:
@@ -399,42 +341,76 @@ def rpc_fanout(
                     RpcErrorCode.TIMEOUT, f"cannot connect to {address}: {exc}"
                 )
                 continue
-            sock.setblocking(False)
-            exchange = _Exchange(index, address, memoryview(payload))
-            selector.register(sock, selectors.EVENT_WRITE, exchange)
-        while selector.get_map():
+            exchange = _Exchange(index, address, sock, memoryview(payload))
+            try:
+                exchange.send()
+            except RpcError as exc:
+                results[index] = exc
+                sock.close()
+                continue
+            in_flight[sock.fileno()] = exchange
+            poller.register(sock, select.POLLOUT if exchange.unsent else select.POLLIN)
+        while in_flight:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
-            for key, _ in selector.select(remaining):
-                sock, exchange = key.fileobj, key.data
+            for fd, _ in poller.poll(remaining * 1000.0):
+                exchange = in_flight[fd]
                 try:
-                    line = _advance(sock, exchange)
-                    if line is None:
-                        if not exchange.unsent and key.events != selectors.EVENT_READ:
-                            selector.modify(sock, selectors.EVENT_READ, exchange)
+                    if exchange.unsent:
+                        exchange.send()
+                        if not exchange.unsent:
+                            poller.modify(fd, select.POLLIN)
                         continue
-                    response = _decode_reply(line[0], request.id)
+                    line = exchange.receive()
+                    if line is None:
+                        continue
+                    response = _decode_reply(line, request.id)
                 except RpcError as exc:
                     results[exchange.index] = exc
-                    selector.unregister(sock)
-                    sock.close()
+                    poller.unregister(fd)
+                    del in_flight[fd]
+                    exchange.sock.close()
                     continue
-                selector.unregister(sock)
-                if line[1]:
-                    _pool.put(exchange.address, sock)
+                poller.unregister(fd)
+                del in_flight[fd]
+                if exchange.received:
+                    exchange.sock.close()
                 else:
-                    sock.close()
-                error = _remote_error(response)
-                results[exchange.index] = response.result if error is None else error
+                    _pool.put(exchange.address, exchange.sock)
+                error = response.error
+                results[exchange.index] = (
+                    response.result
+                    if error is None
+                    else RpcError(error["code"], error["message"])
+                )
     finally:
-        for key in list(selector.get_map().values()):
-            results[key.data.index] = RpcError(
+        for exchange in in_flight.values():
+            results[exchange.index] = RpcError(
                 RpcErrorCode.TIMEOUT, "timed out waiting for response"
             )
-            key.fileobj.close()
-        selector.close()
+            exchange.sock.close()
     return results
+
+
+def rpc_call(
+    address: str,
+    method: str,
+    params: Mapping[str, Any] | None = None,
+    timeout_ms: int = 2000,
+) -> Any:
+    """Send one request, wait for the matching response, return its result.
+
+    This is :func:`rpc_fanout` to one address. Remote errors and transport
+    trouble surface as :class:`RpcError`; a malformed address or a
+    ``timeout_ms`` not above 0 raises :class:`ValueError`.
+    """
+    (outcome,) = rpc_fanout([address], method, params, timeout_ms)
+    if isinstance(outcome, RpcError):
+        # A malformed address never connects, so only a failed call checks it.
+        parse_address(address)
+        raise outcome
+    return outcome
 
 
 Handler = Callable[[dict[str, Any]], Any]
@@ -520,18 +496,15 @@ class Server:
         buf = bytearray()
         try:
             while not self._shutdown.is_set():
-                newline = buf.find(b"\n")
-                if newline >= 0:
-                    line = bytes(buf[:newline])
-                    del buf[: newline + 1]
-                    response = self._handle_line(line)
-                    conn.sendall(encode_message(response))
+                line = _take_line(buf)
+                if line is not None:
+                    conn.sendall(encode_message(self._handle_line(line)))
                     continue
                 chunk = conn.recv(_SERVE_RECV_CHUNK)
                 if not chunk:
                     break
                 buf.extend(chunk)
-        except OSError:
+        except (OSError, RpcError):  # the peer left, or sent a line past the bound
             pass
         finally:
             conn.close()

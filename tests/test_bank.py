@@ -328,3 +328,73 @@ def test_log_replay_reproduces_state(tmp_path):
 
     replayed = BankCore.replay(log_path.read_bytes().splitlines())
     assert replayed.snapshot() == core.snapshot()
+
+
+def test_restarted_bank_keeps_its_ledger(tmp_path):
+    log_path = tmp_path / "bank.log"
+    core = BankCore(cluster_secrets=SECRETS, log_path=log_path)
+    alice = core.create_account("alice", "USER")
+    cluster = core.create_account("clusterA", "CLUSTER")
+    core.deposit(alice, 500)
+    first = core.hold_escrow(alice, cluster, 200, "a" * 32)
+    core.close()
+
+    restarted = BankCore(cluster_secrets=SECRETS, log_path=log_path)
+    assert restarted.snapshot() == core.snapshot()
+    assert restarted.balance("user:alice") == 300
+    with pytest.raises(DuplicateAccount):
+        restarted.create_account("alice", "USER")
+    second = restarted.hold_escrow(alice, cluster, 100, "b" * 32)
+    assert second != first
+    restarted.settle_escrow(first, "a" * 32, "COMPLETED", "sekrit")
+    restarted.close()
+
+    replayed = BankCore.replay(log_path.read_bytes().splitlines())
+    assert replayed.snapshot() == restarted.snapshot()
+    assert replayed.audit() == {"total_balances": 400, "total_held": 100}
+
+
+class _FailingLog:
+    def write(self, data):
+        raise OSError("disk full")
+
+
+def test_failed_log_write_leaves_the_ledger_unchanged(tmp_path):
+    core = BankCore(cluster_secrets=SECRETS, log_path=tmp_path / "bank.log")
+    alice, cluster = _funded(core)
+    escrow_id = core.hold_escrow(alice, cluster, 1000, "a" * 32)
+    before = core.snapshot()
+    log_file, core._log_file = core._log_file, _FailingLog()
+    try:
+        with pytest.raises(OSError):
+            core.create_account("bob", "USER")
+        with pytest.raises(OSError):
+            core.deposit(alice, 5)
+        with pytest.raises(OSError):
+            core.hold_escrow(alice, cluster, 10, "b" * 32)
+        with pytest.raises(OSError):
+            core.settle_escrow(escrow_id, "a" * 32, "COMPLETED", "sekrit")
+    finally:
+        log_file.close()
+    assert core.snapshot() == before
+
+
+def test_audit_counts_exactly_the_held_escrows():
+    rng = random.Random(5)
+    core = BankCore(cluster_secrets=SECRETS)
+    alice, cluster = _funded(core, deposit=10**9)
+    held: list[tuple[str, str]] = []
+    for n in range(500):
+        job_id = f"{n:032x}"
+        held.append((core.hold_escrow(alice, cluster, rng.randint(1, 1000), job_id), job_id))
+        if rng.random() < 0.6:
+            escrow_id, job_id = held.pop(rng.randrange(len(held)))
+            outcome = rng.choice(["COMPLETED", "FAILED"])
+            core.settle_escrow(escrow_id, job_id, outcome, "sekrit")
+        # The old formula, kept as the oracle: every escrow ever held,
+        # filtered by state.
+        oracle = sum(
+            e.amount for e in core.escrow_records() if e.state is EscrowState.HELD
+        )
+        assert core.audit()["total_held"] == oracle
+    assert core.audit()["total_balances"] + core.audit()["total_held"] == 10**9

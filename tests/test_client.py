@@ -189,6 +189,29 @@ def test_rejected_submission_exits_5_after_refund(tmp_path, market_factory):
     assert runtime.frontends[0].core.scheduler.jobs == {}
 
 
+def test_rejected_submission_sends_no_user_secret_to_the_bank(
+    tmp_path, capsys, market_factory, monkeypatch
+):
+    runtime = market_factory(clusters=ONE_CLUSTER, users=FUNDED)
+    secret = "not-the-password"
+    config = _client_config_file(tmp_path, runtime, secret=secret)
+    spec = _spec_file(tmp_path)
+    bank_params: list = []
+    rpc_call = wire.rpc_call
+
+    def recording(address, method, params=None, *args, **kwargs):
+        if address == runtime.bank_server.address:
+            bank_params.append(json.dumps(params))
+        return rpc_call(address, method, params, *args, **kwargs)
+
+    monkeypatch.setattr(wire, "rpc_call", recording)
+    rc = client.main(["submit", "--config", str(config), "--spec", str(spec)])
+    assert rc == client.EXIT_REJECTED
+    assert bank_params and not any(secret in params for params in bank_params)
+    assert "warning" not in capsys.readouterr().err
+    assert runtime.bank_core.audit() == {"total_balances": 10000, "total_held": 0}
+
+
 def test_deposit_faucet_roundtrip(tmp_path, capsys, market_factory):
     runtime = market_factory(
         clusters=[], users=[{"account": "alice", "initial_deposit": 0}]

@@ -28,7 +28,6 @@ def _base_record(**overrides):
         "nodes": 4,
         "walltime_s": 100,
         "required_features": [],
-        "qos_class": "standard",
         "command": "run",
         "workdir": "/data",
     }
@@ -62,7 +61,7 @@ def test_validate_jobspec_rejects_duplicate_features():
         ({"job_id": "short"}, "job_id"),
         ({"job_id": "G" * 32}, "job_id"),
         ({"walltime_s": 0}, "walltime_s"),
-        ({"qos_class": "gold"}, "qos_class"),
+        ({"nodes": True}, "nodes"),
         ({"required_features": ["UPPER"]}, "required_features"),
         ({"max_price": -5}, "max_price"),
         ({"user": ""}, "user"),
@@ -136,7 +135,6 @@ _jobspecs = st.builds(
     nodes=st.integers(1, 64),
     walltime_s=st.integers(1, 10**6),
     required_features=_features,
-    qos_class=st.sampled_from(["standard", "priority"]),
     max_price=st.none() | _money,
     command=_name,
     workdir=_name,

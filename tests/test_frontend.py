@@ -37,7 +37,6 @@ def _spec(job_id="a" * 32, nodes=4, walltime_s=100, features=(), max_price=None,
         "nodes": nodes,
         "walltime_s": walltime_s,
         "required_features": list(features),
-        "qos_class": "standard",
         "command": "run",
         "workdir": "/data",
     }

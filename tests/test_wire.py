@@ -183,6 +183,42 @@ def test_connection_refused_maps_to_timeout_semantics():
     assert err.value.code == RpcErrorCode.TIMEOUT
 
 
+def test_rpc_call_accepts_a_host_name(server):
+    address = f"localhost:{server.port}"
+    assert rpc_call(address, "ping", {}, timeout_ms=2000) is True
+    wire._pool.drop(address)  # shutdown drops only the server's own address
+
+
+@pytest.mark.parametrize(
+    "address", ["127.0.0.1", ":80", "127.0.0.1:", "127.0.0.1:http", "127.0.0.1:65536"]
+)
+def test_rpc_call_rejects_a_malformed_address(address):
+    with pytest.raises(ValueError):
+        rpc_call(address, "ping", {}, timeout_ms=2000)
+
+
+def test_rpc_call_rejects_a_non_positive_timeout(server):
+    with pytest.raises(ValueError):
+        rpc_call(server.address, "ping", {}, timeout_ms=0)
+
+
+def test_overlong_request_line_closes_only_that_connection(server):
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+    try:
+        try:
+            sock.sendall(b"x" * (wire._MAX_LINE_BYTES + 1))
+        except OSError:  # the server may close before it has read everything
+            pass
+        try:
+            closed = sock.recv(1) == b""
+        except ConnectionResetError:
+            closed = True
+        assert closed
+    finally:
+        sock.close()
+    assert rpc_call(server.address, "ping", {}, timeout_ms=2000) is True
+
+
 def test_fifty_concurrent_pings(server):
     results: list = [None] * 50
 
@@ -286,6 +322,8 @@ def test_fanout_answers_every_address_in_order(server):
     echoed, refused, again = wire.rpc_fanout(addresses, "echo", {"x": 1}, timeout_ms=2000)
     assert echoed == again == {"x": 1}
     assert isinstance(refused, RpcError) and refused.code == RpcErrorCode.TIMEOUT
+    (malformed,) = wire.rpc_fanout(["127.0.0.1:65536"], "echo", {}, timeout_ms=2000)
+    assert isinstance(malformed, RpcError) and malformed.code == RpcErrorCode.TIMEOUT
     (unknown,) = wire.rpc_fanout([server.address], "nope", {}, timeout_ms=2000)
     assert isinstance(unknown, RpcError) and unknown.code == RpcErrorCode.UNKNOWN_METHOD
 
@@ -294,15 +332,15 @@ def test_fanout_answers_every_address_in_order(server):
 
 @pytest.fixture()
 def connects(monkeypatch):
-    """Every address ``socket.create_connection`` is asked for."""
+    """Every address ``wire._connect_nonblocking`` is asked for."""
     opened: list = []
-    create_connection = socket.create_connection
+    connect = wire._connect_nonblocking
 
-    def counting(address, *args, **kwargs):
+    def counting(address):
         opened.append(address)
-        return create_connection(address, *args, **kwargs)
+        return connect(address)
 
-    monkeypatch.setattr(socket, "create_connection", counting)
+    monkeypatch.setattr(wire, "_connect_nonblocking", counting)
     return opened
 
 
