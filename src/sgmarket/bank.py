@@ -124,8 +124,9 @@ class BankCore:
     ahead: once all its checks have passed, its entry is appended, flushed
     and fsynced, and only then applied, so an operation that returned
     survives a crash of the process or the machine, and one whose write
-    failed changed nothing. A last line torn by a crash mid-write makes the
-    replay raise instead of being guessed at.
+    failed changed nothing. A last line with no LF was torn by a crash
+    mid-write, so its operation never returned: the restart truncates it and
+    replays the prefix. A complete line that fails to parse still raises.
     """
 
     def __init__(
@@ -144,7 +145,10 @@ class BankCore:
             self._log_file = open(log_path, "a+b")  # appends whatever the position
             try:
                 self._log_file.seek(0)
-                self._replay(self._log_file)
+                logged = self._log_file.read()
+                complete = logged[: logged.rfind(b"\n") + 1]
+                self._replay(complete.splitlines())
+                self._log_file.truncate(len(complete))  # made durable by the next fsync
             except BaseException:
                 self.close()
                 raise

@@ -91,9 +91,6 @@ def _check_int(field: str, value: Any, *, minimum: int | None = None) -> int:
     return value
 
 
-_NO_FEATURES: frozenset[str] = frozenset()
-
-
 def _check_features(field: str, value: Any) -> frozenset[str]:
     if isinstance(value, (set, frozenset)):
         items = sorted(value)
@@ -108,8 +105,7 @@ def _check_features(field: str, value: Any) -> frozenset[str]:
         if item in seen:
             raise ValidationError(field, f"duplicate feature {item!r}")
         seen.add(item)
-    # Share one empty set: every held quote keeps the features it priced.
-    return frozenset(items) if items else _NO_FEATURES
+    return frozenset(items)
 
 
 def _check_address(field: str, value: Any) -> str:

@@ -8,19 +8,22 @@ does not fit in the free nodes, nothing behind it starts.
 
 Pricing is exact: the rational price formula is carried as one integer
 numerator and denominator and rounded up to whole millicredits once, at the
-end. A quote costs the same however many jobs a front-end holds, and a tick
-costs only the completions and expired quotes it meets.
+end. A quote costs the same however many jobs a front-end holds and leaves
+nothing behind: like a SYN cookie, its bid token carries its terms under a
+MAC only this front-end can make. A tick costs only the completions it meets.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import heapq
 import json
 import logging
+import secrets
 import sys
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -318,32 +321,12 @@ class SchedulerCore:
         assert self._used <= self.capacity_nodes
 
 
-@dataclass(slots=True)
-class _QuoteRecord:
-    """A live quote: the price offered for exactly these terms."""
-
-    job_id: str
-    nodes: int
-    walltime_s: int
-    required_features: frozenset[str]
-    price: int
-    expires_at: int
-
-    def binds(self, spec: JobSpec) -> bool:
-        return (
-            self.job_id == spec.job_id
-            and self.nodes == spec.nodes
-            and self.walltime_s == spec.walltime_s
-            and self.required_features == spec.required_features
-        )
-
-
 class FrontendCore:
     """Quote, submission, and settlement logic for one cluster.
 
-    All state (scheduler, quotes, job records) is guarded by one lock; calls
-    out to the bank happen outside it, with completed jobs parked on a
-    settlement queue so a slow bank never freezes the scheduler.
+    All state (scheduler, job records, quote counter) is guarded by one
+    lock; calls out to the bank happen outside it, with completed jobs
+    parked on a settlement queue so a slow bank never freezes the scheduler.
     """
 
     def __init__(
@@ -375,9 +358,8 @@ class FrontendCore:
         self.horizon_s = horizon_s
         self.scheduler = SchedulerCore(capacity_nodes)
         self._lock = threading.RLock()
-        # Created in expiry order: the ttl is fixed and the clock never goes back.
-        self._quotes: OrderedDict[str, _QuoteRecord] = OrderedDict()
-        self._quote_seq = 0
+        self._quote_key = secrets.token_bytes(32)
+        self._quote_seq = 0  # tells apart two quotes for the same terms
         # (escrow_id, job_id, outcome)
         self._pending_settlements: list[tuple[str, str, str]] = []
 
@@ -402,32 +384,45 @@ class FrontendCore:
             if spec.max_price is not None and price > spec.max_price.amount:
                 return NoBid(NO_BID_PRICE_ABOVE_MAX)
             self._quote_seq += 1
-            token = f"{self.cluster_id}-q{self._quote_seq:06d}"
             expires_at = self.scheduler.clock + self.quote_ttl_s
-            self._quotes[token] = _QuoteRecord(
-                job_id=spec.job_id,
-                nodes=spec.nodes,
-                walltime_s=spec.walltime_s,
-                required_features=spec.required_features,
-                price=price,
-                expires_at=expires_at,
-            )
+            signed = f"{self._quote_seq}.{expires_at}.{price}"
             return Bid(
                 cluster_id=self.cluster_id,
                 price=Money(price),
-                bid_token=token,
+                bid_token=f"{signed}.{self._quote_mac(spec, signed)}",
                 expires_at=expires_at,
             )
 
+    def _quote_mac(self, spec: JobSpec, signed: str) -> str:
+        """Tag over a token's ``<seq>.<expires_at>.<price>`` prefix and the
+        job's terms; no field holds ``|``, so no two messages join alike."""
+        features = ",".join(sorted(spec.required_features))
+        message = f"{signed}|{spec.job_id}|{spec.nodes}|{spec.walltime_s}|{features}"
+        mac = hashlib.blake2s(message.encode(), key=self._quote_key, digest_size=16)
+        return mac.hexdigest()
+
     # -- submission ---------------------------------------------------------
 
-    def _check_quote(self, spec: JobSpec, bid_token: str) -> _QuoteRecord:
-        record = self._quotes.get(bid_token)
-        if record is None or not record.binds(spec):
-            raise UnknownQuote(f"no live quote {bid_token!r} for job {spec.job_id!r}")
-        if self.scheduler.clock >= record.expires_at:
-            raise QuoteExpired(f"quote {bid_token!r} expired at {record.expires_at}")
-        return record
+    def _check_quote(self, spec: JobSpec, bid_token: str) -> int:
+        """The price ``bid_token`` signed for exactly ``spec``'s terms, if
+        the quote is live; an expired one answers ``QuoteExpired`` for one
+        more ttl. The MAC is compared in constant time before any number is
+        parsed. Single use rests on ``scheduler.jobs`` holding every
+        accepted job, so a job's record must outlive ``expires_at +
+        quote_ttl_s``. Errors never name the token: its MAC is random per
+        process, and reports must replay byte for byte."""
+        signed, _, mac = bid_token.rpartition(".")
+        if not bid_token.isascii() or not secrets.compare_digest(
+            mac, self._quote_mac(spec, signed)
+        ):
+            raise UnknownQuote(f"no live quote for job {spec.job_id!r}")
+        _, expires_at, price = map(int, signed.split("."))
+        clock = self.scheduler.clock
+        if spec.job_id in self.scheduler.jobs or clock >= expires_at + self.quote_ttl_s:
+            raise UnknownQuote(f"no live quote for job {spec.job_id!r}")
+        if clock >= expires_at:
+            raise QuoteExpired(f"quote for job {spec.job_id!r} expired at {expires_at}")
+        return price
 
     def submit(self, spec: JobSpec, bid_token: str, escrow_id: str) -> JobStatus:
         """Accept a job iff its quote is live, its escrow covers the quoted
@@ -435,12 +430,9 @@ class FrontendCore:
         scheduler untouched and trigger a refund of the job's escrow."""
         try:
             with self._lock:
-                record = self._check_quote(spec, bid_token)
+                price = self._check_quote(spec, bid_token)
                 if not secret_matches(self.users.get(spec.user), spec.secret):
                     raise AuthFailed(f"bad credentials for user {spec.user!r}")
-                if spec.job_id in self.scheduler.jobs:
-                    raise DuplicateJob(f"job {spec.job_id!r} already submitted")
-                price = record.price
             # Bank round-trip happens unlocked; re-validate afterwards.
             if not self.bank.verify_escrow(
                 escrow_id,
@@ -453,7 +445,6 @@ class FrontendCore:
                 )
             with self._lock:
                 self._check_quote(spec, bid_token)
-                del self._quotes[bid_token]
                 status = self.scheduler.enqueue(spec.job_id, spec.nodes, spec.walltime_s)
                 self.scheduler.jobs[spec.job_id].escrow_id = escrow_id
                 return status
@@ -497,12 +488,6 @@ class FrontendCore:
                 escrow_id = self.scheduler.jobs[job_id].escrow_id
                 if escrow_id is not None:
                     self._pending_settlements.append((escrow_id, job_id, "COMPLETED"))
-            # Expired quotes linger one extra ttl so a late submission still
-            # gets the honest QuoteExpired answer rather than UnknownQuote.
-            cutoff = self.scheduler.clock - self.quote_ttl_s
-            quotes = self._quotes
-            while quotes and next(iter(quotes.values())).expires_at <= cutoff:
-                quotes.popitem(last=False)
         self._drain_settlements()
         return events
 

@@ -247,12 +247,23 @@ class _ConnectionPool:
                 return
         sock.close()
 
-    def drop(self, address: str) -> None:
-        """Close every idle connection to ``address``."""
+    def drop(self, host: str, port: int) -> None:
+        """Close every idle connection to ``(host, port)``, whatever address
+        string opened it (host ``0.0.0.0`` matches any), and any that has
+        lost its peer."""
         with self._lock:
-            idle = self._idle.pop(address, [])
-        for sock in idle:
-            sock.close()
+            for idle in self._idle.values():
+                for sock in [s for s in idle if _peer_is(s, host, port)]:
+                    idle.remove(sock)
+                    sock.close()
+
+
+def _peer_is(sock: socket.socket, host: str, port: int) -> bool:
+    try:
+        peer_host, peer_port = sock.getpeername()
+    except OSError:
+        return True
+    return peer_port == port and host in (peer_host, "0.0.0.0")
 
 
 _pool = _ConnectionPool()
@@ -562,7 +573,7 @@ class Server:
         for thread in threads:
             thread.join(timeout=5.0)
         # This process's idle connections to the server are dead now.
-        _pool.drop(self.address)
+        _pool.drop(self.host, self.port)
 
 
 def serve(bind: str, handlers: Mapping[str, Handler]) -> Server:

@@ -354,6 +354,42 @@ def test_restarted_bank_keeps_its_ledger(tmp_path):
     assert replayed.audit() == {"total_balances": 400, "total_held": 100}
 
 
+def test_torn_last_log_line_is_dropped_on_restart(tmp_path):
+    log_path = tmp_path / "bank.log"
+    core = BankCore(cluster_secrets=SECRETS, log_path=log_path)
+    alice, cluster = _funded(core)
+    core.hold_escrow(alice, cluster, 1500, "a" * 32)
+    prefix = core.snapshot()
+    core.close()
+    with open(log_path, "ab") as fh:  # a crash before the write finished
+        fh.write(b'{"account_id":"user:alice","amount":7')
+
+    restarted = BankCore(cluster_secrets=SECRETS, log_path=log_path)
+    assert restarted.snapshot() == prefix
+    restarted.deposit(alice, 700)
+    after = restarted.snapshot()
+    restarted.close()
+
+    again = BankCore(cluster_secrets=SECRETS, log_path=log_path)
+    assert again.snapshot() == after
+    assert again.balance(alice) == 10000 - 1500 + 700
+    again.close()
+    assert log_path.read_bytes().endswith(b"\n")
+
+
+def test_complete_log_line_that_fails_to_parse_still_raises(tmp_path):
+    log_path = tmp_path / "bank.log"
+    core = BankCore(cluster_secrets=SECRETS, log_path=log_path)
+    _funded(core)
+    core.close()
+    with open(log_path, "ab") as fh:
+        fh.write(b'{"account_id":"user:alice","amount":7\n')
+    before = log_path.read_bytes()
+    with pytest.raises(ValueError):
+        BankCore(cluster_secrets=SECRETS, log_path=log_path)
+    assert log_path.read_bytes() == before
+
+
 class _FailingLog:
     def write(self, data):
         raise OSError("disk full")

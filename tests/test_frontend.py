@@ -4,6 +4,7 @@ import math
 import random
 import threading
 import time
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -425,27 +426,85 @@ def test_submit_in_the_linger_window_gets_quote_expired():
 
 
 def test_consumed_quote_leaves_the_book():
-    core = _core()
-    bid = core.quote(_spec())
-    core.submit(_spec(), bid.bid_token, "esc-7")
-    assert bid.bid_token not in core._quotes
+    core = _core(quote_ttl_s=5)
+    bid = core.quote(_spec(walltime_s=3))
+    core.submit(_spec(walltime_s=3), bid.bid_token, "esc-7")
+    # The job finishes while its quote is still unexpired; the job record
+    # alone keeps the token from being spent twice.
+    core.tick(4)
+    assert core.status("a" * 32).state is JobState.COMPLETED
+    with pytest.raises(UnknownQuote):
+        core.submit(_spec(walltime_s=3), bid.bid_token, "esc-8")
 
 
 def test_quote_book_is_empty_two_ttls_later():
-    core = _core(quote_ttl_s=60)
-    for i in range(1000):
-        core.quote(_spec(job_id=f"{i:032x}", nodes=1, walltime_s=1))
+    bank = FakeBank()
+    core = _core(bank=bank, quote_ttl_s=60)
+    specs = [_spec(job_id=f"{i:032x}", nodes=1, walltime_s=1) for i in range(1000)]
+    tokens = [core.quote(spec).bid_token for spec in specs]
     core.tick(119)
-    assert len(core._quotes) == 1000
+    for spec, token in zip(specs, tokens):
+        with pytest.raises(QuoteExpired):
+            core.submit(spec, token, "")
     core.tick(1)
-    assert len(core._quotes) == 0
+    for spec, token in zip(specs, tokens):
+        with pytest.raises(UnknownQuote):
+            core.submit(spec, token, "")
+    assert core.scheduler.jobs == {}
 
 
-def test_submit_with_unknown_token_rejected():
+def test_ten_thousand_quotes_leave_no_state_behind():
+    core = _core()
+    specs = [_spec(job_id=f"{i:032x}", nodes=1, walltime_s=1) for i in range(10_000)]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for spec in specs:
+            core.quote(spec)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
+
+
+def _retoken(token, index, field):
+    parts = token.split(".")
+    parts[index] = field(parts[index])
+    return ".".join(parts)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda token: "clusterA-q999999",
+        lambda token: _retoken(token, 2, lambda price: str(int(price) + 1)),
+        lambda token: _retoken(token, 1, lambda expires: str(int(expires) + 1)),
+        lambda token: _retoken(token, 0, lambda seq: str(int(seq) + 1)),
+        lambda token: token[:-1],
+        lambda token: _retoken(token, 0, lambda seq: "0" + seq),
+        lambda token: _retoken(token, 1, lambda expires: "9" * 5000),
+        lambda token: _core().quote(_spec()).bid_token,
+        lambda token: token[:-1] + "é",
+    ],
+    ids=[
+        "made-up",
+        "price",
+        "expires_at",
+        "seq",
+        "mac-truncated",
+        "leading-zero",
+        "5000-digits",
+        "other-frontend",
+        "non-ascii",
+    ],
+)
+def test_submit_with_unknown_token_rejected(forge):
     bank = FakeBank()
     core = _core(bank=bank)
+    bid = core.quote(_spec())
     with pytest.raises(UnknownQuote):
-        core.submit(_spec(), "clusterA-q999999", "esc-7")
+        core.submit(_spec(), forge(bid.bid_token), "esc-7")
+    assert core.scheduler.jobs == {}
     assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
 
 

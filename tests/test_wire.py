@@ -186,7 +186,20 @@ def test_connection_refused_maps_to_timeout_semantics():
 def test_rpc_call_accepts_a_host_name(server):
     address = f"localhost:{server.port}"
     assert rpc_call(address, "ping", {}, timeout_ms=2000) is True
-    wire._pool.drop(address)  # shutdown drops only the server's own address
+
+
+@pytest.mark.parametrize("bind", ["127.0.0.1", "0.0.0.0"])
+def test_shutdown_closes_idle_connections_opened_by_host_name(bind):
+    srv = wire.serve(f"{bind}:0", {"ping": lambda params: True})
+    address = f"localhost:{srv.port}"
+    try:
+        assert rpc_call(address, "ping", {}, timeout_ms=2000) is True
+        pooled = list(wire._pool._idle[address])
+        assert pooled
+    finally:
+        srv.shutdown()
+    assert not wire._pool._idle.get(address)
+    assert all(sock.fileno() == -1 for sock in pooled)
 
 
 @pytest.mark.parametrize(
@@ -397,5 +410,6 @@ def test_connection_its_peer_closed_is_not_reused(connects):
     finally:
         peer.join(timeout=5.0)
         listener.close()
+        wire._pool.drop(host, port)
     assert not peer.is_alive()
     assert len(connects) == 2
