@@ -60,12 +60,13 @@ class Registration:
 
 @dataclass(frozen=True)
 class Selection:
-    """The winning bid: where to submit and at what price."""
+    """The winning bid: where to submit, at what price, and whom to pay."""
 
     cluster_id: str
     address: str
     price: Money
     bid_token: str
+    payee_account: str
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -73,6 +74,7 @@ class Selection:
             "address": self.address,
             "price": self.price.to_dict(),
             "bid_token": self.bid_token,
+            "payee_account": self.payee_account,
         }
 
 
@@ -191,6 +193,7 @@ class BrokerCore:
             address=addresses[cluster_id],
             price=winning.price,
             bid_token=winning.bid_token,
+            payee_account=winning.payee_account,
         )
 
 

@@ -181,8 +181,7 @@ class ClientSession:
             raise NoEligibleClusterError(found["no_eligible"].get("reasons", {}))
         selection = found["selection"]
         price = parse_money("price", selection["price"]).amount
-        described = self._call(selection["address"], "node.describe", {})
-        payee_account = described["payee_account"]
+        payee_account = selection["payee_account"]
 
         try:
             escrow_id = self._bank.hold_escrow(

@@ -388,6 +388,7 @@ class Bid:
     price: Money
     bid_token: str
     expires_at: int
+    payee_account: str
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -395,17 +396,21 @@ class Bid:
             "price": self.price.to_dict(),
             "bid_token": self.bid_token,
             "expires_at": self.expires_at,
+            "payee_account": self.payee_account,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Bid":
         if not isinstance(data, Mapping):
             raise ValidationError("bid", "must be an object")
-        known = frozenset({"cluster_id", "price", "bid_token", "expires_at"})
+        known = frozenset(
+            {"cluster_id", "price", "bid_token", "expires_at", "payee_account"}
+        )
         _reject_unknown(data, known, "Bid")
         return cls(
             cluster_id=_check_str("cluster_id", _require(data, "cluster_id")),
             price=parse_money("price", _require(data, "price")),
             bid_token=_check_str("bid_token", _require(data, "bid_token")),
             expires_at=_check_int("expires_at", _require(data, "expires_at")),
+            payee_account=_check_str("payee_account", _require(data, "payee_account")),
         )

@@ -230,9 +230,6 @@ class SchedulerCore:
     def used_nodes(self) -> int:
         return self._used
 
-    def free_nodes(self) -> int:
-        return self.capacity_nodes - self._used
-
     def committed_node_seconds(self) -> int:
         """Remaining node-seconds of running work plus all queued work.
         Exact because every running job ends after ``clock`` between ticks."""
@@ -325,8 +322,10 @@ class FrontendCore:
     """Quote, submission, and settlement logic for one cluster.
 
     All state (scheduler, job records, quote counter) is guarded by one
-    lock; calls out to the bank happen outside it, with completed jobs
-    parked on a settlement queue so a slow bank never freezes the scheduler.
+    lock; calls out to the bank happen outside it. Payments of completed jobs
+    and refunds of rejected submissions share one settlement queue, retried
+    while the bank times out, so a slow bank neither freezes the scheduler
+    nor strands an escrow.
     """
 
     def __init__(
@@ -391,6 +390,7 @@ class FrontendCore:
                 price=Money(price),
                 bid_token=f"{signed}.{self._quote_mac(spec, signed)}",
                 expires_at=expires_at,
+                payee_account=self.payee_account,
             )
 
     def _quote_mac(self, spec: JobSpec, signed: str) -> str:
@@ -427,19 +427,22 @@ class FrontendCore:
     def submit(self, spec: JobSpec, bid_token: str, escrow_id: str) -> JobStatus:
         """Accept a job iff its quote is live, its escrow covers the quoted
         price, and the user's credentials check out. Rejections leave the
-        scheduler untouched and trigger a refund of the job's escrow."""
+        scheduler untouched and queue a refund of the job's escrow, which
+        is tried before the rejection is answered."""
         try:
             with self._lock:
                 price = self._check_quote(spec, bid_token)
                 if not secret_matches(self.users.get(spec.user), spec.secret):
                     raise AuthFailed(f"bad credentials for user {spec.user!r}")
             # Bank round-trip happens unlocked; re-validate afterwards.
-            if not self.bank.verify_escrow(
-                escrow_id,
-                payee=self.payee_account,
-                job_id=spec.job_id,
-                min_amount=price,
-            ):
+            try:
+                covered = self.bank.verify_escrow(
+                    escrow_id, payee=self.payee_account, job_id=spec.job_id, min_amount=price
+                )
+            except wire.RpcError as exc:
+                log.warning("check of escrow %s failed: %s", escrow_id, exc)
+                raise EscrowInvalid(f"escrow {escrow_id!r} could not be checked") from None
+            if not covered:
                 raise EscrowInvalid(
                     f"escrow {escrow_id!r} does not cover job {spec.job_id!r}"
                 )
@@ -453,28 +456,10 @@ class FrontendCore:
             # competing submission of the same job may have won).
             with self._lock:
                 known = self.scheduler.jobs.get(spec.job_id)
-                backs_live_job = known is not None and known.escrow_id == escrow_id
-            if not backs_live_job:
-                self._refund_escrow(escrow_id, spec.job_id)
+                if escrow_id and (known is None or known.escrow_id != escrow_id):
+                    self._pending_settlements.append((escrow_id, spec.job_id, "FAILED"))
+            self._drain_settlements()
             raise
-
-    def _refund_escrow(self, escrow_id: str, job_id: str) -> None:
-        """Best-effort refund of a rejected submission's escrow; the bank
-        rejects the attempt unless the escrow is really ours, held for this
-        job, and still held."""
-        if not escrow_id:
-            return
-        try:
-            self.bank.settle_escrow(escrow_id, job_id, "FAILED", self.cluster_secret)
-        except wire.RpcError as exc:
-            if exc.app_error_name() not in (
-                "UnknownEscrow",
-                "AlreadySettled",
-                "BadReporter",
-            ):
-                log.warning("refund of escrow %s failed: %s", escrow_id, exc)
-        except ServiceError:
-            pass
 
     # -- time ---------------------------------------------------------------
 
@@ -492,21 +477,21 @@ class FrontendCore:
         return events
 
     def _drain_settlements(self) -> None:
+        """Report each queued outcome to the bank. Only a timeout keeps an entry
+        for the next try; any other answer ends it, logged unless AlreadySettled."""
         with self._lock:
             pending, self._pending_settlements = self._pending_settlements, []
         retry: list[tuple[str, str, str]] = []
-        for escrow_id, job_id, outcome in pending:
+        for entry in pending:
+            escrow_id, job_id, outcome = entry
             try:
                 self.bank.settle_escrow(escrow_id, job_id, outcome, self.cluster_secret)
             except wire.RpcError as exc:
-                name = exc.app_error_name()
-                if name == "AlreadySettled":
-                    continue
-                if name is None:  # transport trouble; try again next tick
-                    retry.append((escrow_id, job_id, outcome))
-                else:
+                if exc.code == wire.RpcErrorCode.TIMEOUT:
+                    retry.append(entry)
+                elif exc.app_error_name() != "AlreadySettled":
                     log.error("settlement of %s rejected: %s", escrow_id, exc)
-            except ServiceError as exc:
+            except ServiceError as exc:  # an in-process bank raises directly
                 if exc.name != "AlreadySettled":
                     log.error("settlement of %s rejected: %s", escrow_id, exc)
         if retry:
@@ -595,15 +580,11 @@ class FrontendService:
             events = self.core.tick(dt)
             return {"events": events, "clock": self.core.clock()}
 
-        def describe(params: Mapping[str, Any]) -> dict[str, Any]:
-            return self.core.descriptor(self.address).to_dict()
-
         return {
             "node.quote": quote,
             "node.submit": submit,
             "node.status": status,
             "node.tick": tick,
-            "node.describe": describe,
         }
 
     def announce(self, broker_address: str | None = None, ttl_s: int | None = None) -> None:

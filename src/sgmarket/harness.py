@@ -2,15 +2,16 @@
 run in-process over real loopback sockets while scripted clients submit a
 workload in virtual time.
 
-Only market traffic crosses loopback: find, quotes, describe, escrow,
-submit and settlement. The harness alone advances time, and does so
-in-process, the way a wall-mode front-end's own ticker does. Each virtual
-second it delivers the submissions due (sequentially, in workload order),
-then calls every front-end core's ``tick`` in turn; stretches with no due
-submissions are ticked in one jump, pausing at every tenth second for a
-conservation audit. It audits the bank and reads final job states from the
-cores directly as well. Given a fixed seed, two runs of the same scenario
-produce byte-identical reports.
+Only market traffic crosses loopback: find, quotes, escrow, submit and
+settlement. The harness alone advances time, and does so in-process, the
+way a wall-mode front-end's own ticker does. Each virtual second it delivers
+the submissions due (sequentially, in workload order), then calls every
+front-end core's ``tick`` in turn; stretches with no due submissions are
+ticked in one jump, pausing at every tenth second for a conservation audit.
+A run longer than the broker's longest ttl re-announces the front-ends at
+such a stop. It audits the bank and reads final job states from the cores
+directly as well. Given a fixed seed, two runs of the same scenario produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any, Mapping
 
 from . import wire
 from .bank import BankClient, BankCore, rpc_handlers as bank_handlers
-from .broker import BrokerCore, MAX_TTL_S, MIN_TTL_S, rpc_handlers as broker_handlers
+from .broker import BrokerCore, MAX_TTL_S, rpc_handlers as broker_handlers
 from .client import ClientConfig, ClientError, ClientSession
 from .clock import VirtualClock
 from .domain import JobState, ServiceError, ValidationError, canonical_encode
@@ -210,7 +211,7 @@ class MarketRuntime:
             self._started.append(service)
             self.frontends.append(service)
 
-        self._announce_all()
+        self._announce_all(0)
 
         self.sessions = {
             login: ClientSession(
@@ -225,10 +226,12 @@ class MarketRuntime:
             for login in self.user_accounts
         }
 
-    def _announce_all(self) -> None:
-        ttl = min(MAX_TTL_S, max(MIN_TTL_S, self.scenario.duration_s + 60))
+    def _announce_all(self, now: int) -> None:
+        ttl = min(MAX_TTL_S, self.scenario.duration_s - now + 60)
         for service in self.frontends:
             service.announce(ttl_s=ttl)
+        # Unless this ttl outlasts the run, renew at an audit stop half of it on.
+        self._renew_at = now + ttl // 2 if now + ttl < self.scenario.duration_s else None
 
     def _tick_all(self, dt: int) -> None:
         for service in self.frontends:
@@ -287,6 +290,8 @@ class MarketRuntime:
             vt = stop
             if vt % AUDIT_INTERVAL_S == 0:
                 conservation_ok = conservation_ok and self._conservation_holds()
+                if self._renew_at is not None and vt >= self._renew_at:
+                    self._announce_all(vt)
 
         conservation_ok = conservation_ok and self._conservation_holds()
 

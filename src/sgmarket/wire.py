@@ -134,8 +134,13 @@ def decode_message(line: bytes) -> RpcRequest | RpcResponse:
     """Inverse of :func:`encode_message`; raises :class:`FramingError` on
     anything that is not a well-formed request or response."""
     try:
-        data = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        text = line.decode("utf-8")
+        data = json.loads(text)
+        # Only a \uD800-\uDFFF escape decodes to a lone surrogate, which UTF-8
+        # cannot encode; encode_message escapes nothing but control characters.
+        if "\\u" in text:
+            canonical_json_bytes(data)
+    except (UnicodeError, json.JSONDecodeError) as exc:
         raise FramingError(f"not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FramingError("message must be a JSON object")

@@ -1,6 +1,7 @@
 """Registry TTLs, deterministic argmin selection, and fan-out isolation."""
 
 import itertools
+import json
 import socket
 import threading
 import time
@@ -76,6 +77,7 @@ def _quotes_from(table):
                 price=Money(answer),
                 bid_token=f"tok-{address}",
                 expires_at=10**9,
+                payee_account=f"cluster:{address}",
             )
         if answer == "hang":
             return wire.RpcError(wire.RpcErrorCode.TIMEOUT, "no answer")
@@ -139,6 +141,23 @@ def test_register_handler_rejects_bad_descriptor():
         handlers["broker.register_cluster"]({"descriptor": bad, "ttl_s": 60})
 
 
+def test_lone_surrogate_registration_is_refused_at_the_wire():
+    """No descriptor the broker could never list again gets registered."""
+    broker = wire.serve("127.0.0.1:0", rpc_handlers(BrokerCore(clock=VirtualClock())))
+    sock = socket.create_connection(("127.0.0.1", broker.port), timeout=2.0)
+    try:
+        params = {"descriptor": _descriptor("\ud800").to_dict(), "ttl_s": 60}
+        request = {"id": "1", "method": "broker.register_cluster", "params": params}
+        sock.sendall(json.dumps(request).encode("ascii") + b"\n")
+        response = wire.decode_message(sock.makefile("rb").readline().rstrip(b"\n"))
+        assert response.error["code"] == wire.RpcErrorCode.MALFORMED
+        listed = wire.rpc_call(broker.address, "broker.list_clusters", {}, timeout_ms=2000)
+        assert listed == {"clusters": []}
+    finally:
+        sock.close()
+        broker.shutdown()
+
+
 # -- selection over fakes --------------------------------------------------------
 
 def _core_with(table, **kw):
@@ -153,6 +172,8 @@ def test_find_cluster_picks_cheapest():
     outcome = core.find_cluster(_spec())
     assert isinstance(outcome, Selection)
     assert (outcome.cluster_id, outcome.price) == ("B", Money(250))
+    # The payee is the winning bid's, never the unauthenticated descriptor's.
+    assert outcome.payee_account == "cluster:127.0.0.1:1#B"
 
 
 def test_find_cluster_breaks_ties_lexicographically():
@@ -197,6 +218,7 @@ def _recording_quotes():
                 price=Money(100),
                 bid_token=f"tok-{address}",
                 expires_at=10**9,
+                payee_account=f"cluster:{address}",
             )
             for address in addresses
         ]
@@ -302,6 +324,7 @@ def test_selection_across_real_frontends(market_factory):
     selection = result["selection"]
     assert selection["cluster_id"] == "cheap"
     assert selection["price"] == {"amount": 400}
+    assert selection["payee_account"] == runtime.cluster_accounts["cheap"]
 
 
 def test_selection_is_stateless(market_factory):

@@ -159,6 +159,7 @@ _bids = st.builds(
     price=_money,
     bid_token=_name,
     expires_at=st.integers(0, 10**9),
+    payee_account=_name,
 )
 
 

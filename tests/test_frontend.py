@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from sgmarket import wire
 from sgmarket.bank import BankCore, EscrowState
 from sgmarket.domain import Bid, JobState, Money, ValidationError, validate_jobspec
 from sgmarket.frontend import (
@@ -61,6 +62,34 @@ class FakeBank:
     def settle_escrow(self, escrow_id, job_id, outcome, reporter_secret):
         self.settlements.append((escrow_id, job_id, outcome, reporter_secret))
         return {"state": "RELEASED" if outcome == "COMPLETED" else "REFUNDED"}
+
+
+class FlakyBank(FakeBank):
+    """A FakeBank that answers each listed method's next calls with the
+    given RpcErrors, in order, before it answers normally again."""
+
+    def __init__(self, **failures):
+        super().__init__()
+        self.failures = {method: list(errors) for method, errors in failures.items()}
+        self.settle_attempts = 0
+
+    def _maybe_fail(self, method):
+        errors = self.failures.get(method)
+        if errors:
+            raise errors.pop(0)
+
+    def verify_escrow(self, *args, **kwargs):
+        self._maybe_fail("verify_escrow")
+        return super().verify_escrow(*args, **kwargs)
+
+    def settle_escrow(self, *args, **kwargs):
+        self.settle_attempts += 1
+        self._maybe_fail("settle_escrow")
+        return super().settle_escrow(*args, **kwargs)
+
+
+def _timeout():
+    return wire.RpcError(wire.RpcErrorCode.TIMEOUT, "timed out waiting for response")
 
 
 def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
@@ -647,6 +676,46 @@ def test_completion_settles_exactly_once():
     core.tick(10)
     assert bank.settlements == [("esc-9", "a" * 32, "COMPLETED", "cs-A")]
     assert core.status("a" * 32).state is JobState.COMPLETED
+
+
+def test_refund_that_times_out_is_retried_on_the_next_tick():
+    bank = FlakyBank(settle_escrow=[_timeout()])
+    core = _core(bank=bank)
+    with pytest.raises(UnknownQuote):
+        core.submit(_spec(), "1.60.400.forged", "esc-7")
+    assert bank.settle_attempts == 1 and bank.settlements == []
+    core.tick(1)
+    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+    core.tick(1)
+    assert bank.settle_attempts == 2
+
+
+def test_escrow_check_timeout_is_a_named_rejection_and_refunded():
+    bank = FlakyBank(verify_escrow=[_timeout()], settle_escrow=[_timeout()])
+    core = _core(bank=bank)
+    bid = core.quote(_spec())
+    with pytest.raises(EscrowInvalid):
+        core.submit(_spec(), bid.bid_token, "esc-7")
+    assert core.scheduler.jobs == {}
+    assert bank.settlements == []  # the bank is still down
+    core.tick(1)
+    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+
+
+def test_settlement_the_bank_refuses_is_sent_once():
+    refusal = wire.RpcError(
+        wire.RpcErrorCode.INVALID_PARAMS, "InvalidParams: reporter_secret must be a string"
+    )
+    bank = FlakyBank(settle_escrow=[refusal])
+    core = _core(bank=bank)
+    spec = _spec(walltime_s=3)
+    core.submit(spec, core.quote(spec).bid_token, "esc-9")
+    core.tick(10)
+    assert bank.settle_attempts == 1
+    core.tick(10)
+    core.tick(10)
+    assert bank.settle_attempts == 1
+    assert core._pending_settlements == []
 
 
 def test_capacity_never_exceeded_randomized():

@@ -85,10 +85,30 @@ def test_run_sends_only_market_traffic_over_rpc(monkeypatch):
     report = run_scenario(four_clusters_eight_jobs())
     assert "node.submit" in methods and "bank.settle_escrow" in methods
     assert "node.tick" not in methods and "node.status" not in methods
+    assert "node.describe" not in methods  # the winning bid names the payee
     # The canonical report bytes of this scenario, from before the harness
     # ticked front-ends in-process: driving time directly moves no money.
     digest = hashlib.sha256(canonical_encode(report.to_dict())).hexdigest()
     assert digest == "530f5145aa95ac60e347d5373416c4b498733a4e2e10aa61991f72a5fcfd8caf"
+
+
+def test_registrations_outlive_the_brokers_longest_ttl():
+    """A run longer than the broker's 3,600 s ttl cap still finds its
+    clusters: the harness re-announces them before they lapse."""
+    scenario = Scenario(
+        clusters=({"cluster_id": "A", "capacity_nodes": 8, "base_rate": 1},),
+        users=({"account": "alice", "initial_deposit": 10000},),
+        workload=(
+            {"submit_at": 10, "user": "alice", "spec": _job(walltime_s=10)},
+            {"submit_at": 3700, "user": "alice", "spec": _job(walltime_s=10)},
+        ),
+        duration_s=3800,
+        seed=1,
+    )
+    report = run_scenario(scenario)
+    assert report.errors == []
+    assert report.jobs_per_cluster == {"A": 2}
+    assert report.all_jobs_terminal is True
 
 
 def test_replay_check_fixed_seed():

@@ -43,12 +43,17 @@ def _reserved_port() -> int:
 
 def test_fresh_frontend_appears_in_broker_listing():
     broker = wire.serve("127.0.0.1:0", broker_handlers(BrokerCore(clock=VirtualClock())))
-    service = FrontendService(_frontend_config(broker=broker.address))
+    service = FrontendService(
+        _frontend_config(broker=broker.address, capabilities=["deadline"])
+    )
     try:
         service.announce(ttl_s=60)
         listed = wire.rpc_call(broker.address, "broker.list_clusters", {}, timeout_ms=2000)
         assert [c["cluster_id"] for c in listed["clusters"]] == ["solo"]
-        assert listed["clusters"][0]["address"] == service.address
+        (described,) = listed["clusters"]
+        assert described["capabilities"] == ["deadline"]
+        assert described["payee_account"] == "cluster:solo"
+        assert described["address"] == service.address
     finally:
         service.shutdown()
         broker.shutdown()
@@ -142,18 +147,6 @@ def test_wall_mode_advances_the_clock_by_itself():
         while service.core.clock() < 3 and time.monotonic() < deadline:
             time.sleep(0.02)
         assert service.core.clock() >= 3
-    finally:
-        service.shutdown()
-
-
-def test_describe_surfaces_descriptor():
-    service = FrontendService(_frontend_config(capabilities=["deadline"]))
-    try:
-        described = wire.rpc_call(service.address, "node.describe", {}, timeout_ms=2000)
-        assert described["cluster_id"] == "solo"
-        assert described["capabilities"] == ["deadline"]
-        assert described["payee_account"] == "cluster:solo"
-        assert described["address"] == service.address
     finally:
         service.shutdown()
 

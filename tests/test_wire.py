@@ -84,6 +84,32 @@ def test_decode_rejects_malformed(line):
         decode_message(line)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        rb'{"id":"1","method":"ping","params":{"s":"\ud800"}}',
+        rb'{"id":"1","method":"ping","params":{"\uDFFF":1}}',
+        rb'{"id":"1","result":["ok \udc00"]}',
+        rb'{"id":"1","result":"\ude00\ud83d"}',  # a pair in the wrong order
+    ],
+)
+def test_decode_rejects_lone_surrogates(line):
+    with pytest.raises(FramingError):
+        decode_message(line)
+
+
+@pytest.mark.parametrize(
+    ("line", "text"),
+    [
+        (rb'{"id":"1","result":"\ud83d\ude00"}', "\U0001f600"),
+        (rb'{"id":"1","result":"\ud7ff"}', "\ud7ff"),
+        (rb'{"id":"1","result":"\\ud800"}', "\\ud800"),
+    ],
+)
+def test_decode_keeps_what_only_looks_like_a_surrogate(line, text):
+    assert decode_message(line) == wire.ok_response("1", text)
+
+
 _json_values = st.recursive(
     st.none()
     | st.booleans()
