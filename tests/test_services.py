@@ -43,14 +43,28 @@ def _reserved_port() -> int:
 
 def test_fresh_frontend_appears_in_broker_listing():
     broker = wire.serve("127.0.0.1:0", broker_handlers(BrokerCore(clock=VirtualClock())))
+    service = FrontendService(_frontend_config(broker=broker.address))
+    try:
+        service.announce(ttl_s=60)
+        listed = wire.rpc_call(broker.address, "broker.list_clusters", {}, timeout_ms=2000)
+        assert [c["cluster_id"] for c in listed["clusters"]] == ["solo"]
+        assert listed["clusters"][0]["address"] == service.address
+    finally:
+        service.shutdown()
+        broker.shutdown()
+
+
+def test_describe_surfaces_descriptor():
+    """The announced descriptor reaches clients whole through the broker listing."""
+    broker = wire.serve("127.0.0.1:0", broker_handlers(BrokerCore(clock=VirtualClock())))
     service = FrontendService(
         _frontend_config(broker=broker.address, capabilities=["deadline"])
     )
     try:
         service.announce(ttl_s=60)
         listed = wire.rpc_call(broker.address, "broker.list_clusters", {}, timeout_ms=2000)
-        assert [c["cluster_id"] for c in listed["clusters"]] == ["solo"]
         (described,) = listed["clusters"]
+        assert described["cluster_id"] == "solo"
         assert described["capabilities"] == ["deadline"]
         assert described["payee_account"] == "cluster:solo"
         assert described["address"] == service.address
