@@ -1,5 +1,5 @@
 """The middleman: keeps a registry of cluster front-ends and, for each job,
-fans the spec out for bids and picks the cheapest eligible cluster.
+asks for bids and picks the cheapest eligible cluster.
 
 Only clusters whose registered descriptor can run the job are asked: one
 lacking a required feature, or with fewer nodes than the job needs, is
@@ -7,9 +7,16 @@ refused with the reason its front-end would give, and never sees the spec.
 
 Selection is a pure function of the received bids: lowest price wins, ties
 break toward the bytewise-smallest cluster_id, so identical market states
-always produce identical selections. All quotes of one request go out at
-once from one thread and share one bid timeout, so a hanging front-end costs
-at most that timeout and never blocks selection among responsive ones.
+always produce identical selections. No front-end prices a job below its
+floor, ``base_rate * nodes * walltime_s`` from its descriptor, so bids go
+out in at most two rounds: first to the clusters tied at the lowest floor,
+then to the rest whose (floor, cluster_id) still beats the best
+(price, cluster_id) of round 1, or to all the rest if round 1 drew no bid.
+The winner is the one a quote from every eligible cluster would pick, as
+long as each front-end prices with the base rate it registered. All quotes
+of a round go out at once from one thread and share one bid timeout, so a
+find waits at most two bid timeouts, and a hanging front-end never blocks
+selection among responsive ones.
 """
 
 from __future__ import annotations
@@ -106,8 +113,9 @@ def _parse_quote(result: Any) -> Bid | dict[str, Any]:
     if not isinstance(result, dict):
         return {"reason": "bad_bid"}
     if "no_bid" in result:
-        reason = result["no_bid"].get("reason", "no_bid")
-        return {"reason": str(reason)}
+        no_bid = result["no_bid"]
+        reason = no_bid.get("reason", "no_bid") if isinstance(no_bid, dict) else None
+        return {"reason": reason if isinstance(reason, str) else "bad_bid"}
     try:
         return Bid.from_dict(result["bid"])
     except (KeyError, TypeError, ValidationError):
@@ -117,15 +125,20 @@ def _parse_quote(result: Any) -> Bid | dict[str, Any]:
 def _rpc_quotes(
     addresses: list[str], spec: JobSpec, timeout_ms: int
 ) -> list[Bid | dict[str, Any] | wire.RpcError]:
-    """Ask every front-end for a bid at once; per address, a Bid, a no-bid
-    marker, or the RpcError of a call that failed."""
+    """Ask the given front-ends for a bid at once; per address, a Bid, a
+    no-bid marker, or the RpcError of a call that failed."""
     replies = wire.rpc_fanout(addresses, "node.quote", {"spec": spec.to_dict()}, timeout_ms)
     return [r if isinstance(r, wire.RpcError) else _parse_quote(r) for r in replies]
 
 
 class BrokerCore:
     """Registry plus selection; the registry is one guarded map, and the
-    quote fan-out never holds its lock while waiting on the network."""
+    quote rounds never hold its lock while waiting on the network.
+
+    A find asks the clusters at the lowest floor, then at most one more
+    round of those whose floor can still beat the best bid; each round
+    waits at most ``bid_timeout_ms``, so a find waits at most two.
+    """
 
     def __init__(
         self,
@@ -134,6 +147,8 @@ class BrokerCore:
         clock: VirtualClock | WallClock | None = None,
         quote_fn: QuoteFn = _rpc_quotes,
     ):
+        if type(bid_timeout_ms) is not int or bid_timeout_ms < 1:
+            raise ValidationError("bid_timeout_ms", "must be an integer >= 1")
         self.bid_timeout_ms = bid_timeout_ms
         self.default_ttl_s = default_ttl_s
         self.clock = clock if clock is not None else WallClock()
@@ -160,30 +175,50 @@ class BrokerCore:
 
     def find_cluster(self, spec: JobSpec) -> Selection | NoEligibleCluster:
         addresses: dict[str, str] = {}
+        floors: list[tuple[int, str]] = []
         reasons: dict[str, str] = {}
+        node_seconds = spec.nodes * spec.walltime_s
         for descriptor in self.list_clusters():
             refusal = refusal_reason(
                 spec, descriptor.capabilities, descriptor.capacity_nodes
             )
             if refusal is None:
                 addresses[descriptor.cluster_id] = descriptor.address
+                floor = descriptor.base_rate.amount * node_seconds
+                floors.append((floor, descriptor.cluster_id))
             else:
                 reasons[descriptor.cluster_id] = refusal
-        if not addresses:
+        if not floors:
             return NoEligibleCluster(reasons=reasons)
-        answers = self._quote_fn(
-            list(addresses.values()), spec, self.bid_timeout_ms
-        )
         bids: dict[str, Bid] = {}
-        for cluster_id, answer in zip(addresses, answers):
-            if isinstance(answer, Bid):
-                bids[cluster_id] = answer
-            elif isinstance(answer, wire.RpcError):
-                timed_out = answer.code == wire.RpcErrorCode.TIMEOUT
-                reasons[cluster_id] = "timeout" if timed_out else "rpc_error"
-            else:
-                reasons[cluster_id] = answer["reason"]
-        chosen = select_lowest([(cid, bid.price.amount) for cid, bid in bids.items()])
+
+        def ask(cluster_ids: list[str]) -> tuple[str, int] | None:
+            """One quote round; the best (cluster_id, price) bid so far."""
+            answers = self._quote_fn(
+                [addresses[cid] for cid in cluster_ids], spec, self.bid_timeout_ms
+            )
+            for cluster_id, answer in zip(cluster_ids, answers):
+                if isinstance(answer, Bid):
+                    bids[cluster_id] = answer
+                elif isinstance(answer, wire.RpcError):
+                    timed_out = answer.code == wire.RpcErrorCode.TIMEOUT
+                    reasons[cluster_id] = "timeout" if timed_out else "rpc_error"
+                else:
+                    reasons[cluster_id] = answer["reason"]
+            return select_lowest([(cid, bid.price.amount) for cid, bid in bids.items()])
+
+        floors.sort()
+        first = [cid for floor, cid in floors if floor == floors[0][0]]
+        chosen = ask(first)
+        # A floor equal to the best price can still win the tie on a
+        # smaller cluster_id.
+        rest = [
+            cid
+            for floor, cid in floors[len(first):]
+            if chosen is None or (floor, cid) < (chosen[1], chosen[0])
+        ]
+        if rest:
+            chosen = ask(rest)
         if chosen is None:
             return NoEligibleCluster(reasons=reasons)
         cluster_id, _ = chosen

@@ -63,9 +63,11 @@ def canonical_encode(value: Any) -> bytes:
 def secret_matches(expected: str | None, given: str) -> bool:
     """Whether ``given`` equals the registered secret, in time independent
     of where they differ. ``None`` (nobody registered) matches nothing.
-    Compares UTF-8 bytes: ``hmac.compare_digest`` rejects non-ASCII ``str``."""
+    Compares UTF-8 bytes (``hmac.compare_digest`` rejects non-ASCII
+    ``str``); ``surrogatepass`` keeps a lone surrogate comparable."""
     return expected is not None and hmac.compare_digest(
-        expected.encode("utf-8"), given.encode("utf-8")
+        expected.encode("utf-8", "surrogatepass"),
+        given.encode("utf-8", "surrogatepass"),
     )
 
 

@@ -1,5 +1,7 @@
-"""The traced benchmark run still works end to end on this transport."""
+"""The traced benchmark run still works end to end on this transport, and
+a benchmark scenario's report bytes stay pinned."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -23,3 +25,17 @@ def test_traced_worker_reports_every_layer(monkeypatch):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["problems"] == []
     assert set(tracing.LAYER_UNITS) <= set(result["layers"])
+
+
+def test_mixed_base_rate_report_is_pinned(monkeypatch):
+    """``wide-64`` mixes base rates 1-5 (the scenario pinned in
+    ``test_harness`` has one), so a selection other than the full fan-out's
+    would change these bytes."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import scenarios
+    from sgmarket.domain import canonical_encode
+    from sgmarket.harness import Scenario, run_scenario
+
+    report = run_scenario(Scenario.from_dict(scenarios.generate("wide-64", 1)))
+    digest = hashlib.sha256(canonical_encode(report.to_dict())).hexdigest()
+    assert digest == "008823d3d9fc96220d5016235575527da451499327681372ba49f5dd1ad34b94"

@@ -5,12 +5,14 @@ import json
 import socket
 import threading
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sgmarket import wire
 from sgmarket.broker import (
+    DEFAULT_BID_TIMEOUT_MS,
     BrokerCore,
     InvalidDescriptor,
     NoEligibleCluster,
@@ -18,18 +20,27 @@ from sgmarket.broker import (
     rpc_handlers,
     select_lowest,
 )
+from sgmarket.client import ClientConfig
 from sgmarket.clock import VirtualClock
-from sgmarket.domain import Bid, ClusterDescriptor, Money, validate_jobspec
+from sgmarket.domain import (
+    Bid,
+    ClusterDescriptor,
+    Money,
+    ValidationError,
+    refusal_reason,
+    validate_jobspec,
+)
 from sgmarket.frontend import FrontendCore, NoBid, PricingPolicy
 
 
-def _descriptor(cluster_id, address="127.0.0.1:9999", capacity=8, capabilities=()):
+def _descriptor(cluster_id, address="127.0.0.1:9999", capacity=8, capabilities=(),
+                base_rate=1):
     return ClusterDescriptor(
         cluster_id=cluster_id,
         address=address,
         capacity_nodes=capacity,
         capabilities=frozenset(capabilities),
-        base_rate=Money(1),
+        base_rate=Money(base_rate),
         payee_account=f"cluster:{cluster_id}",
     )
 
@@ -158,6 +169,21 @@ def test_lone_surrogate_registration_is_refused_at_the_wire():
         broker.shutdown()
 
 
+@pytest.mark.parametrize("bid_timeout_ms", [0, -1, True, "2000", 1.5, None])
+def test_bid_timeout_must_be_a_positive_integer(bid_timeout_ms):
+    with pytest.raises(ValidationError):
+        BrokerCore(bid_timeout_ms=bid_timeout_ms, clock=VirtualClock())
+
+
+def test_two_bid_rounds_fit_in_the_clients_timeout():
+    """A find waits at most two bid timeouts; the client must outwait it."""
+    config = ClientConfig.from_dict(
+        {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "user": "alice",
+         "secret": "pw", "account_id": "alice"}
+    )
+    assert 2 * DEFAULT_BID_TIMEOUT_MS < config.timeout_ms
+
+
 # -- selection over fakes --------------------------------------------------------
 
 def _core_with(table, **kw):
@@ -201,6 +227,181 @@ def test_find_cluster_with_empty_registry():
     outcome = core.find_cluster(_spec())
     assert isinstance(outcome, NoEligibleCluster)
     assert outcome.reasons == {}
+
+
+# -- bid rounds -------------------------------------------------------------------
+
+# nodes=4, walltime_s=100: a cluster's floor is 400 times its base rate.
+@pytest.mark.parametrize(
+    "fleet, batches, winner",
+    [
+        # Round 2 asks only the floors below the best round-1 bid.
+        ({"E": (1, 900), "B": (1, 1000), "C": (2, 800), "A": (2, 850), "D": (3, 1200)},
+         [["B", "E"], ["A", "C"]], "C"),
+        # A floor equal to the best price is asked only if it wins the tie.
+        ({"X": (1, 800), "A": (2, 800), "Z": (2, 800)}, [["X"], ["A"]], "A"),
+        # No bid in round 1: round 2 asks every remaining cluster.
+        ({"A": (1, "hang"), "B": (2, 900), "C": (3, 1300)}, [["A"], ["B", "C"]], "B"),
+        # A no-bid beside a bid in round 1: the bid still bounds round 2.
+        ({"A": (1, "price_above_max"), "B": (1, 900), "C": (2, 850), "D": (3, 1300)},
+         [["A", "B"], ["C"]], "C"),
+        # A round-1 bid at or below every other floor ends the find.
+        ({"A": (1, 800), "B": (2, 900), "C": (2, 850)}, [["A"]], "A"),
+        # One base rate across the fleet: one round of the whole fleet.
+        ({"A": (2, 900), "B": (2, 800), "C": (2, 850)}, [["A", "B", "C"]], "B"),
+    ],
+)
+def test_bid_rounds_ask_only_clusters_that_can_still_win(fleet, batches, winner):
+    table = {f"127.0.0.1:1#{cid}": answer for cid, (_, answer) in fleet.items()}
+    answer = _quotes_from(table)
+    asked = []
+
+    def quote_fn(addresses, spec, timeout_ms):
+        asked.append([address.split("#", 1)[1] for address in addresses])
+        return answer(addresses, spec, timeout_ms)
+
+    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    for cid, (base_rate, _) in fleet.items():
+        core.register_cluster(
+            _descriptor(cid, address=f"127.0.0.1:1#{cid}", base_rate=base_rate), 60
+        )
+    outcome = core.find_cluster(_spec())
+    assert asked == batches
+    assert isinstance(outcome, Selection)
+    assert outcome.cluster_id == winner
+
+
+def _full_fanout(descriptors, spec, answers):
+    """The oracle: the selection a quote from every eligible cluster gives,
+    as the broker made it before its bid rounds were bounded."""
+    addresses, bids, reasons = {}, {}, {}
+    for descriptor in descriptors:
+        cid = descriptor.cluster_id
+        refusal = refusal_reason(spec, descriptor.capabilities, descriptor.capacity_nodes)
+        if refusal is not None:
+            reasons[cid] = refusal
+            continue
+        addresses[cid] = descriptor.address
+        answer = answers[descriptor.address]
+        if isinstance(answer, Bid):
+            bids[cid] = answer
+        elif isinstance(answer, wire.RpcError):
+            timed_out = answer.code == wire.RpcErrorCode.TIMEOUT
+            reasons[cid] = "timeout" if timed_out else "rpc_error"
+        else:
+            reasons[cid] = answer["reason"]
+    chosen = select_lowest([(cid, bid.price.amount) for cid, bid in bids.items()])
+    if chosen is None:
+        return NoEligibleCluster(reasons=reasons)
+    winning = bids[chosen[0]]
+    return Selection(
+        cluster_id=chosen[0],
+        address=addresses[chosen[0]],
+        price=winning.price,
+        bid_token=winning.bid_token,
+        payee_account=winning.payee_account,
+    )
+
+
+@settings(max_examples=300)
+@given(
+    st.dictionaries(
+        st.sampled_from("ABCDEFGH"),
+        st.tuples(st.integers(1, 3), st.integers(0, 2) | st.sampled_from(["hang", "x"])),
+        min_size=1,
+    )
+)
+def test_bid_rounds_keep_the_full_fanouts_winner(fleet):
+    """Bids that land on other clusters' floors (400 per unit of base rate)
+    tie across rounds, where only the cluster_id decides."""
+    table = {
+        f"127.0.0.1:1#{cid}": extra if isinstance(extra, str) else 400 * (base + extra)
+        for cid, (base, extra) in fleet.items()
+    }
+    quote_fn = _quotes_from(table)
+    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    for cid, (base_rate, _) in fleet.items():
+        core.register_cluster(
+            _descriptor(cid, address=f"127.0.0.1:1#{cid}", base_rate=base_rate), 60
+        )
+    answers = dict(zip(table, quote_fn(list(table), _spec(), 1)))
+    assert core.find_cluster(_spec()) == _full_fanout(core.list_clusters(), _spec(), answers)
+
+
+_FEATURES = st.sampled_from(["gpu", "deadline"])
+
+
+@st.composite
+def _frontend(draw, cluster_id):
+    capacity = draw(st.integers(1, 16))
+    capabilities = draw(st.frozensets(_FEATURES))
+    multipliers = {
+        feature: Fraction(draw(st.integers(2, 8)), 2)
+        for feature in sorted(capabilities)
+        if draw(st.booleans())
+    }
+    policy = PricingPolicy(
+        draw(st.sampled_from(["flat", "load_proportional"])),
+        Money(draw(st.integers(1, 4))),
+        load_coefficient=Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3))),
+        feature_multipliers=multipliers,
+    )
+    horizon_s = draw(st.integers(50, 2000))
+    frontend = FrontendCore(
+        cluster_id=cluster_id,
+        capacity_nodes=capacity,
+        capabilities=capabilities,
+        policy=policy,
+        payee_account=f"cluster:{cluster_id}",
+        cluster_secret=f"cs-{cluster_id}",
+        users={},
+        bank=None,
+        horizon_s=horizon_s,
+    )
+    # A whole horizon of queued work (load ratio 1) makes prices land on
+    # other clusters' floors, where only the cluster_id breaks the tie.
+    queued = draw(
+        st.lists(st.tuples(st.integers(1, capacity), st.integers(1, 400)), max_size=4)
+        | st.just([(capacity, horizon_s)])
+    )
+    for index, (nodes, walltime_s) in enumerate(queued):
+        frontend.scheduler.enqueue(f"{index:032x}", nodes, walltime_s)
+    return frontend
+
+
+@given(
+    fleet=st.lists(st.sampled_from("ABCDEFGHJK"), min_size=1, max_size=8, unique=True)
+    .flatmap(lambda ids: st.tuples(*[_frontend(cid) for cid in ids])),
+    nodes=st.integers(1, 4),
+    walltime_s=st.integers(1, 20),
+    features=st.frozensets(_FEATURES),
+    max_price=st.none() | st.integers(1, 10_000),
+)
+def test_bounded_find_selects_what_a_full_fanout_would(
+    fleet, nodes, walltime_s, features, max_price
+):
+    spec = _spec(nodes=nodes, walltime_s=walltime_s, required_features=sorted(features),
+                 **({} if max_price is None else {"max_price": max_price}))
+    # Each front-end quotes once, so the oracle and the find see the same bids.
+    answers = {}
+    for frontend in fleet:
+        answer = frontend.quote(spec)
+        answers[f"127.0.0.1:1#{frontend.cluster_id}"] = (
+            answer if isinstance(answer, Bid) else {"reason": answer.reason}
+        )
+    batches = []
+
+    def quote_fn(addresses, spec, timeout_ms):
+        batches.append(addresses)
+        return [answers[address] for address in addresses]
+
+    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    for frontend in fleet:
+        core.register_cluster(frontend.descriptor(f"127.0.0.1:1#{frontend.cluster_id}"), 60)
+    assert core.find_cluster(spec) == _full_fanout(core.list_clusters(), spec, answers)
+    assert len(batches) <= 2
+    asked = [address for batch in batches for address in batch]
+    assert len(asked) == len(set(asked))
 
 
 # -- matchmaking ------------------------------------------------------------------
@@ -370,7 +571,21 @@ def test_hanging_frontend_does_not_block_selection(market_factory):
         silent.close()
 
 
-def test_black_holed_frontend_does_not_block_selection(market_factory):
+@pytest.fixture()
+def black_hole():
+    """An address whose connects never complete: a full accept queue. With
+    backlog 0 and one connection waiting, later attempts get no answer."""
+    hole = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    hole.bind(("127.0.0.1", 0))
+    hole.listen(0)
+    host, port = hole.getsockname()
+    filler = socket.create_connection((host, port), timeout=1.0)
+    yield f"{host}:{port}"
+    filler.close()
+    hole.close()
+
+
+def test_black_holed_frontend_does_not_block_selection(market_factory, black_hole):
     """A cluster whose connect never completes, listed before a live one,
     costs one bid timeout, not the live cluster's bid."""
     runtime = market_factory(
@@ -378,29 +593,61 @@ def test_black_holed_frontend_does_not_block_selection(market_factory):
         users=[{"account": "alice", "initial_deposit": 0}],
         bid_timeout_ms=500,
     )
-    # A full accept queue: with backlog 0 and one connection waiting, later
-    # connection attempts get no answer at all.
-    hole = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    hole.bind(("127.0.0.1", 0))
-    hole.listen(0)
-    host, port = hole.getsockname()
-    filler = socket.create_connection((host, port), timeout=1.0)
+    runtime.broker_core.register_cluster(_descriptor("a-hole", address=black_hole), ttl_s=600)
+    started = time.monotonic()
+    outcome = runtime.broker_core.find_cluster(_spec())
+    elapsed = time.monotonic() - started
+    assert isinstance(outcome, Selection)
+    assert outcome.cluster_id == "alive"
+    assert elapsed <= 0.5 * 1.1 + 0.2
+
+
+def test_black_holed_cheapest_cluster_loses_to_a_dearer_live_one(market_factory, black_hole):
+    """A black hole alone at the lowest floor costs round 1 its bid
+    timeout; round 2 still asks the dearer live cluster."""
+    runtime = market_factory(
+        clusters=[{"cluster_id": "alive", "capacity_nodes": 8, "base_rate": 2}],
+        users=[{"account": "alice", "initial_deposit": 0}],
+        bid_timeout_ms=500,
+    )
+    runtime.broker_core.register_cluster(
+        _descriptor("zz-hole", address=black_hole, base_rate=1), ttl_s=600
+    )
+    started = time.monotonic()
+    outcome = runtime.broker_core.find_cluster(_spec())
+    elapsed = time.monotonic() - started
+    assert isinstance(outcome, Selection)
+    assert (outcome.cluster_id, outcome.price) == ("alive", Money(800))
+    assert elapsed <= 2 * 0.5 * 1.1 + 0.2
+
+
+@pytest.mark.parametrize("no_bid", ["x", {"reason": 7}, None])
+def test_malformed_no_bid_reads_bad_bid(market_factory, no_bid):
+    """One front-end answering a no-bid that is not an object, or whose
+    reason is not a string, does not break the find."""
+    runtime = market_factory(
+        clusters=[{"cluster_id": "real", "capacity_nodes": 8, "base_rate": 1}],
+        users=[{"account": "alice", "initial_deposit": 0}],
+    )
+    bad = wire.serve("127.0.0.1:0", {"node.quote": lambda params: {"no_bid": no_bid}})
     try:
-        runtime.broker_core.register_cluster(
-            _descriptor("a-hole", address=f"{host}:{port}"), ttl_s=600
+        descriptor = _descriptor("bad", address=bad.address)
+        runtime.broker_core.register_cluster(descriptor, ttl_s=600)
+        result = wire.rpc_call(
+            runtime.broker_server.address,
+            "broker.find_cluster",
+            {"spec": _spec().to_dict()},
+            timeout_ms=5000,
         )
-        started = time.monotonic()
-        outcome = runtime.broker_core.find_cluster(_spec())
-        elapsed = time.monotonic() - started
-        assert isinstance(outcome, Selection)
-        assert outcome.cluster_id == "alive"
-        assert elapsed <= 0.5 * 1.1 + 0.2
+        assert result["selection"]["cluster_id"] == "real"
+        alone = BrokerCore(clock=VirtualClock())
+        alone.register_cluster(descriptor, ttl_s=600)
+        assert alone.find_cluster(_spec()) == NoEligibleCluster(reasons={"bad": "bad_bid"})
     finally:
-        filler.close()
-        hole.close()
+        bad.shutdown()
 
 
-def test_black_holed_cluster_without_the_feature_costs_nothing(market_factory):
+def test_black_holed_cluster_without_the_feature_costs_nothing(market_factory, black_hole):
     """A black-holed cluster whose descriptor lacks the job's feature is
     never asked, so it does not cost the bid timeout."""
     runtime = market_factory(
@@ -411,24 +658,13 @@ def test_black_holed_cluster_without_the_feature_costs_nothing(market_factory):
         users=[{"account": "alice", "initial_deposit": 0}],
         bid_timeout_ms=2000,
     )
-    hole = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    hole.bind(("127.0.0.1", 0))
-    hole.listen(0)
-    host, port = hole.getsockname()
-    filler = socket.create_connection((host, port), timeout=1.0)
-    try:
-        runtime.broker_core.register_cluster(
-            _descriptor("a-hole", address=f"{host}:{port}"), ttl_s=600
-        )
-        started = time.monotonic()
-        outcome = runtime.broker_core.find_cluster(_spec(required_features=["gpu"]))
-        elapsed = time.monotonic() - started
-        assert isinstance(outcome, Selection)
-        assert outcome.cluster_id == "alive"
-        assert elapsed < 1.0
-    finally:
-        filler.close()
-        hole.close()
+    runtime.broker_core.register_cluster(_descriptor("a-hole", address=black_hole), ttl_s=600)
+    started = time.monotonic()
+    outcome = runtime.broker_core.find_cluster(_spec(required_features=["gpu"]))
+    elapsed = time.monotonic() - started
+    assert isinstance(outcome, Selection)
+    assert outcome.cluster_id == "alive"
+    assert elapsed < 1.0
 
 
 def test_find_cluster_over_64_clusters_starts_no_thread(monkeypatch):

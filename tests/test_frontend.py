@@ -240,6 +240,31 @@ def test_integer_price_equals_fraction_formula(
     )
 
 
+@given(
+    policy_id=st.sampled_from(["flat", "load_proportional"]),
+    base=st.integers(1, 10**6),
+    coefficient=st.one_of(st.integers(0, 5), _ratios),
+    multipliers=st.dictionaries(st.sampled_from(["gpu", "deadline"]), _multipliers),
+    nodes=st.integers(1, 128),
+    walltime=st.integers(1, 10**5),
+    features=st.frozensets(st.sampled_from(["gpu", "deadline", "ssd"])),
+    load=st.fractions(min_value=0, max_value=50),
+)
+def test_price_never_falls_below_the_base_rate_floor(
+    policy_id, base, coefficient, multipliers, nodes, walltime, features, load
+):
+    """The broker skips clusters whose floor cannot beat the best bid."""
+    policy = PricingPolicy.from_config(
+        {
+            "policy": policy_id,
+            "base_rate": base,
+            "load_coefficient": coefficient,
+            "feature_multipliers": multipliers,
+        }
+    )
+    assert policy.price(nodes, walltime, features, load) >= base * nodes * walltime
+
+
 # -- scheduler ------------------------------------------------------------------
 
 class _SteppingScheduler:
@@ -557,10 +582,14 @@ def test_submit_bad_escrow_rejected():
 def test_submit_bad_credentials_rejected():
     bank = FakeBank()
     core = _core(bank=bank)
-    bid = core.quote(_spec(secret="wrong"))
-    with pytest.raises(AuthFailed):
-        core.submit(_spec(secret="wrong"), bid.bid_token, "esc-7")
-    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+    # A lone surrogate has no UTF-8 form; it is refused and refunded alike.
+    for job_id, secret in (("a" * 32, "wrong"), ("b" * 32, "\ud800")):
+        spec = _spec(job_id=job_id, secret=secret)
+        bid = core.quote(spec)
+        with pytest.raises(AuthFailed):
+            core.submit(spec, bid.bid_token, "esc-7")
+        assert bank.settlements[-1] == ("esc-7", job_id, "FAILED", "cs-A")
+    assert len(bank.settlements) == 2
 
 
 def test_non_ascii_secret_authenticates():
