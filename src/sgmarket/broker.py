@@ -8,15 +8,21 @@ refused with the reason its front-end would give, and never sees the spec.
 Selection is a pure function of the received bids: lowest price wins, ties
 break toward the bytewise-smallest cluster_id, so identical market states
 always produce identical selections. No front-end prices a job below its
-floor, ``base_rate * nodes * walltime_s`` from its descriptor, so bids go
-out in at most two rounds: first to the clusters tied at the lowest floor,
-then to the rest whose (floor, cluster_id) still beats the best
-(price, cluster_id) of round 1, or to all the rest if round 1 drew no bid.
-The winner is the one a quote from every eligible cluster would pick, as
-long as each front-end prices with the base rate it registered. All quotes
-of a round go out at once from one thread and share one bid timeout, so a
-find waits at most two bid timeouts, and a hanging front-end never blocks
-selection among responsive ones.
+floor, the cost of the job at zero load under the rate card it registered
+(``base_rate * nodes * walltime_s`` times the multiplier of each required
+feature it prices), so bids go out in at most two rounds. Round 1 asks the
+clusters tied at the lowest floor, in (floor, cluster_id) order, and stops
+after the first one the broker's placement record shows idle: the broker
+placed work there and all of it has run out, so it bids exactly its floor.
+Round 2 asks the rest whose (floor, cluster_id) still beats the best
+(price, cluster_id) of round 1, or all the rest if round 1 drew no bid or a
+bid below its own cluster's floor. The record is only a hint: a wrong entry
+costs quotes or a round, never the winner. The winner is the one a quote
+from every eligible cluster would pick, as long as each front-end prices by
+the rate card it registered. All quotes of a round go out at once from one
+thread and share one bid timeout, so a find waits at most two bid
+timeouts, and a hanging front-end never blocks selection among responsive
+ones.
 """
 
 from __future__ import annotations
@@ -132,12 +138,17 @@ def _rpc_quotes(
 
 
 class BrokerCore:
-    """Registry plus selection; the registry is one guarded map, and the
-    quote rounds never hold its lock while waiting on the network.
+    """Registry plus selection; the registry and the placement record are
+    guarded by one lock, which the quote rounds never hold while waiting
+    on the network.
 
-    A find asks the clusters at the lowest floor, then at most one more
-    round of those whose floor can still beat the best bid; each round
-    waits at most ``bid_timeout_ms``, so a find waits at most two.
+    The placement record keeps, per cluster this broker selected, the
+    virtual time its last placement there ends (selection time plus
+    ``walltime_s``), so it holds at most one entry per registered cluster.
+    A find asks the clusters at the lowest floor up to the first one the
+    record shows idle, then at most one more round of those whose floor can
+    still beat the best bid; each round waits at most ``bid_timeout_ms``,
+    so a find waits at most two.
     """
 
     def __init__(
@@ -149,12 +160,18 @@ class BrokerCore:
     ):
         if type(bid_timeout_ms) is not int or bid_timeout_ms < 1:
             raise ValidationError("bid_timeout_ms", "must be an integer >= 1")
+        if type(default_ttl_s) is not int or not MIN_TTL_S <= default_ttl_s <= MAX_TTL_S:
+            raise ValidationError(
+                "default_ttl_s", f"must be an integer in [{MIN_TTL_S}, {MAX_TTL_S}]"
+            )
         self.bid_timeout_ms = bid_timeout_ms
         self.default_ttl_s = default_ttl_s
         self.clock = clock if clock is not None else WallClock()
         self._quote_fn = quote_fn
         self._lock = threading.Lock()
         self._registry: dict[str, Registration] = {}
+        # cluster_id -> when the last work this broker placed there ends
+        self._placed_until: dict[str, int] = {}
 
     def register_cluster(self, descriptor: ClusterDescriptor, ttl_s: int) -> None:
         if not MIN_TTL_S <= ttl_s <= MAX_TTL_S:
@@ -174,18 +191,17 @@ class BrokerCore:
         return sorted(live, key=lambda d: d.cluster_id)
 
     def find_cluster(self, spec: JobSpec) -> Selection | NoEligibleCluster:
+        now = self.clock.now()
         addresses: dict[str, str] = {}
-        floors: list[tuple[int, str]] = []
+        floors: dict[str, int] = {}
         reasons: dict[str, str] = {}
-        node_seconds = spec.nodes * spec.walltime_s
         for descriptor in self.list_clusters():
             refusal = refusal_reason(
                 spec, descriptor.capabilities, descriptor.capacity_nodes
             )
             if refusal is None:
                 addresses[descriptor.cluster_id] = descriptor.address
-                floor = descriptor.base_rate.amount * node_seconds
-                floors.append((floor, descriptor.cluster_id))
+                floors[descriptor.cluster_id] = descriptor.floor(spec)
             else:
                 reasons[descriptor.cluster_id] = refusal
         if not floors:
@@ -207,21 +223,38 @@ class BrokerCore:
                     reasons[cluster_id] = answer["reason"]
             return select_lowest([(cid, bid.price.amount) for cid, bid in bids.items()])
 
-        floors.sort()
-        first = [cid for floor, cid in floors if floor == floors[0][0]]
+        order = sorted((floor, cid) for cid, floor in floors.items())
+        # Round 1 is the lowest-floor group, cut after the first cluster the
+        # placement record shows idle: it bids exactly its floor, which no
+        # cluster after it in (floor, cluster_id) order can beat.
+        first: list[str] = []
+        with self._lock:
+            for floor, cid in order:
+                if floor != order[0][0]:
+                    break
+                first.append(cid)
+                placed_until = self._placed_until.get(cid)
+                if placed_until is not None and placed_until <= now:
+                    break
         chosen = ask(first)
         # A floor equal to the best price can still win the tie on a
-        # smaller cluster_id.
+        # smaller cluster_id. A bid below its own floor shows a front-end
+        # off its rate card, and then no floor bounds round 2.
+        off_card = any(bid.price.amount < floors[cid] for cid, bid in bids.items())
         rest = [
             cid
-            for floor, cid in floors[len(first):]
-            if chosen is None or (floor, cid) < (chosen[1], chosen[0])
+            for floor, cid in order[len(first):]
+            if chosen is None or off_card or (floor, cid) < (chosen[1], chosen[0])
         ]
         if rest:
             chosen = ask(rest)
         if chosen is None:
             return NoEligibleCluster(reasons=reasons)
         cluster_id, _ = chosen
+        with self._lock:
+            self._placed_until[cluster_id] = max(
+                self._placed_until.get(cluster_id, now), now + spec.walltime_s
+            )
         winning = bids[cluster_id]
         return Selection(
             cluster_id=cluster_id,

@@ -87,6 +87,8 @@ class ClientConfig:
                 raise ValidationError(name, str(exc)) from None
         if not self.secret:
             raise ValidationError("secret", "must be non-empty")
+        if type(self.timeout_ms) is not int or self.timeout_ms < 1:
+            raise ValidationError("timeout_ms", "must be an integer >= 1")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClientConfig":

@@ -11,8 +11,9 @@ from __future__ import annotations
 import hmac
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Any, Mapping
 
 FEATURE_RE = re.compile(r"^[a-z_]+$")
@@ -334,9 +335,55 @@ def refusal_reason(
     return None
 
 
+def rate_card_cost(
+    base_rate: int,
+    nodes: int,
+    walltime_s: int,
+    features: frozenset[str],
+    multipliers: Mapping[str, Fraction],
+) -> tuple[int, int]:
+    """A job's cost at zero load under a rate card, as an exact numerator
+    and denominator: ``base_rate * nodes * walltime_s`` times the
+    multiplier of each required feature the card prices. A front-end's
+    price and the broker's floor both start from this one product."""
+    num = base_rate * nodes * walltime_s
+    den = 1
+    for feature in features:
+        multiplier = multipliers.get(feature)
+        if multiplier is not None:
+            num *= multiplier.numerator
+            den *= multiplier.denominator
+    return num, den
+
+
+def _check_multipliers(
+    value: Any, capabilities: frozenset[str]
+) -> dict[str, Fraction]:
+    """``{feature: [p, q]}`` for advertised features, each ``p >= q >= 1``."""
+    if not isinstance(value, Mapping):
+        raise ValidationError("feature_multipliers", "must be an object")
+    multipliers = {}
+    for feature, ratio in value.items():
+        where = f"feature_multipliers[{feature}]"
+        if feature not in capabilities:
+            raise ValidationError(where, "not an advertised capability")
+        if not (
+            isinstance(ratio, (list, tuple))
+            and len(ratio) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in ratio)
+        ):
+            raise ValidationError(where, "must be a [p, q] integer pair")
+        p, q = ratio
+        if q < 1 or p < q:
+            raise ValidationError(where, "must have p >= q >= 1")
+        multipliers[feature] = Fraction(p, q)
+    return multipliers
+
+
 @dataclass(frozen=True)
 class ClusterDescriptor:
-    """A front-end's advertised identity, address, capacity, and capabilities."""
+    """A front-end's advertised identity, address, capacity, capabilities,
+    and rate card: its base rate and the multiplier of each priced feature."""
 
     cluster_id: str
     address: str
@@ -344,9 +391,22 @@ class ClusterDescriptor:
     capabilities: frozenset[str]
     base_rate: Money
     payee_account: str
+    feature_multipliers: Mapping[str, Fraction] = field(default_factory=dict, hash=False)
+
+    def floor(self, spec: JobSpec) -> int:
+        """The least this cluster may bid for ``spec``: its rate card's
+        cost at zero load, rounded up to whole millicredits."""
+        num, den = rate_card_cost(
+            self.base_rate.amount,
+            spec.nodes,
+            spec.walltime_s,
+            spec.required_features,
+            self.feature_multipliers,
+        )
+        return -(-num // den)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
+        out: dict[str, Any] = {
             "cluster_id": self.cluster_id,
             "address": self.address,
             "capacity_nodes": self.capacity_nodes,
@@ -354,6 +414,12 @@ class ClusterDescriptor:
             "base_rate": self.base_rate.to_dict(),
             "payee_account": self.payee_account,
         }
+        if self.feature_multipliers:
+            out["feature_multipliers"] = {
+                feature: [ratio.numerator, ratio.denominator]
+                for feature, ratio in self.feature_multipliers.items()
+            }
+        return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClusterDescriptor":
@@ -367,18 +433,23 @@ class ClusterDescriptor:
                 "capabilities",
                 "base_rate",
                 "payee_account",
+                "feature_multipliers",
             }
         )
         _reject_unknown(data, known, "ClusterDescriptor")
+        capabilities = _check_features("capabilities", data.get("capabilities", []))
         return cls(
             cluster_id=_check_str("cluster_id", _require(data, "cluster_id")),
             address=_check_address("address", _require(data, "address")),
             capacity_nodes=_check_int(
                 "capacity_nodes", _require(data, "capacity_nodes"), minimum=1
             ),
-            capabilities=_check_features("capabilities", data.get("capabilities", [])),
+            capabilities=capabilities,
             base_rate=parse_money("base_rate", _require(data, "base_rate"), minimum=1),
             payee_account=_check_str("payee_account", _require(data, "payee_account")),
+            feature_multipliers=_check_multipliers(
+                data.get("feature_multipliers", {}), capabilities
+            ),
         )
 
 

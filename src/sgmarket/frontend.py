@@ -42,6 +42,7 @@ from .domain import (
     ValidationError,
     is_legal_transition,
     parse_money,
+    rate_card_cost,
     refusal_reason,
     secret_matches,
     validate_jobspec,
@@ -143,17 +144,14 @@ class PricingPolicy:
     ) -> int:
         """Price in millicredits: the exact rational formula as one integer
         numerator and denominator, rounded up once."""
-        num = self.base_rate.amount * nodes * walltime_s
-        den = 1
+        num, den = rate_card_cost(
+            self.base_rate.amount, nodes, walltime_s, features, self.feature_multipliers
+        )
         if self.policy_id == "load_proportional":
             coefficient = self.load_coefficient
-            den = coefficient.denominator * load_ratio.denominator
-            num *= den + coefficient.numerator * load_ratio.numerator
-        for feature in features:
-            multiplier = self.feature_multipliers.get(feature)
-            if multiplier is not None:
-                num *= multiplier.numerator
-                den *= multiplier.denominator
+            load_den = coefficient.denominator * load_ratio.denominator
+            num *= load_den + coefficient.numerator * load_ratio.numerator
+            den *= load_den
         return -(-num // den)
 
     @classmethod
@@ -346,6 +344,9 @@ class FrontendCore:
             raise ValidationError(
                 "feature_multipliers", f"not advertised capabilities: {sorted(unknown)}"
             )
+        for name, value in (("quote_ttl_s", quote_ttl_s), ("horizon_s", horizon_s)):
+            if type(value) is not int or value < 1:
+                raise ValidationError(name, "must be an integer >= 1")
         self.cluster_id = cluster_id
         self.capabilities = frozenset(capabilities)
         self.policy = policy
@@ -516,6 +517,7 @@ class FrontendCore:
             capabilities=self.capabilities,
             base_rate=self.policy.base_rate,
             payee_account=self.payee_account,
+            feature_multipliers=self.policy.feature_multipliers,
         )
 
 

@@ -39,3 +39,36 @@ def test_mixed_base_rate_report_is_pinned(monkeypatch):
     report = run_scenario(Scenario.from_dict(scenarios.generate("wide-64", 1)))
     digest = hashlib.sha256(canonical_encode(report.to_dict())).hexdigest()
     assert digest == "008823d3d9fc96220d5016235575527da451499327681372ba49f5dd1ad34b94"
+
+
+def test_wide_64_find_asks_few_clusters_in_at_most_two_rounds(monkeypatch):
+    """Rate-card floors and the broker's placement record cut the seed-1
+    ``wide-64`` run from 356 quotes (floor-bounded rounds alone) to 123,
+    and no find takes a third round."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import scenarios
+    from sgmarket import broker, wire
+    from sgmarket.harness import Scenario, run_scenario
+
+    batches_per_find = []
+    quotes = 0
+    fanout = wire.rpc_fanout
+    find_cluster = broker.BrokerCore.find_cluster
+
+    def counting_fanout(addresses, method, params, timeout_ms):
+        nonlocal quotes
+        if method == "node.quote":
+            quotes += len(addresses)
+            batches_per_find[-1] += 1
+        return fanout(addresses, method, params, timeout_ms)
+
+    def counting_find(self, spec):
+        batches_per_find.append(0)
+        return find_cluster(self, spec)
+
+    monkeypatch.setattr(wire, "rpc_fanout", counting_fanout)
+    monkeypatch.setattr(broker.BrokerCore, "find_cluster", counting_find)
+    run_scenario(Scenario.from_dict(scenarios.generate("wide-64", 1)))
+    assert len(batches_per_find) == 40
+    assert quotes == 123
+    assert max(batches_per_find) <= 2

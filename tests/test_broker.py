@@ -1,8 +1,10 @@
 """Registry TTLs, deterministic argmin selection, and fan-out isolation."""
 
+import dataclasses
 import itertools
 import json
 import socket
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -152,6 +154,17 @@ def test_register_handler_rejects_bad_descriptor():
         handlers["broker.register_cluster"]({"descriptor": bad, "ttl_s": 60})
 
 
+@pytest.mark.parametrize(
+    "multipliers", [{"ssd": [2, 1]}, {"gpu": [1, 2]}, {"gpu": [True, 1]}, {"gpu": 2}]
+)
+def test_register_handler_rejects_a_malformed_rate_card(multipliers):
+    handlers = rpc_handlers(BrokerCore(clock=VirtualClock()))
+    bad = _descriptor("A", capabilities=("gpu",)).to_dict()
+    bad["feature_multipliers"] = multipliers
+    with pytest.raises(InvalidDescriptor):
+        handlers["broker.register_cluster"]({"descriptor": bad, "ttl_s": 60})
+
+
 def test_lone_surrogate_registration_is_refused_at_the_wire():
     """No descriptor the broker could never list again gets registered."""
     broker = wire.serve("127.0.0.1:0", rpc_handlers(BrokerCore(clock=VirtualClock())))
@@ -173,6 +186,27 @@ def test_lone_surrogate_registration_is_refused_at_the_wire():
 def test_bid_timeout_must_be_a_positive_integer(bid_timeout_ms):
     with pytest.raises(ValidationError):
         BrokerCore(bid_timeout_ms=bid_timeout_ms, clock=VirtualClock())
+
+
+@pytest.mark.parametrize("default_ttl_s", [0, 4, 3601, -60, True, "60", 60.0, None])
+def test_default_ttl_must_be_a_registrable_ttl(default_ttl_s):
+    """A default outside the registrable range would fail every
+    ``broker.register_cluster`` that leaves ``ttl_s`` out, so the broker
+    refuses it at start."""
+    with pytest.raises(ValidationError) as err:
+        BrokerCore(default_ttl_s=default_ttl_s, clock=VirtualClock())
+    assert err.value.field == "default_ttl_s"
+
+
+def test_registration_without_ttl_uses_the_default():
+    clock = VirtualClock()
+    core = BrokerCore(default_ttl_s=5, clock=clock)
+    handlers = rpc_handlers(core)
+    handlers["broker.register_cluster"]({"descriptor": _descriptor("A").to_dict()})
+    clock.advance(5)
+    assert [d.cluster_id for d in core.list_clusters()] == ["A"]
+    clock.advance(1)
+    assert core.list_clusters() == []
 
 
 def test_two_bid_rounds_fit_in_the_clients_timeout():
@@ -402,6 +436,163 @@ def test_bounded_find_selects_what_a_full_fanout_would(
     assert len(batches) <= 2
     asked = [address for batch in batches for address in batch]
     assert len(asked) == len(set(asked))
+
+
+def _recording_core(table, rates, clock=None):
+    """A broker over ``_quotes_from(table)`` (mutable between finds) that
+    records each batch of cluster ids it asks; ``rates`` maps a cluster id
+    to its base rate, or to ``(base_rate, feature_multipliers)``."""
+    batches = []
+
+    def quote_fn(addresses, spec, timeout_ms):
+        batches.append([address.split("#", 1)[1] for address in addresses])
+        return _quotes_from(table)(addresses, spec, timeout_ms)
+
+    core = BrokerCore(clock=clock or VirtualClock(), quote_fn=quote_fn)
+    for cid, rate in rates.items():
+        base_rate, multipliers = rate if isinstance(rate, tuple) else (rate, {})
+        descriptor = _descriptor(
+            cid, address=f"127.0.0.1:1#{cid}", base_rate=base_rate,
+            capabilities=multipliers,
+        )
+        core.register_cluster(
+            dataclasses.replace(descriptor, feature_multipliers=multipliers), 3600
+        )
+    return core, batches
+
+
+def test_floor_counts_the_rate_cards_feature_multipliers():
+    """A gpu job's floor on A is 400 * 3/2: A's bid at that floor ends the
+    find, where a base-rate floor of 400 would still have asked B."""
+    table = {"127.0.0.1:1#A": 600, "127.0.0.1:1#B": 700}
+    core, batches = _recording_core(
+        table, {"A": (1, {"gpu": Fraction(3, 2)}), "B": (2, {"gpu": Fraction(1)})}
+    )
+    outcome = core.find_cluster(_spec(required_features=["gpu"]))
+    assert batches == [["A"]]
+    assert (outcome.cluster_id, outcome.price) == ("A", Money(600))
+
+
+def test_round_one_follows_the_placement_record():
+    # nodes=4, walltime_s=100: floor 400 on A-D, 800 on E.
+    clock = VirtualClock()
+    table = {f"127.0.0.1:1#{cid}": 500 for cid in "ABCDE"}
+    table["127.0.0.1:1#C"] = 400
+    core, batches = _recording_core(
+        table, {"A": 1, "B": 1, "C": 1, "D": 1, "E": 2}, clock=clock
+    )
+    # A fresh broker knows no idle cluster: round 1 is the lowest-floor group.
+    assert core.find_cluster(_spec()).cluster_id == "C"
+    assert batches == [["A", "B", "C", "D"]]
+    # C's placement runs until t=100; nothing is known idle before then.
+    clock.advance(99)
+    table["127.0.0.1:1#C"], table["127.0.0.1:1#D"] = 450, 400
+    assert core.find_cluster(_spec()).cluster_id == "D"
+    assert batches[-1] == ["A", "B", "C", "D"]
+    # From t=100 the record shows C idle: round 1 stops there, and C's bid
+    # at its floor leaves nobody after it who could win.
+    clock.advance(1)
+    table["127.0.0.1:1#C"] = 400
+    assert core.find_cluster(_spec()).cluster_id == "C"
+    assert batches[-1] == ["A", "B", "C"]
+    assert len(batches) == 3
+    # The record is a hint. Here C is busy after all, so round 2 asks the
+    # rest of the group, whose floor still beats C's bid, as before.
+    clock.advance(100)
+    table["127.0.0.1:1#C"] = 450
+    table["127.0.0.1:1#D"] = 420
+    assert core.find_cluster(_spec()).cluster_id == "D"
+    assert batches[-2:] == [["A", "B", "C"], ["D"]]
+
+
+def test_bid_below_its_own_floor_sends_round_two_to_everyone():
+    """A front-end bidding under its published rate card shows floors are
+    not to be trusted: round 2 asks every remaining eligible cluster."""
+    table = {"127.0.0.1:1#A": 100, "127.0.0.1:1#B": 50, "127.0.0.1:1#C": 2000}
+    core, batches = _recording_core(table, {"A": 1, "B": 2, "C": 3})
+    outcome = core.find_cluster(_spec())
+    assert batches == [["A"], ["B", "C"]]
+    assert (outcome.cluster_id, outcome.price) == ("B", Money(50))
+
+
+def test_placement_record_survives_concurrent_finds():
+    """Each find records max(end) under the broker lock; a lost update
+    would leave an end earlier than the longest placement."""
+    core, _ = _recording_core({"127.0.0.1:1#A": 1}, {"A": 1})
+    walltimes = list(range(1, 201))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(
+                target=lambda chunk=walltimes[i::8]: [
+                    core.find_cluster(_spec(walltime_s=w)) for w in chunk
+                ]
+            )
+            for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert core._placed_until == {"A": max(walltimes)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fleet=st.lists(st.sampled_from("ABCDEFGHJK"), min_size=1, max_size=8, unique=True)
+    .flatmap(lambda ids: st.tuples(*[_frontend(cid) for cid in ids])),
+    steps=st.lists(
+        st.tuples(
+            st.integers(1, 4),  # nodes
+            st.integers(1, 40),  # walltime_s
+            st.frozensets(_FEATURES),
+            st.booleans(),  # whether the winner is handed the job
+            st.integers(0, 40),  # seconds ticked before the next find
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
+    """One broker, real front-ends, placements and ticks between finds:
+    whatever its placement record says, each find picks the full
+    fan-out's winner in at most two rounds."""
+    clock = VirtualClock()
+    answers = {}
+    batches = []
+
+    def quote_fn(addresses, spec, timeout_ms):
+        batches.append(addresses)
+        return [answers[address] for address in addresses]
+
+    core = BrokerCore(clock=clock, quote_fn=quote_fn)
+    frontends = {f"127.0.0.1:1#{frontend.cluster_id}": frontend for frontend in fleet}
+    for address, frontend in frontends.items():
+        core.register_cluster(frontend.descriptor(address), 3600)
+    for index, (nodes, walltime_s, features, place, dt) in enumerate(steps):
+        spec = _spec(job_id=f"{index + 100:032x}", nodes=nodes, walltime_s=walltime_s,
+                     required_features=sorted(features))
+        # Each front-end quotes once, so the oracle and the find see the same bids.
+        answers.clear()
+        for address, frontend in frontends.items():
+            answer = frontend.quote(spec)
+            answers[address] = answer if isinstance(answer, Bid) else {"reason": answer.reason}
+        batches.clear()
+        outcome = core.find_cluster(spec)
+        assert outcome == _full_fanout(core.list_clusters(), spec, answers)
+        assert len(batches) <= 2
+        asked = [address for batch in batches for address in batch]
+        assert len(asked) == len(set(asked))
+        if place and isinstance(outcome, Selection):
+            frontends[outcome.address].scheduler.enqueue(spec.job_id, nodes, walltime_s)
+        for frontend in fleet:
+            frontend.tick(dt)
+        clock.advance(dt)
+    assert set(core._placed_until) <= {frontend.cluster_id for frontend in fleet}
 
 
 # -- matchmaking ------------------------------------------------------------------

@@ -277,3 +277,27 @@ def test_identical_markets_produce_byte_identical_receipts(tmp_path, market_fact
 
         receipts.append(canonical_encode(session.submit_job(spec)))
     assert receipts[0] == receipts[1]
+
+
+@pytest.mark.parametrize("timeout_ms", [0, -1, True, "5000", 1.5, None])
+def test_timeout_ms_must_be_a_positive_integer(timeout_ms):
+    with pytest.raises(ValidationError) as err:
+        ClientConfig.from_dict(
+            {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "user": "alice",
+             "secret": "pw", "account_id": "alice", "timeout_ms": timeout_ms}
+        )
+    assert err.value.field == "timeout_ms"
+
+
+def test_zero_timeout_config_exits_1_without_a_traceback(tmp_path, capsys):
+    """``timeout_ms: 0`` once reached the transport and escaped ``main`` as
+    a raw ValueError."""
+    path = tmp_path / "client.json"
+    path.write_text(json.dumps(
+        {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "user": "alice",
+         "secret": "pw", "account_id": "alice", "timeout_ms": 0}
+    ))
+    assert client.main(["balance", "--config", str(path)]) == client.EXIT_OTHER
+    err = capsys.readouterr().err
+    assert err.startswith("error: timeout_ms")
+    assert "Traceback" not in err

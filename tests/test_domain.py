@@ -1,7 +1,9 @@
 """Domain validation, canonical encoding, and the job state machine."""
 
+import dataclasses
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -211,6 +213,77 @@ def test_job_status_round_trip(status):
 def test_encoding_pure_function(a, b):
     same_bytes = canonical_encode(a) == canonical_encode(b)
     assert same_bytes == (a == b)
+
+
+@st.composite
+def _priced_descriptors(draw):
+    """Descriptors whose rate card prices some of their capabilities."""
+    descriptor = draw(_descriptors)
+    multipliers = {}
+    for feature in sorted(descriptor.capabilities):
+        if draw(st.booleans()):
+            q = draw(st.integers(1, 9))
+            multipliers[feature] = Fraction(draw(st.integers(q, 5 * q)), q)
+    return dataclasses.replace(descriptor, feature_multipliers=multipliers)
+
+
+@given(_priced_descriptors())
+def test_descriptor_round_trip_with_a_rate_card(descriptor):
+    decoded = ClusterDescriptor.from_dict(json.loads(canonical_encode(descriptor)))
+    assert decoded == descriptor
+
+
+def _card_descriptor(**overrides):
+    record = {
+        "cluster_id": "A",
+        "address": "127.0.0.1:7710",
+        "capacity_nodes": 8,
+        "capabilities": ["deadline", "gpu"],
+        "base_rate": {"amount": 2},
+        "payee_account": "cluster:A",
+    }
+    record.update(overrides)
+    return record
+
+
+def test_descriptor_without_multipliers_omits_the_field():
+    """A cluster that prices no feature registers the same bytes as before
+    descriptors carried rate cards."""
+    descriptor = ClusterDescriptor.from_dict(_card_descriptor(feature_multipliers={}))
+    assert descriptor.feature_multipliers == {}
+    assert canonical_encode(descriptor) == canonical_encode(_card_descriptor())
+    assert b"feature_multipliers" not in canonical_encode(descriptor)
+
+
+def test_descriptor_carries_its_rate_card():
+    descriptor = ClusterDescriptor.from_dict(
+        _card_descriptor(feature_multipliers={"gpu": [3, 2], "deadline": [4, 4]})
+    )
+    assert descriptor.feature_multipliers == {"gpu": Fraction(3, 2), "deadline": 1}
+    assert descriptor.to_dict()["feature_multipliers"] == {"gpu": [3, 2], "deadline": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "multipliers",
+    [
+        [],
+        {"ssd": [2, 1]},  # not an advertised capability
+        {"gpu": 2},
+        {"gpu": [2]},
+        {"gpu": [2, 1, 1]},
+        {"gpu": [True, 1]},
+        {"gpu": [2, True]},
+        {"gpu": [2.0, 1]},
+        {"gpu": ["2", 1]},
+        {"gpu": [2, 0]},
+        {"gpu": [-2, -1]},
+        {"gpu": [1, 2]},  # a discount
+    ],
+)
+def test_malformed_rate_card_is_rejected(multipliers):
+    with pytest.raises(ValidationError) as err:
+        ClusterDescriptor.from_dict(_card_descriptor(feature_multipliers=multipliers))
+    assert err.value.field.startswith("feature_multipliers")
 
 
 # -- state machine ------------------------------------------------------------

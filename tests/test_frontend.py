@@ -265,6 +265,64 @@ def test_price_never_falls_below_the_base_rate_floor(
     assert policy.price(nodes, walltime, features, load) >= base * nodes * walltime
 
 
+@given(
+    policy_id=st.sampled_from(["flat", "load_proportional"]),
+    base=st.integers(1, 10**6),
+    coefficient=st.one_of(st.integers(0, 5), _ratios),
+    multipliers=st.dictionaries(st.sampled_from(["gpu", "deadline"]), _multipliers),
+    nodes=st.integers(1, 128),
+    walltime=st.integers(1, 10**5),
+    features=st.frozensets(st.sampled_from(["gpu", "deadline"])),
+    load=st.fractions(min_value=0, max_value=50),
+)
+def test_price_never_falls_below_the_published_rate_card_floor(
+    policy_id, base, coefficient, multipliers, nodes, walltime, features, load
+):
+    """The floor the broker computes from a front-end's descriptor bounds
+    every price it quotes, and is the price at zero load."""
+    policy = PricingPolicy.from_config(
+        {
+            "policy": policy_id,
+            "base_rate": base,
+            "load_coefficient": coefficient,
+            "feature_multipliers": multipliers,
+        }
+    )
+    core = FrontendCore(
+        cluster_id="clusterA",
+        capacity_nodes=128,
+        capabilities=frozenset(["gpu", "deadline"]),
+        policy=policy,
+        payee_account="cluster:clusterA",
+        cluster_secret="cs-A",
+        users={},
+        bank=FakeBank(),
+    )
+    floor = core.descriptor("127.0.0.1:7710").floor(
+        _spec(nodes=nodes, walltime_s=walltime, features=features)
+    )
+    assert policy.price(nodes, walltime, features, load) >= floor
+    assert policy.price(nodes, walltime, features, Fraction(0)) == floor
+
+
+def test_descriptor_publishes_the_policys_multipliers():
+    core = _core(capabilities=("deadline", "gpu"), multipliers={"gpu": Fraction(3, 2)})
+    assert core.descriptor("127.0.0.1:7710").to_dict()["feature_multipliers"] == {
+        "gpu": [3, 2]
+    }
+    assert "feature_multipliers" not in _core().descriptor("127.0.0.1:7710").to_dict()
+
+
+@pytest.mark.parametrize("name", ["quote_ttl_s", "horizon_s"])
+@pytest.mark.parametrize("value", [0, -5, True, "60", 1.5, None])
+def test_quote_ttl_and_horizon_must_be_positive_integers(name, value):
+    """A zero horizon divided every quote by zero; a negative ttl made
+    every token expire as it was issued."""
+    with pytest.raises(ValidationError) as err:
+        _core(**{name: value})
+    assert err.value.field == name
+
+
 # -- scheduler ------------------------------------------------------------------
 
 class _SteppingScheduler:
