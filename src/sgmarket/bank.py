@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from . import wire
 from .domain import Money, ServiceError, canonical_json_bytes, parse_money, secret_matches
@@ -147,7 +147,9 @@ class BankCore:
                 self._log_file.seek(0)
                 logged = self._log_file.read()
                 complete = logged[: logged.rfind(b"\n") + 1]
-                self._replay(complete.splitlines())
+                for line in complete.splitlines():  # checked when first applied
+                    if line.strip():
+                        self._apply(json.loads(line))
                 self._log_file.truncate(len(complete))  # made durable by the next fsync
             except BaseException:
                 self.close()
@@ -344,24 +346,6 @@ class BankCore:
                 "accounts": {k: a.to_dict() for k, a in self._accounts.items()},
                 "escrows": {k: e.to_dict() for k, e in self._escrows.items()},
             }
-
-    # -- log replay ---------------------------------------------------------
-
-    @classmethod
-    def replay(cls, lines: Iterable[bytes | str]) -> "BankCore":
-        """Rebuild bank state from an operation log; auth already happened
-        when the operations were first applied."""
-        core = cls()
-        core._replay(lines)
-        return core
-
-    def _replay(self, lines: Iterable[bytes | str]) -> None:
-        for raw in lines:
-            if isinstance(raw, bytes):
-                raw = raw.decode("utf-8")
-            raw = raw.strip()
-            if raw:
-                self._apply(json.loads(raw))
 
 
 def rpc_handlers(core: BankCore) -> dict[str, wire.Handler]:

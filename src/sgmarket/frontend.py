@@ -31,6 +31,7 @@ from typing import Any, Mapping
 
 from . import wire
 from .bank import BankClient
+from .broker import MAX_TTL_S, MIN_TTL_S
 from .domain import (
     Bid,
     ClusterDescriptor,
@@ -79,10 +80,6 @@ class UnknownJob(ServiceError):
 
 class DuplicateJob(ServiceError):
     name = "DuplicateJob"
-
-
-class WrongClockMode(ServiceError):
-    name = "WrongClockMode"
 
 
 @dataclass(frozen=True)
@@ -335,7 +332,7 @@ class FrontendCore:
         payee_account: str,
         cluster_secret: str,
         users: Mapping[str, str],
-        bank: BankClient | Any,
+        bank: BankClient,
         quote_ttl_s: int = DEFAULT_QUOTE_TTL_S,
         horizon_s: int = DEFAULT_HORIZON_S,
     ):
@@ -492,9 +489,6 @@ class FrontendCore:
                     retry.append(entry)
                 elif exc.app_error_name() != "AlreadySettled":
                     log.error("settlement of %s rejected: %s", escrow_id, exc)
-            except ServiceError as exc:  # an in-process bank raises directly
-                if exc.name != "AlreadySettled":
-                    log.error("settlement of %s rejected: %s", escrow_id, exc)
         if retry:
             with self._lock:
                 self._pending_settlements = retry + self._pending_settlements
@@ -522,14 +516,22 @@ class FrontendCore:
 
 
 class FrontendService:
-    """RPC wrapper: one front-end service process for one cluster."""
+    """RPC wrapper: one front-end service process for one cluster. Once
+    started, it advances its own clock one virtual second every
+    ``wall_ms_per_second`` of wall time; no RPC moves it."""
 
-    def __init__(self, config: Mapping[str, Any], bank: BankClient | Any = None):
+    def __init__(self, config: Mapping[str, Any]):
         self.config = dict(config)
-        self.clock_mode = self.config.get("clock_mode", "virtual")
-        if self.clock_mode not in ("virtual", "wall"):
-            raise ValidationError("clock_mode", "must be virtual or wall")
-        bank = bank if bank is not None else BankClient(self.config["bank"])
+        self.wall_ms_per_second = self.config.get("wall_ms_per_second", 1000)
+        if type(self.wall_ms_per_second) is not int or self.wall_ms_per_second < 1:
+            raise ValidationError("wall_ms_per_second", "must be an integer >= 1")
+        self.announce_ttl_s = self.config.get("announce_ttl_s", DEFAULT_ANNOUNCE_TTL_S)
+        if type(self.announce_ttl_s) is not int or not (
+            MIN_TTL_S <= self.announce_ttl_s <= MAX_TTL_S
+        ):
+            raise ValidationError(
+                "announce_ttl_s", f"must be an integer in [{MIN_TTL_S}, {MAX_TTL_S}]"
+            )
         self.core = FrontendCore(
             cluster_id=self.config["cluster_id"],
             capacity_nodes=self.config["capacity_nodes"],
@@ -538,7 +540,7 @@ class FrontendService:
             payee_account=self.config["payee_account"],
             cluster_secret=self.config["cluster_secret"],
             users=self.config.get("users", {}),
-            bank=bank,
+            bank=BankClient(self.config["bank"]),
             quote_ttl_s=self.config.get("quote_ttl_s", DEFAULT_QUOTE_TTL_S),
             horizon_s=self.config.get("horizon_s", DEFAULT_HORIZON_S),
         )
@@ -573,28 +575,16 @@ class FrontendService:
                 raise wire.InvalidParams("job_id must be a string")
             return {"status": self.core.status(job_id).to_dict()}
 
-        def tick(params: Mapping[str, Any]) -> dict[str, Any]:
-            if self.clock_mode != "virtual":
-                raise WrongClockMode("node.tick is only available in virtual mode")
-            dt = params.get("dt")
-            if not isinstance(dt, int) or isinstance(dt, bool) or dt < 0:
-                raise wire.InvalidParams("dt must be a non-negative integer")
-            events = self.core.tick(dt)
-            return {"events": events, "clock": self.core.clock()}
-
         return {
             "node.quote": quote,
             "node.submit": submit,
             "node.status": status,
-            "node.tick": tick,
         }
 
     def announce(self, broker_address: str | None = None, ttl_s: int | None = None) -> None:
         """Register this cluster with the broker once."""
         broker_address = broker_address or self.config["broker"]
-        ttl_s = ttl_s if ttl_s is not None else self.config.get(
-            "announce_ttl_s", DEFAULT_ANNOUNCE_TTL_S
-        )
+        ttl_s = ttl_s if ttl_s is not None else self.announce_ttl_s
         wire.rpc_call(
             broker_address,
             "broker.register_cluster",
@@ -606,33 +596,26 @@ class FrontendService:
         )
 
     def start_background(self) -> None:
-        """Wall-mode machinery: periodic announcements with retry, and a
-        thread that maps wall time onto scheduler ticks."""
-        announcer = threading.Thread(
-            target=self._announce_loop, name="announce", daemon=True
-        )
-        announcer.start()
-        self._threads.append(announcer)
-        if self.clock_mode == "wall":
-            ticker = threading.Thread(target=self._tick_loop, name="ticker", daemon=True)
-            ticker.start()
-            self._threads.append(ticker)
+        """Start the service's own machinery: periodic announcements with
+        retry, and a thread that maps wall time onto scheduler ticks."""
+        for target, name in ((self._announce_loop, "announce"), (self._tick_loop, "ticker")):
+            thread = threading.Thread(target=target, name=name, daemon=True)
+            thread.start()
+            self._threads.append(thread)
 
     def _announce_loop(self) -> None:
-        ttl_s = self.config.get("announce_ttl_s", DEFAULT_ANNOUNCE_TTL_S)
         retry_wait = 0.5
         while not self._stop.is_set():
             try:
-                self.announce(ttl_s=ttl_s)
+                self.announce()
             except (wire.RpcError, OSError) as exc:
                 log.info("announce failed (%s); retrying", exc)
                 self._stop.wait(retry_wait)
                 continue
-            self._stop.wait(ttl_s / 2)
+            self._stop.wait(self.announce_ttl_s / 2)
 
     def _tick_loop(self) -> None:
-        wall_ms = self.config.get("wall_ms_per_second", 1000)
-        while not self._stop.wait(wall_ms / 1000.0):
+        while not self._stop.wait(self.wall_ms_per_second / 1000.0):
             self.core.tick(1)
 
     def shutdown(self) -> None:

@@ -3,15 +3,16 @@ run in-process over real loopback sockets while scripted clients submit a
 workload in virtual time.
 
 Only market traffic crosses loopback: find, quotes, escrow, submit and
-settlement. The harness alone advances time, and does so in-process, the
-way a wall-mode front-end's own ticker does. Each virtual second it delivers
-the submissions due (sequentially, in workload order), then calls every
-front-end core's ``tick`` in turn; stretches with no due submissions are
-ticked in one jump, pausing at every tenth second for a conservation audit.
-A run longer than the broker's longest ttl re-announces the front-ends at
-such a stop. It audits the bank and reads final job states from the cores
-directly as well. Given a fixed seed, two runs of the same scenario produce
-byte-identical reports.
+settlement. The harness never starts a front-end's own ticker: it alone
+advances time, in-process, the way that ticker does in ``sg-node``. Each
+virtual second it delivers the submissions due (sequentially, in workload
+order), then calls every front-end core's ``tick`` in turn; stretches with
+no due submissions are ticked in one jump, pausing at every tenth second for
+a conservation audit. A run longer than the broker's longest ttl
+re-announces the front-ends at such a stop. The COMPLETED events those ticks
+return tell it how many accepted jobs finished; with the bank's audit, that
+is all it reads at the end. Given a fixed seed, two runs of the same
+scenario produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .bank import BankClient, BankCore, rpc_handlers as bank_handlers
 from .broker import BrokerCore, MAX_TTL_S, rpc_handlers as broker_handlers
 from .client import ClientConfig, ClientError, ClientSession
 from .clock import VirtualClock
-from .domain import JobState, ServiceError, ValidationError, canonical_encode
-from .frontend import FrontendCore, FrontendService
+from .domain import ServiceError, ValidationError, canonical_encode
+from .frontend import FrontendService
 
 log = logging.getLogger(__name__)
 
@@ -201,7 +202,6 @@ class MarketRuntime:
                     "listen": "127.0.0.1:0",
                     "broker": broker_address,
                     "bank": bank_address,
-                    "clock_mode": "virtual",
                     "users": users_table,
                     "payee_account": payee_account,
                     "cluster_secret": secrets[cluster_id],
@@ -233,10 +233,16 @@ class MarketRuntime:
         # Unless this ttl outlasts the run, renew at an audit stop half of it on.
         self._renew_at = now + ttl // 2 if now + ttl < self.scenario.duration_s else None
 
-    def _tick_all(self, dt: int) -> None:
+    def _tick_all(self, dt: int) -> int:
+        """Advance every front-end ``dt`` seconds; the number of jobs that
+        completed meanwhile."""
+        completed = 0
         for service in self.frontends:
-            service.core.tick(dt)
+            for event in service.core.tick(dt):
+                if event["type"] == "COMPLETED":
+                    completed += 1
         self.virtual_clock.advance(dt)
+        return completed
 
     def _conservation_holds(self) -> bool:
         totals = self.bank_core.audit()
@@ -248,8 +254,7 @@ class MarketRuntime:
         jobs_per_cluster = {c["cluster_id"]: 0 for c in scenario.clusters}
         price_series: list[dict[str, Any]] = []
         errors: list[dict[str, Any]] = []
-        accepted: list[tuple[str, FrontendCore]] = []
-        cores = {service.core.cluster_id: service.core for service in self.frontends}
+        completed = 0
         conservation_ok = self._conservation_holds()
 
         idx = 0
@@ -277,7 +282,6 @@ class MarketRuntime:
                         "price": receipt["price"],
                     }
                 )
-                accepted.append((receipt["job_id"], cores[cluster_id]))
 
             next_submit = (
                 scenario.workload[idx]["submit_at"]
@@ -286,7 +290,7 @@ class MarketRuntime:
             )
             next_audit = (vt // AUDIT_INTERVAL_S + 1) * AUDIT_INTERVAL_S
             stop = min(next_submit, next_audit, scenario.duration_s)
-            self._tick_all(stop - vt)
+            completed += self._tick_all(stop - vt)
             vt = stop
             if vt % AUDIT_INTERVAL_S == 0:
                 conservation_ok = conservation_ok and self._conservation_holds()
@@ -295,11 +299,10 @@ class MarketRuntime:
 
         conservation_ok = conservation_ok and self._conservation_holds()
 
-        all_terminal = self.bank_core.audit()["total_held"] == 0
-        for job_id, core in accepted:
-            if core.status(job_id).state not in (JobState.COMPLETED, JobState.FAILED):
-                all_terminal = False
-
+        accepted = sum(jobs_per_cluster.values())
+        all_terminal = (
+            completed == accepted and self.bank_core.audit()["total_held"] == 0
+        )
         final_balances = self.bank_core.account_balances()
         return MarketReport(
             jobs_per_cluster=jobs_per_cluster,

@@ -326,8 +326,9 @@ def test_log_replay_reproduces_state(tmp_path):
     core.settle_escrow(e2, "b" * 32, "FAILED", "sekrit")
     core.close()
 
-    replayed = BankCore.replay(log_path.read_bytes().splitlines())
+    replayed = BankCore(cluster_secrets=SECRETS, log_path=log_path)
     assert replayed.snapshot() == core.snapshot()
+    replayed.close()
 
 
 def test_restarted_bank_keeps_its_ledger(tmp_path):
@@ -349,9 +350,10 @@ def test_restarted_bank_keeps_its_ledger(tmp_path):
     restarted.settle_escrow(first, "a" * 32, "COMPLETED", "sekrit")
     restarted.close()
 
-    replayed = BankCore.replay(log_path.read_bytes().splitlines())
+    replayed = BankCore(cluster_secrets=SECRETS, log_path=log_path)
     assert replayed.snapshot() == restarted.snapshot()
     assert replayed.audit() == {"total_balances": 400, "total_held": 100}
+    replayed.close()
 
 
 def test_torn_last_log_line_is_dropped_on_restart(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgmarket import wire
-from sgmarket.bank import BankCore, EscrowState
+from sgmarket.bank import BankClient, BankCore, EscrowState, rpc_handlers as bank_handlers
 from sgmarket.domain import Bid, JobState, Money, ValidationError, validate_jobspec
 from sgmarket.frontend import (
     AuthFailed,
@@ -90,6 +90,16 @@ class FlakyBank(FakeBank):
 
 def _timeout():
     return wire.RpcError(wire.RpcErrorCode.TIMEOUT, "timed out waiting for response")
+
+
+@pytest.fixture()
+def served_bank():
+    """A ``BankCore`` served over loopback, and a ``BankClient`` for it: a
+    front-end reaches its bank only through a client."""
+    bank = BankCore(cluster_secrets={"clusterA": "cs-A"})
+    server = wire.serve("127.0.0.1:0", bank_handlers(bank))
+    yield bank, BankClient(server.address)
+    server.shutdown()
 
 
 def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
@@ -663,12 +673,12 @@ def test_non_ascii_secret_authenticates():
     assert core.submit(spec, core.quote(spec).bid_token, "esc-7").state is JobState.QUEUED
 
 
-def test_stranger_cannot_void_a_running_jobs_escrow():
-    bank = BankCore(cluster_secrets={"clusterA": "cs-A"})
+def test_stranger_cannot_void_a_running_jobs_escrow(served_bank):
+    bank, client = served_bank
     alice = bank.create_account("alice", "USER")
     cluster = bank.create_account("clusterA", "CLUSTER")
     bank.deposit(alice, 10000)
-    core = _core(bank=bank)
+    core = _core(bank=client)
     spec = _spec(walltime_s=3)
     bid = core.quote(spec)
     escrow_id = bank.hold_escrow(alice, cluster, bid.price.amount, spec.job_id)
@@ -686,14 +696,14 @@ def test_stranger_cannot_void_a_running_jobs_escrow():
     assert bank.balance(alice) == 10000 - 12
 
 
-def test_quote_binds_the_jobs_terms():
+def test_quote_binds_the_jobs_terms(served_bank):
     """A cheap quote cannot be stretched over a bigger job: the submitted
     spec must ask for the nodes, walltime and features that were priced."""
-    bank = BankCore(cluster_secrets={"clusterA": "cs-A"})
+    bank, client = served_bank
     alice = bank.create_account("alice", "USER")
     cluster = bank.create_account("clusterA", "CLUSTER")
     bank.deposit(alice, 10000)
-    core = _core(bank=bank, capacity=8)
+    core = _core(bank=client, capacity=8)
     bid = core.quote(_spec(nodes=1, walltime_s=1))
     escrow_id = bank.hold_escrow(alice, cluster, bid.price.amount, "a" * 32)
     with pytest.raises(UnknownQuote):

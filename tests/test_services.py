@@ -1,4 +1,5 @@
-"""Service-level behavior: announcements, clock modes, and packaging."""
+"""Service-level behavior: announcements, the service clock, settings, and
+packaging."""
 
 import json
 import socket
@@ -11,7 +12,7 @@ import pytest
 from sgmarket import wire
 from sgmarket.broker import BrokerCore, rpc_handlers as broker_handlers
 from sgmarket.clock import VirtualClock
-from sgmarket.domain import canonical_encode
+from sgmarket.domain import ValidationError, canonical_encode
 from sgmarket.frontend import FrontendService
 
 
@@ -118,43 +119,20 @@ def test_announcer_retries_until_broker_appears():
             broker.shutdown()
 
 
-def test_tick_rejected_in_wall_mode():
-    service = FrontendService(
-        _frontend_config(clock_mode="wall", wall_ms_per_second=20)
-    )
-    try:
-        with pytest.raises(wire.RpcError) as err:
-            wire.rpc_call(service.address, "node.tick", {"dt": 1}, timeout_ms=2000)
-        assert err.value.app_error_name() == "WrongClockMode"
-    finally:
-        service.shutdown()
-
-
-def test_tick_over_rpc_matches_core_tick_in_virtual_mode():
+def test_service_with_no_clock_setting_advances_its_own_clock():
     service = FrontendService(_frontend_config())
-    twin = FrontendService(_frontend_config())
     try:
-        for frontend in (service, twin):
-            frontend.core.scheduler.enqueue("a" * 32, 4, 3)
-            frontend.core.scheduler.enqueue("b" * 32, 8, 2)
-        result = wire.rpc_call(service.address, "node.tick", {"dt": 10}, timeout_ms=2000)
-        events = twin.core.tick(10)
-        assert len(events) == 4
-        assert result == {"events": events, "clock": twin.core.clock()}
-        for dt in (-1, True, "1"):
-            with pytest.raises(wire.RpcError) as err:
-                wire.rpc_call(service.address, "node.tick", {"dt": dt}, timeout_ms=2000)
-            assert err.value.code == wire.RpcErrorCode.INVALID_PARAMS
-        assert service.core.clock() == 10
+        service.start_background()
+        deadline = time.monotonic() + 5.0
+        while service.core.clock() < 1 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert service.core.clock() >= 1
     finally:
         service.shutdown()
-        twin.shutdown()
 
 
-def test_wall_mode_advances_the_clock_by_itself():
-    service = FrontendService(
-        _frontend_config(clock_mode="wall", wall_ms_per_second=20)
-    )
+def test_wall_ms_per_second_sets_the_tick_rate():
+    service = FrontendService(_frontend_config(wall_ms_per_second=20))
     try:
         service.start_background()
         deadline = time.monotonic() + 5.0
@@ -163,6 +141,22 @@ def test_wall_mode_advances_the_clock_by_itself():
         assert service.core.clock() >= 3
     finally:
         service.shutdown()
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 1.5, "1000", None])
+def test_wall_ms_per_second_must_be_a_positive_integer(value):
+    """At 0 the ticker would spin a CPU and expire every quote as it is made."""
+    with pytest.raises(ValidationError) as err:
+        FrontendService(_frontend_config(wall_ms_per_second=value))
+    assert err.value.field == "wall_ms_per_second"
+
+
+@pytest.mark.parametrize("value", [0, 4, 3601, -60, True, "60", 60.0, None])
+def test_announce_ttl_s_must_be_a_ttl_the_broker_accepts(value):
+    """Otherwise the announcer retries a refused registration forever."""
+    with pytest.raises(ValidationError) as err:
+        FrontendService(_frontend_config(announce_ttl_s=value))
+    assert err.value.field == "announce_ttl_s"
 
 
 def test_sim_console_script_end_to_end(tmp_path):
