@@ -10,19 +10,33 @@ break toward the bytewise-smallest cluster_id, so identical market states
 always produce identical selections. No front-end prices a job below its
 floor, the cost of the job at zero load under the rate card it registered
 (``base_rate * nodes * walltime_s`` times the multiplier of each required
-feature it prices), so bids go out in at most two rounds. Round 1 asks the
-clusters tied at the lowest floor, in (floor, cluster_id) order, and stops
-after the first one the broker's placement record shows idle: the broker
-placed work there and all of it has run out, so it bids exactly its floor.
-Round 2 asks the rest whose (floor, cluster_id) still beats the best
+feature it prices). Each bid also reports its load: the factor its price
+applied to that cost, and the most the factor can fall per second with no
+new work. So a cluster's price is at least its bound,
+``max(floor, ceil(cost * (load - drain * (now - at + 1))))`` from the last
+report it sent at broker time ``at``, or its floor if it sent none. That
+rests on three assumptions:
+
+* load only falls by draining: new work never lowers a price;
+* a front-end's clock runs no faster than the broker's (the placement
+  record below assumes this too);
+* the ``+ 1`` covers the offset between two whole-second clocks.
+
+Bids go out in at most two rounds. Round 1 asks the clusters tied at the
+lowest bound, in (bound, cluster_id) order, and stops after the first one
+that the broker's placement record shows idle (the broker placed work there
+and all of it has run out) or whose bound is above its floor (its report
+shows it busy): if nothing arrived there since, either bids about its
+bound. Round 2 asks the rest whose (bound, cluster_id) still beats the best
 (price, cluster_id) of round 1, or all the rest if round 1 drew no bid or a
-bid below its own cluster's floor. The record is only a hint: a wrong entry
-costs quotes or a round, never the winner. The winner is the one a quote
-from every eligible cluster would pick, as long as each front-end prices by
-the rate card it registered. All quotes of a round go out at once from one
-thread and share one bid timeout, so a find waits at most two bid
-timeouts, and a hanging front-end never blocks selection among responsive
-ones.
+bid below its own cluster's bound. The record and the reports are only
+hints: a wrong one costs quotes or a round, never the winner. The winner is
+the one a quote from every eligible cluster would pick, as long as each
+front-end prices by the rate card it registered and the assumptions hold;
+a cluster that registers again is taken to have lost its jobs, and its
+report is dropped. All quotes of a round go out at once from one thread and
+share one bid timeout, so a find waits at most two bid timeouts, and a
+hanging front-end never blocks selection among responsive ones.
 """
 
 from __future__ import annotations
@@ -138,17 +152,19 @@ def _rpc_quotes(
 
 
 class BrokerCore:
-    """Registry plus selection; the registry and the placement record are
-    guarded by one lock, which the quote rounds never hold while waiting
-    on the network.
+    """Registry plus selection; the registry, the placement record and the
+    load reports are guarded by one lock, which the quote rounds never hold
+    while waiting on the network.
 
     The placement record keeps, per cluster this broker selected, the
     virtual time its last placement there ends (selection time plus
-    ``walltime_s``), so it holds at most one entry per registered cluster.
-    A find asks the clusters at the lowest floor up to the first one the
-    record shows idle, then at most one more round of those whose floor can
-    still beat the best bid; each round waits at most ``bid_timeout_ms``,
-    so a find waits at most two.
+    ``walltime_s``). The reports keep, per cluster whose last bid showed
+    load, that bid's ``load`` and ``drain`` and the broker time of the find
+    that drew it. Each holds at most one entry per registered cluster. A
+    find asks the clusters at the lowest bound up to the first one the
+    record shows idle or the reports show busy, then at most one more round
+    of those whose bound can still beat the best bid; each round waits at
+    most ``bid_timeout_ms``, so a find waits at most two.
     """
 
     def __init__(
@@ -172,6 +188,8 @@ class BrokerCore:
         self._registry: dict[str, Registration] = {}
         # cluster_id -> when the last work this broker placed there ends
         self._placed_until: dict[str, int] = {}
+        # cluster_id -> (load, drain, at) of its last bid that showed load
+        self._reports: dict[str, tuple[tuple[int, int], tuple[int, int], int]] = {}
 
     def register_cluster(self, descriptor: ClusterDescriptor, ttl_s: int) -> None:
         if not MIN_TTL_S <= ttl_s <= MAX_TTL_S:
@@ -183,6 +201,8 @@ class BrokerCore:
         )
         with self._lock:
             self._registry[descriptor.cluster_id] = registration
+            # A front-end that registers again may have restarted empty.
+            self._reports.pop(descriptor.cluster_id, None)
 
     def list_clusters(self) -> list[ClusterDescriptor]:
         now = self.clock.now()
@@ -192,26 +212,42 @@ class BrokerCore:
 
     def find_cluster(self, spec: JobSpec) -> Selection | NoEligibleCluster:
         now = self.clock.now()
-        addresses: dict[str, str] = {}
+        with self._lock:
+            live = [
+                (registration, self._reports.get(cid))
+                for cid, registration in sorted(self._registry.items())
+                if registration.live(now)
+            ]
+        eligible: dict[str, Registration] = {}
         floors: dict[str, int] = {}
+        bounds: dict[str, int] = {}
         reasons: dict[str, str] = {}
-        for descriptor in self.list_clusters():
+        for registration, report in live:
+            descriptor = registration.descriptor
+            cid = descriptor.cluster_id
             refusal = refusal_reason(
                 spec, descriptor.capabilities, descriptor.capacity_nodes
             )
-            if refusal is None:
-                addresses[descriptor.cluster_id] = descriptor.address
-                floors[descriptor.cluster_id] = descriptor.floor(spec)
-            else:
-                reasons[descriptor.cluster_id] = refusal
-        if not floors:
+            if refusal is not None:
+                reasons[cid] = refusal
+                continue
+            eligible[cid] = registration
+            num, den = descriptor.cost(spec)
+            floors[cid] = bounds[cid] = -(-num // den)
+            if report is not None:
+                (load_p, load_q), (drain_p, drain_q), at = report
+                factor = load_p * drain_q - drain_p * (now - at + 1) * load_q
+                bounds[cid] = max(bounds[cid], -(-num * factor // (den * load_q * drain_q)))
+        if not eligible:
             return NoEligibleCluster(reasons=reasons)
         bids: dict[str, Bid] = {}
 
         def ask(cluster_ids: list[str]) -> tuple[str, int] | None:
             """One quote round; the best (cluster_id, price) bid so far."""
             answers = self._quote_fn(
-                [addresses[cid] for cid in cluster_ids], spec, self.bid_timeout_ms
+                [eligible[cid].descriptor.address for cid in cluster_ids],
+                spec,
+                self.bid_timeout_ms,
             )
             for cluster_id, answer in zip(cluster_ids, answers):
                 if isinstance(answer, Bid):
@@ -223,42 +259,51 @@ class BrokerCore:
                     reasons[cluster_id] = answer["reason"]
             return select_lowest([(cid, bid.price.amount) for cid, bid in bids.items()])
 
-        order = sorted((floor, cid) for cid, floor in floors.items())
-        # Round 1 is the lowest-floor group, cut after the first cluster the
-        # placement record shows idle: it bids exactly its floor, which no
-        # cluster after it in (floor, cluster_id) order can beat.
+        order = sorted((bound, cid) for cid, bound in bounds.items())
+        # Round 1 is the lowest-bound group, cut after the first cluster the
+        # placement record shows idle or its report shows busy: it bids
+        # about its bound, which no cluster after it in (bound, cluster_id)
+        # order can beat.
         first: list[str] = []
         with self._lock:
-            for floor, cid in order:
-                if floor != order[0][0]:
+            for bound, cid in order:
+                if bound != order[0][0]:
                     break
                 first.append(cid)
                 placed_until = self._placed_until.get(cid)
-                if placed_until is not None and placed_until <= now:
+                if bound > floors[cid] or (placed_until is not None and placed_until <= now):
                     break
         chosen = ask(first)
-        # A floor equal to the best price can still win the tie on a
-        # smaller cluster_id. A bid below its own floor shows a front-end
-        # off its rate card, and then no floor bounds round 2.
-        off_card = any(bid.price.amount < floors[cid] for cid, bid in bids.items())
+        # A bound equal to the best price can still win the tie on a
+        # smaller cluster_id. A bid below its own bound shows a front-end
+        # off its rate card or its report, and then no bound holds round 2.
+        off_bound = any(bid.price.amount < bounds[cid] for cid, bid in bids.items())
         rest = [
             cid
-            for floor, cid in order[len(first):]
-            if chosen is None or off_card or (floor, cid) < (chosen[1], chosen[0])
+            for bound, cid in order[len(first):]
+            if chosen is None or off_bound or (bound, cid) < (chosen[1], chosen[0])
         ]
         if rest:
             chosen = ask(rest)
+        with self._lock:
+            for cid, bid in bids.items():
+                if self._registry.get(cid) is not eligible[cid]:
+                    continue  # registered again meanwhile: the bid may predate it
+                if bid.load[0] > bid.load[1]:
+                    self._reports[cid] = (bid.load, bid.drain, now)
+                else:
+                    self._reports.pop(cid, None)
+            if chosen is not None:
+                self._placed_until[chosen[0]] = max(
+                    self._placed_until.get(chosen[0], now), now + spec.walltime_s
+                )
         if chosen is None:
             return NoEligibleCluster(reasons=reasons)
         cluster_id, _ = chosen
-        with self._lock:
-            self._placed_until[cluster_id] = max(
-                self._placed_until.get(cluster_id, now), now + spec.walltime_s
-            )
         winning = bids[cluster_id]
         return Selection(
             cluster_id=cluster_id,
-            address=addresses[cluster_id],
+            address=eligible[cluster_id].descriptor.address,
             price=winning.price,
             bid_token=winning.bid_token,
             payee_account=winning.payee_account,

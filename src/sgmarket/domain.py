@@ -11,10 +11,11 @@ from __future__ import annotations
 import hmac
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 FEATURE_RE = re.compile(r"^[a-z_]+$")
 JOB_ID_RE = re.compile(r"^[0-9a-f]{32}$")
@@ -45,12 +46,28 @@ class ValidationError(ServiceError):
         self.reason = reason
 
 
+# The C encoder ``json.dumps`` would build per call with ``sort_keys=True,
+# separators=(",", ":"), ensure_ascii=False``, built once. Without markers
+# it does not look for cycles.
+_encode = json.encoder.c_make_encoder(
+    None,  # markers
+    json.JSONEncoder().default,
+    json.encoder.encode_basestring,
+    None,  # indent
+    ":",
+    ",",
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
+
+
 def canonical_json_bytes(value: Any) -> bytes:
     """Serialize a JSON-able value deterministically: sorted keys, no
-    insignificant whitespace, UTF-8."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    insignificant whitespace, UTF-8; the bytes ``json.dumps`` gives with
+    those settings. A value that contains itself raises ``RecursionError``,
+    where ``json.dumps`` raises ``ValueError``."""
+    return "".join(_encode(value, 0)).encode("utf-8")
 
 
 def canonical_encode(value: Any) -> bytes:
@@ -241,16 +258,18 @@ class JobStatus:
         )
 
 
-_JOBSPEC_FIELDS = (
-    "job_id",
-    "user",
-    "secret",
-    "nodes",
-    "walltime_s",
-    "required_features",
-    "max_price",
-    "command",
-    "workdir",
+_JOBSPEC_FIELDS = frozenset(
+    {
+        "job_id",
+        "user",
+        "secret",
+        "nodes",
+        "walltime_s",
+        "required_features",
+        "max_price",
+        "command",
+        "workdir",
+    }
 )
 
 
@@ -292,7 +311,7 @@ def validate_jobspec(raw: Mapping[str, Any]) -> JobSpec:
     """Validate a JobSpec-shaped record, reporting the first violated field."""
     if not isinstance(raw, Mapping):
         raise ValidationError("jobspec", "must be an object")
-    _reject_unknown(raw, frozenset(_JOBSPEC_FIELDS), "JobSpec")
+    _reject_unknown(raw, _JOBSPEC_FIELDS, "JobSpec")
     job_id = _check_str("job_id", _require(raw, "job_id"))
     if not JOB_ID_RE.match(job_id):
         raise ValidationError("job_id", "must be 32 lowercase hex characters")
@@ -356,6 +375,22 @@ def rate_card_cost(
     return num, den
 
 
+def _check_ratio(field: str, value: Any, minimum: int) -> tuple[int, int]:
+    """A ``[p, q]`` integer pair with ``q >= 1`` and ``p / q >= minimum``
+    (0 or 1)."""
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+    ):
+        raise ValidationError(field, "must be a [p, q] integer pair")
+    p, q = value
+    if q < 1 or p < minimum * q:
+        bounds = "p >= q >= 1" if minimum else "p >= 0 and q >= 1"
+        raise ValidationError(field, f"must have {bounds}")
+    return p, q
+
+
 def _check_multipliers(
     value: Any, capabilities: frozenset[str]
 ) -> dict[str, Fraction]:
@@ -367,16 +402,7 @@ def _check_multipliers(
         where = f"feature_multipliers[{feature}]"
         if feature not in capabilities:
             raise ValidationError(where, "not an advertised capability")
-        if not (
-            isinstance(ratio, (list, tuple))
-            and len(ratio) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in ratio)
-        ):
-            raise ValidationError(where, "must be a [p, q] integer pair")
-        p, q = ratio
-        if q < 1 or p < q:
-            raise ValidationError(where, "must have p >= q >= 1")
-        multipliers[feature] = Fraction(p, q)
+        multipliers[feature] = Fraction(*_check_ratio(where, ratio, 1))
     return multipliers
 
 
@@ -393,16 +419,21 @@ class ClusterDescriptor:
     payee_account: str
     feature_multipliers: Mapping[str, Fraction] = field(default_factory=dict, hash=False)
 
-    def floor(self, spec: JobSpec) -> int:
-        """The least this cluster may bid for ``spec``: its rate card's
-        cost at zero load, rounded up to whole millicredits."""
-        num, den = rate_card_cost(
+    def cost(self, spec: JobSpec) -> tuple[int, int]:
+        """``spec``'s cost at zero load under this rate card, as
+        ``rate_card_cost`` gives it."""
+        return rate_card_cost(
             self.base_rate.amount,
             spec.nodes,
             spec.walltime_s,
             spec.required_features,
             self.feature_multipliers,
         )
+
+    def floor(self, spec: JobSpec) -> int:
+        """The least this cluster may bid for ``spec``: its rate card's
+        cost at zero load, rounded up to whole millicredits."""
+        num, den = self.cost(spec)
         return -(-num // den)
 
     def to_dict(self) -> dict[str, Any]:
@@ -453,37 +484,54 @@ class ClusterDescriptor:
         )
 
 
+_BID_FIELDS = frozenset(
+    {"cluster_id", "price", "bid_token", "expires_at", "payee_account", "load", "drain"}
+)
+
+
 @dataclass(frozen=True)
 class Bid:
-    """A cluster's priced offer for one job, honored until ``expires_at``."""
+    """A cluster's priced offer for one job, honored until ``expires_at``.
+
+    ``load`` is the exact factor, as ``(p, q)``, that the price applied to
+    the job's rate-card cost: ``price == ceil(cost * p / q)``. ``drain`` is
+    the most that factor can fall per virtual second while no new work
+    arrives. Both are left off the wire at their idle values, 1 and 0.
+    """
 
     cluster_id: str
     price: Money
     bid_token: str
     expires_at: int
     payee_account: str
+    load: tuple[int, int] = (1, 1)
+    drain: tuple[int, int] = (0, 1)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
+        out: dict[str, Any] = {
             "cluster_id": self.cluster_id,
             "price": self.price.to_dict(),
             "bid_token": self.bid_token,
             "expires_at": self.expires_at,
             "payee_account": self.payee_account,
         }
+        if self.load[0] != self.load[1]:
+            out["load"] = list(self.load)
+        if self.drain[0]:
+            out["drain"] = list(self.drain)
+        return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Bid":
         if not isinstance(data, Mapping):
             raise ValidationError("bid", "must be an object")
-        known = frozenset(
-            {"cluster_id", "price", "bid_token", "expires_at", "payee_account"}
-        )
-        _reject_unknown(data, known, "Bid")
+        _reject_unknown(data, _BID_FIELDS, "Bid")
         return cls(
             cluster_id=_check_str("cluster_id", _require(data, "cluster_id")),
             price=parse_money("price", _require(data, "price")),
             bid_token=_check_str("bid_token", _require(data, "bid_token")),
             expires_at=_check_int("expires_at", _require(data, "expires_at")),
             payee_account=_check_str("payee_account", _require(data, "payee_account")),
+            load=_check_ratio("load", data.get("load", (1, 1)), 1),
+            drain=_check_ratio("drain", data.get("drain", (0, 1)), 0),
         )

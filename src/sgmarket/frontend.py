@@ -132,6 +132,16 @@ class PricingPolicy:
                 )
         object.__setattr__(self, "feature_multipliers", multipliers)
 
+    def factor(self, load_ratio: Fraction) -> tuple[int, int]:
+        """The factor a price applies to the rate-card cost at this load
+        ratio, as ``(p, q)``: ``1 + load_coefficient * load_ratio`` under
+        ``load_proportional``, 1 under ``flat``."""
+        if self.policy_id != "load_proportional":
+            return 1, 1
+        coefficient = self.load_coefficient
+        q = coefficient.denominator * load_ratio.denominator
+        return q + coefficient.numerator * load_ratio.numerator, q
+
     def price(
         self,
         nodes: int,
@@ -144,12 +154,8 @@ class PricingPolicy:
         num, den = rate_card_cost(
             self.base_rate.amount, nodes, walltime_s, features, self.feature_multipliers
         )
-        if self.policy_id == "load_proportional":
-            coefficient = self.load_coefficient
-            load_den = coefficient.denominator * load_ratio.denominator
-            num *= load_den + coefficient.numerator * load_ratio.numerator
-            den *= load_den
-        return -(-num // den)
+        p, q = self.factor(load_ratio)
+        return -(-num * p // (den * q))
 
     @classmethod
     def from_config(cls, config: Mapping[str, Any]) -> "PricingPolicy":
@@ -204,13 +210,13 @@ class SchedulerCore:
     the job occupies its nodes for exactly its walltime.
 
     Running totals of used nodes, nodes x end time over running jobs, and
-    queued node-seconds make the load O(1); ``recount`` is the O(jobs)
-    cross-check.
+    queued nodes and node-seconds make the load O(1); ``recount`` is the
+    O(jobs) cross-check.
     """
 
     def __init__(self, capacity_nodes: int, start_clock: int = 0):
-        if capacity_nodes < 1:
-            raise ValidationError("capacity_nodes", "must be >= 1")
+        if type(capacity_nodes) is not int or capacity_nodes < 1:
+            raise ValidationError("capacity_nodes", "must be an integer >= 1")
         self.capacity_nodes = capacity_nodes
         self.clock = start_clock
         self.queue: deque[str] = deque()
@@ -220,10 +226,15 @@ class SchedulerCore:
         self._started = 0
         self._used = 0
         self._running_end_sum = 0
+        self._queued_nodes = 0
         self._queued_node_seconds = 0
 
     def used_nodes(self) -> int:
         return self._used
+
+    def held_nodes(self) -> int:
+        """Nodes of every running and queued job."""
+        return self._used + self._queued_nodes
 
     def committed_node_seconds(self) -> int:
         """Remaining node-seconds of running work plus all queued work.
@@ -257,6 +268,7 @@ class SchedulerCore:
         )
         self.jobs[job_id] = record
         self.queue.append(job_id)
+        self._queued_nodes += nodes
         self._queued_node_seconds += nodes * walltime_s
         return record.status()
 
@@ -306,6 +318,7 @@ class SchedulerCore:
             self.running.add(record.job_id)
             self._used += record.nodes
             self._running_end_sum += record.nodes * record.end_time
+            self._queued_nodes -= record.nodes
             self._queued_node_seconds -= record.nodes * record.walltime_s
             events.append(
                 {"type": "STARTED", "job_id": record.job_id, "time": self.clock}
@@ -368,27 +381,43 @@ class FrontendCore:
             self.scheduler.capacity_nodes * self.horizon_s,
         )
 
+    def drain_ratio(self) -> Fraction:
+        """The most ``load_ratio`` can fall per virtual second while no new
+        work arrives. Committed node-seconds fall by the running nodes each
+        second, and no more than every held node, or every node, can run."""
+        capacity = self.scheduler.capacity_nodes
+        return Fraction(
+            min(capacity, self.scheduler.held_nodes()), capacity * self.horizon_s
+        )
+
     def quote(self, spec: JobSpec) -> Bid | NoBid:
+        """A bid, or why not. The bid reports the load factor its price
+        applied and how fast that factor can drain, so the broker can bound
+        this cluster's later prices without asking."""
         with self._lock:
             refusal = refusal_reason(
                 spec, self.capabilities, self.scheduler.capacity_nodes
             )
             if refusal is not None:
                 return NoBid(refusal)
+            load_ratio = self.load_ratio()
             price = self.policy.price(
-                spec.nodes, spec.walltime_s, spec.required_features, self.load_ratio()
+                spec.nodes, spec.walltime_s, spec.required_features, load_ratio
             )
             if spec.max_price is not None and price > spec.max_price.amount:
                 return NoBid(NO_BID_PRICE_ABOVE_MAX)
             self._quote_seq += 1
             expires_at = self.scheduler.clock + self.quote_ttl_s
             signed = f"{self._quote_seq}.{expires_at}.{price}"
+            drain_p, drain_q = self.policy.factor(self.drain_ratio())
             return Bid(
                 cluster_id=self.cluster_id,
                 price=Money(price),
                 bid_token=f"{signed}.{self._quote_mac(spec, signed)}",
                 expires_at=expires_at,
                 payee_account=self.payee_account,
+                load=self.policy.factor(load_ratio),
+                drain=(drain_p - drain_q, drain_q),
             )
 
     def _quote_mac(self, spec: JobSpec, signed: str) -> str:

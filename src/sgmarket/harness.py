@@ -43,6 +43,10 @@ class ScenarioInvalid(ServiceError):
     name = "ScenarioInvalid"
 
 
+def _unique_names(names: list[Any]) -> bool:
+    return all(isinstance(n, str) and n for n in names) and len(set(names)) == len(names)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A scripted market: cluster fleet, funded users, timed submissions."""
@@ -54,29 +58,39 @@ class Scenario:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.duration_s < 1:
-            raise ScenarioInvalid("duration_s must be >= 1")
+        if type(self.duration_s) is not int or self.duration_s < 1:
+            raise ScenarioInvalid("duration_s must be an integer >= 1")
+        if type(self.seed) is not int:
+            raise ScenarioInvalid("seed must be an integer")
+        for part in ("clusters", "users", "workload"):
+            if not all(isinstance(entry, dict) for entry in getattr(self, part)):
+                raise ScenarioInvalid(f"{part} entries must be objects")
         cluster_ids = [c.get("cluster_id") for c in self.clusters]
-        if len(set(cluster_ids)) != len(cluster_ids) or None in cluster_ids:
-            raise ScenarioInvalid("cluster_id values must be present and unique")
+        if not _unique_names(cluster_ids):
+            raise ScenarioInvalid("cluster_id values must be present, unique strings")
         for cluster in self.clusters:
             for key in ("capacity_nodes", "base_rate"):
                 if key not in cluster:
                     raise ScenarioInvalid(f"cluster {cluster['cluster_id']!r} lacks {key}")
         logins = [u.get("account") for u in self.users]
-        if len(set(logins)) != len(logins) or None in logins:
-            raise ScenarioInvalid("user account names must be present and unique")
+        if not _unique_names(logins):
+            raise ScenarioInvalid("user account names must be present, unique strings")
+        for user in self.users:
+            deposit = user.get("initial_deposit", 0)
+            if type(deposit) is not int or deposit < 0:
+                raise ScenarioInvalid("initial_deposit must be a non-negative integer")
         known = set(logins)
         last = -1
         for item in self.workload:
             submit_at = item.get("submit_at")
-            if not isinstance(submit_at, int) or submit_at < 0:
+            if type(submit_at) is not int or submit_at < 0:
                 raise ScenarioInvalid("submit_at must be a non-negative integer")
             if submit_at < last:
                 raise ScenarioInvalid("workload submit times must be ascending")
             last = submit_at
-            if item.get("user") not in known:
-                raise ScenarioInvalid(f"workload user {item.get('user')!r} not in users")
+            user = item.get("user")
+            if not isinstance(user, str) or user not in known:
+                raise ScenarioInvalid(f"workload user {user!r} not in users")
             if not isinstance(item.get("spec"), dict):
                 raise ScenarioInvalid("workload items need a spec object")
         if self.workload and last >= self.duration_s:
@@ -93,16 +107,20 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        try:
-            return cls(
-                clusters=tuple(data["clusters"]),
-                users=tuple(data["users"]),
-                workload=tuple(data.get("workload", [])),
-                duration_s=data["duration_s"],
-                seed=data["seed"],
-            )
-        except KeyError as exc:
-            raise ScenarioInvalid(f"scenario lacks field {exc.args[0]!r}") from None
+        if not isinstance(data, Mapping):
+            raise ScenarioInvalid("a scenario must be an object")
+        for key in ("clusters", "users", "duration_s", "seed"):
+            if key not in data:
+                raise ScenarioInvalid(f"scenario lacks field {key!r}")
+        parts = {part: data.get(part, []) for part in ("clusters", "users", "workload")}
+        for part, entries in parts.items():
+            if not isinstance(entries, (list, tuple)):
+                raise ScenarioInvalid(f"{part} must be a list")
+        return cls(
+            **{part: tuple(entries) for part, entries in parts.items()},
+            duration_s=data["duration_s"],
+            seed=data["seed"],
+        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":
@@ -354,7 +372,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioInvalid, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: bad scenario: {exc}", file=sys.stderr)
         return 1
-    report = run_scenario(scenario)
+    try:
+        report = run_scenario(scenario)
+    except ValidationError as exc:  # a cluster's settings, checked at boot
+        print(f"error: bad scenario: {exc}", file=sys.stderr)
+        return 1
     encoded = canonical_encode(report.to_dict())
     if args.check_replay and canonical_encode(run_scenario(scenario).to_dict()) != encoded:
         print("error: scenario did not replay identically", file=sys.stderr)

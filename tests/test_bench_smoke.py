@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -41,10 +43,9 @@ def test_mixed_base_rate_report_is_pinned(monkeypatch):
     assert digest == "008823d3d9fc96220d5016235575527da451499327681372ba49f5dd1ad34b94"
 
 
-def test_wide_64_find_asks_few_clusters_in_at_most_two_rounds(monkeypatch):
-    """Rate-card floors and the broker's placement record cut the seed-1
-    ``wide-64`` run from 356 quotes (floor-bounded rounds alone) to 123,
-    and no find takes a third round."""
+def _quote_batches_per_find(monkeypatch, workload, seed):
+    """Run a benchmark scenario; the number of ``node.quote`` batches each
+    find sent, and the number of quotes in all."""
     monkeypatch.syspath_prepend(str(BENCH))
     import scenarios
     from sgmarket import broker, wire
@@ -68,7 +69,31 @@ def test_wide_64_find_asks_few_clusters_in_at_most_two_rounds(monkeypatch):
 
     monkeypatch.setattr(wire, "rpc_fanout", counting_fanout)
     monkeypatch.setattr(broker.BrokerCore, "find_cluster", counting_find)
-    run_scenario(Scenario.from_dict(scenarios.generate("wide-64", 1)))
+    run_scenario(Scenario.from_dict(scenarios.generate(workload, seed)))
+    return batches_per_find, quotes
+
+
+def test_wide_64_find_asks_few_clusters_in_at_most_two_rounds(monkeypatch):
+    """Rate-card floors and the broker's placement record cut the seed-1
+    ``wide-64`` run from 356 quotes (floor-bounded rounds alone) to 123,
+    and load reports to 105; no find takes a third round."""
+    batches_per_find, quotes = _quote_batches_per_find(monkeypatch, "wide-64", 1)
     assert len(batches_per_find) == 40
-    assert quotes == 123
+    assert quotes == 105
+    assert max(batches_per_find) <= 2
+
+
+@pytest.mark.parametrize(
+    "workload, finds, quotes",
+    [
+        # One base rate: floors alone ask all four clusters of a busy
+        # fleet (382 and 2,400 quotes); load reports rank them.
+        ("steady-4", 100, 179),
+        ("deep-4", 600, 980),
+    ],
+)
+def test_load_reports_cut_the_quotes_of_a_busy_fleet(monkeypatch, workload, finds, quotes):
+    batches_per_find, asked = _quote_batches_per_find(monkeypatch, workload, 1)
+    assert len(batches_per_find) == finds
+    assert asked == quotes
     assert max(batches_per_find) <= 2

@@ -78,19 +78,25 @@ def test_select_lowest_order_independent_with_ties():
 # -- registry -------------------------------------------------------------------
 
 def _quotes_from(table):
-    """Fake batch quote fn answering from {cluster_id: price-or-marker}."""
+    """Fake batch quote fn answering from {cluster_id: price-or-marker}; a
+    ``(price, load, drain)`` answer is a bid with that load report."""
 
     def quote(address):
         if address not in table:  # nothing listens there
             return wire.RpcError(wire.RpcErrorCode.APPLICATION_ERROR, "no such front-end")
         answer = table[address]
         if isinstance(answer, int):
+            answer = (answer, (1, 1), (0, 1))
+        if isinstance(answer, tuple):
+            price, load, drain = answer
             return Bid(
                 cluster_id=address.split("#", 1)[1],
-                price=Money(answer),
+                price=Money(price),
                 bid_token=f"tok-{address}",
                 expires_at=10**9,
                 payee_account=f"cluster:{address}",
+                load=load,
+                drain=drain,
             )
         if answer == "hang":
             return wire.RpcError(wire.RpcErrorCode.TIMEOUT, "no answer")
@@ -515,6 +521,98 @@ def test_bid_below_its_own_floor_sends_round_two_to_everyone():
     assert (outcome.cluster_id, outcome.price) == ("B", Money(50))
 
 
+def test_round_one_follows_the_load_reports():
+    # nodes=4, walltime_s=100: floor 400 on every cluster.
+    clock = VirtualClock()
+    table = {
+        "127.0.0.1:1#A": (800, (2, 1), (1, 100)),
+        "127.0.0.1:1#B": (600, (3, 2), (1, 100)),
+        "127.0.0.1:1#C": (1000, (5, 2), (1, 100)),
+        "127.0.0.1:1#D": (700, (7, 4), (1, 100)),
+    }
+    core, batches = _recording_core(table, dict.fromkeys("ABCD", 1), clock=clock)
+    # No reports yet: round 1 is every floor-400 cluster.
+    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert batches == [["A", "B", "C", "D"]]
+    # Ten seconds of drain at most: bounds A 760, B 560, C 960, D 660.
+    # Round 1 is B alone, whose report shows it busy; at 600, nobody
+    # else's bound can beat it.
+    clock.advance(9)
+    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert batches[-1:] == [["B"]]
+    # B bids 700 this time: round 2 asks only D, whose bound is below it.
+    table["127.0.0.1:1#B"] = (700, (7, 4), (1, 100))
+    table["127.0.0.1:1#D"] = (650, (13, 8), (1, 100))
+    assert core.find_cluster(_spec()).cluster_id == "D"
+    assert batches[-2:] == [["B"], ["D"]]
+    # C registers again, so its report goes: its bound is back at its floor.
+    core.register_cluster(_descriptor("C", address="127.0.0.1:1#C"), 3600)
+    table["127.0.0.1:1#C"] = 400
+    assert core.find_cluster(_spec()).cluster_id == "C"
+    assert batches[-1:] == [["C"]]
+    assert len(batches) == 5
+    # A bid at load 1 ends a cluster's report.
+    assert "C" not in core._reports and set(core._reports) == {"A", "B", "D"}
+
+
+def test_bid_below_its_own_bound_sends_round_two_to_everyone():
+    """A front-end bidding under the bound its own report set shows the
+    reports are not to be trusted: round 2 asks every remaining eligible
+    cluster, whatever its bound."""
+    clock = VirtualClock()
+    table = {
+        "127.0.0.1:1#A": (800, (2, 1), (0, 1)),
+        "127.0.0.1:1#B": (600, (3, 2), (0, 1)),
+        "127.0.0.1:1#C": (1200, (3, 1), (0, 1)),
+    }
+    core, batches = _recording_core(table, dict.fromkeys("ABC", 1), clock=clock)
+    assert core.find_cluster(_spec()).cluster_id == "B"
+    # Bounds now A 800, B 600, C 1200. B bids 500 < 600, and C, which
+    # restarted without registering again, bids its floor.
+    clock.advance(5)
+    table["127.0.0.1:1#B"] = 500
+    table["127.0.0.1:1#C"] = 400
+    outcome = core.find_cluster(_spec())
+    assert batches[-2:] == [["B"], ["A", "C"]]
+    assert (outcome.cluster_id, outcome.price) == ("C", Money(400))
+
+
+def test_bound_allows_a_front_end_clock_one_second_ahead():
+    """Two whole-second clocks can differ by a second: the ``+ 1`` in a
+    bound covers a front-end whose clock ticked while the broker's did not."""
+    policies = {
+        "A": PricingPolicy("load_proportional", Money(10)),
+        "B": PricingPolicy("flat", Money(17)),
+    }
+    frontends = {
+        f"127.0.0.1:1#{cid}": FrontendCore(
+            cluster_id=cid, capacity_nodes=1, capabilities=frozenset(), policy=policy,
+            payee_account=f"cluster:{cid}", cluster_secret=f"cs-{cid}", users={},
+            bank=None, horizon_s=2,
+        )
+        for cid, policy in policies.items()
+    }
+    batches = []
+
+    def quote_fn(addresses, spec, timeout_ms):
+        batches.append([address.split("#", 1)[1] for address in addresses])
+        return [frontends[address].quote(spec) for address in addresses]
+
+    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    for address, frontend in frontends.items():
+        core.register_cluster(frontend.descriptor(address), 3600)
+    frontends["127.0.0.1:1#A"].scheduler.enqueue("f" * 32, 1, 2)
+    spec = _spec(nodes=1, walltime_s=10)
+    # A's load factor is 2 (price 200) and drains by 1/2 a second.
+    assert core.find_cluster(spec).cluster_id == "B"
+    assert batches == [["A"], ["B"]]
+    frontends["127.0.0.1:1#A"].tick(1)
+    # The broker's clock still reads 0, yet A's bound is 150, not 200.
+    outcome = core.find_cluster(spec)
+    assert (outcome.cluster_id, outcome.price) == ("A", Money(150))
+    assert batches[-1:] == [["A"]]
+
+
 def test_placement_record_survives_concurrent_finds():
     """Each find records max(end) under the broker lock; a lost update
     would leave an end earlier than the longest placement."""
@@ -552,15 +650,16 @@ def test_placement_record_survives_concurrent_finds():
             st.frozensets(_FEATURES),
             st.booleans(),  # whether the winner is handed the job
             st.integers(0, 40),  # seconds ticked before the next find
+            st.none() | st.integers(0, 7),  # a front-end that restarts empty
         ),
         min_size=1,
         max_size=8,
     ),
 )
 def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
-    """One broker, real front-ends, placements and ticks between finds:
-    whatever its placement record says, each find picks the full
-    fan-out's winner in at most two rounds."""
+    """One broker, real front-ends, placements, ticks and restarts between
+    finds: whatever its placement record and the front-ends' load reports
+    say, each find picks the full fan-out's winner in at most two rounds."""
     clock = VirtualClock()
     answers = {}
     batches = []
@@ -573,7 +672,23 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
     frontends = {f"127.0.0.1:1#{frontend.cluster_id}": frontend for frontend in fleet}
     for address, frontend in frontends.items():
         core.register_cluster(frontend.descriptor(address), 3600)
-    for index, (nodes, walltime_s, features, place, dt) in enumerate(steps):
+    for index, (nodes, walltime_s, features, place, dt, restart) in enumerate(steps):
+        if restart is not None and restart < len(fleet):
+            # A restarted front-end has lost its jobs, and registers again.
+            old = fleet[restart]
+            address = f"127.0.0.1:1#{old.cluster_id}"
+            frontends[address] = FrontendCore(
+                cluster_id=old.cluster_id,
+                capacity_nodes=old.scheduler.capacity_nodes,
+                capabilities=old.capabilities,
+                policy=old.policy,
+                payee_account=old.payee_account,
+                cluster_secret=old.cluster_secret,
+                users={},
+                bank=None,
+                horizon_s=old.horizon_s,
+            )
+            core.register_cluster(frontends[address].descriptor(address), 3600)
         spec = _spec(job_id=f"{index + 100:032x}", nodes=nodes, walltime_s=walltime_s,
                      required_features=sorted(features))
         # Each front-end quotes once, so the oracle and the find see the same bids.
@@ -589,10 +704,11 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
         assert len(asked) == len(set(asked))
         if place and isinstance(outcome, Selection):
             frontends[outcome.address].scheduler.enqueue(spec.job_id, nodes, walltime_s)
-        for frontend in fleet:
+        for frontend in frontends.values():
             frontend.tick(dt)
         clock.advance(dt)
     assert set(core._placed_until) <= {frontend.cluster_id for frontend in fleet}
+    assert set(core._reports) <= {frontend.cluster_id for frontend in fleet}
 
 
 # -- matchmaking ------------------------------------------------------------------

@@ -17,6 +17,7 @@ from sgmarket.domain import (
     Money,
     ValidationError,
     canonical_encode,
+    canonical_json_bytes,
     is_legal_transition,
     validate_jobspec,
 )
@@ -112,6 +113,34 @@ def _oracle_serialize(value) -> str:
     return json.dumps(value, ensure_ascii=False)
 
 
+_json_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _json_text,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_json_text, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+def test_canonical_bytes_equal_json_dumps(value):
+    """The encoder built once gives the bytes the per-call ``json.dumps``
+    gave, kept here as the oracle."""
+    expected = json.dumps(
+        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    ).encode("utf-8")
+    assert canonical_json_bytes(value) == expected
+
+
+def test_canonical_bytes_of_a_value_that_contains_itself():
+    value = []
+    value.append(value)
+    with pytest.raises(RecursionError):
+        canonical_json_bytes(value)
+    with pytest.raises(TypeError):
+        canonical_json_bytes({"a": object()})
+
+
 def test_key_order_never_matters():
     record = _base_record(max_price=5000, required_features=["deadline"])
     shuffled = dict(reversed(list(record.items())))
@@ -162,6 +191,9 @@ _bids = st.builds(
     bid_token=_name,
     expires_at=st.integers(0, 10**9),
     payee_account=_name,
+    load=st.just((1, 1))
+    | st.integers(1, 10**6).flatmap(lambda q: st.tuples(st.integers(q + 1, 9 * q), st.just(q))),
+    drain=st.just((0, 1)) | st.tuples(st.integers(1, 10**6), st.integers(1, 10**9)),
 )
 
 
@@ -284,6 +316,47 @@ def test_malformed_rate_card_is_rejected(multipliers):
     with pytest.raises(ValidationError) as err:
         ClusterDescriptor.from_dict(_card_descriptor(feature_multipliers=multipliers))
     assert err.value.field.startswith("feature_multipliers")
+
+
+def _bid_record(**overrides):
+    record = {
+        "cluster_id": "A",
+        "price": {"amount": 800},
+        "bid_token": "t",
+        "expires_at": 60,
+        "payee_account": "cluster:A",
+    }
+    record.update(overrides)
+    return record
+
+
+def test_bid_at_idle_load_keeps_its_bytes():
+    """A bid at load 1 with nothing to drain, as every ``flat`` cluster
+    sends, encodes as bids did before they reported load."""
+    bid = Bid.from_dict(_bid_record(load=[1, 1], drain=[0, 1]))
+    assert (bid.load, bid.drain) == ((1, 1), (0, 1))
+    assert canonical_encode(bid) == canonical_encode(_bid_record())
+    busy = Bid.from_dict(_bid_record(load=[2, 1], drain=[1, 360]))
+    assert (busy.load, busy.drain) == ((2, 1), (1, 360))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("load", [1, 2]),  # below 1
+        ("load", [2, 0]),
+        ("load", 2),
+        ("load", [True, 1]),
+        ("load", [2.0, 1]),
+        ("drain", [-1, 1]),
+        ("drain", [1, 0]),
+        ("drain", [1, 2, 3]),
+    ],
+)
+def test_malformed_load_report_is_rejected(field, value):
+    with pytest.raises(ValidationError) as err:
+        Bid.from_dict(_bid_record(**{field: value}))
+    assert err.value.field == field
 
 
 # -- state machine ------------------------------------------------------------

@@ -333,6 +333,74 @@ def test_quote_ttl_and_horizon_must_be_positive_integers(name, value):
     assert err.value.field == name
 
 
+def test_capacity_must_be_a_positive_integer():
+    for value in ("8", 8.0, True, 0):
+        with pytest.raises(ValidationError) as err:
+            _core(capacity=value)
+        assert err.value.field == "capacity_nodes"
+
+
+_jobs = st.tuples(st.integers(1, 8), st.integers(1, 100), st.frozensets(st.sampled_from(["gpu"])))
+
+
+@given(
+    policy_id=st.sampled_from(["flat", "load_proportional"]),
+    coefficient=st.fractions(min_value=0, max_value=6, max_denominator=4),
+    capacity=st.integers(1, 8),
+    horizon_s=st.integers(1, 300),
+    steps=st.lists(
+        st.tuples(st.just("enqueue"), st.integers(1, 9), st.integers(1, 60))
+        | st.tuples(st.just("tick"), st.integers(0, 30)),
+        max_size=20,
+    ),
+    quoted=_jobs,
+    later=st.lists(st.tuples(st.integers(0, 30), _jobs), min_size=1, max_size=6),
+)
+def test_a_bids_load_report_bounds_its_later_prices(
+    policy_id, coefficient, capacity, horizon_s, steps, quoted, later
+):
+    """A bid's ``load`` reproduces its price from the rate card, and with
+    its ``drain`` bounds every later price, for any job, while no new work
+    arrives: ``price >= ceil(cost * (load - drain * elapsed))``."""
+    policy = PricingPolicy(
+        policy_id, Money(3), load_coefficient=coefficient,
+        feature_multipliers={"gpu": Fraction(5, 2)},
+    )
+    core = FrontendCore(
+        cluster_id="A", capacity_nodes=capacity, capabilities=frozenset({"gpu"}),
+        policy=policy, payee_account="cluster:A", cluster_secret="cs-A", users={},
+        bank=FakeBank(), horizon_s=horizon_s,
+    )
+    for index, step in enumerate(steps):
+        if step[0] == "enqueue":
+            # nodes up to capacity + 1: a head that never fits stays held
+            core.scheduler.enqueue(f"{index:032x}", min(step[1], capacity + 1), step[2])
+        else:
+            core.tick(step[1])
+    descriptor = core.descriptor("127.0.0.1:7710")
+
+    def cost_and_bid(job, job_id):
+        nodes, walltime_s, features = job
+        spec = _spec(job_id=job_id, nodes=min(nodes, capacity), walltime_s=walltime_s,
+                     features=sorted(features))
+        bid = core.quote(spec)
+        assert isinstance(bid, Bid)
+        return descriptor.cost(spec), bid
+
+    (num, den), bid = cost_and_bid(quoted, "e" * 32)
+    (load_p, load_q), (drain_p, drain_q) = bid.load, bid.drain
+    assert bid.price.amount == -(-num * load_p // (den * load_q))
+    if policy_id == "flat":
+        assert "load" not in bid.to_dict() and "drain" not in bid.to_dict()
+    elapsed = 0
+    for index, (dt, job) in enumerate(later):
+        core.tick(dt)
+        elapsed += dt
+        (num, den), later_bid = cost_and_bid(job, f"{index:032x}")
+        factor = load_p * drain_q - drain_p * elapsed * load_q
+        assert later_bid.price.amount >= -(-num * factor // (den * load_q * drain_q))
+
+
 # -- scheduler ------------------------------------------------------------------
 
 class _SteppingScheduler:

@@ -269,6 +269,59 @@ def test_sim_cli_rejects_bad_scenario(tmp_path, capsys):
     assert "bad scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutation,message",
+    [
+        (lambda d: d.update(duration_s=200.5), "duration_s must be an integer"),
+        (lambda d: d.update(duration_s=True), "duration_s must be an integer"),
+        (lambda d: d["workload"][0].update(submit_at=True), "submit_at must be"),
+        (lambda d: d["workload"][1].update(submit_at=6.0), "submit_at must be"),
+    ],
+)
+def test_scenario_times_must_be_integers(mutation, message):
+    data = one_cluster_one_job().to_dict()
+    data["workload"].append({"submit_at": 6, "user": "alice", "spec": _job()})
+    data["duration_s"] = 200
+    mutation(data)
+    with pytest.raises(ScenarioInvalid) as err:
+        Scenario.from_dict(data)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        lambda d: d.update(duration_s=101.5),
+        lambda d: d["workload"][0].update(submit_at=True),
+        lambda d: d["clusters"][0].update(capacity_nodes="8"),
+        lambda d: d["clusters"][0].update(base_rate="1"),
+        lambda d: d["clusters"][0].update(horizon_s=0),
+        lambda d: d["clusters"][0].update(cluster_id=5),
+        lambda d: d["users"][0].update(initial_deposit="100"),
+        lambda d: d["users"][0].update(initial_deposit=-5),
+        lambda d: d["workload"][0].update(user=["alice"]),
+        lambda d: d.update(clusters=["A"]),
+        lambda d: d.update(users={"alice": 1}),
+        lambda d: d.update(workload=5),
+        lambda d: d.update(seed=[1]),
+        lambda d: [1],
+    ],
+)
+def test_sim_cli_answers_a_malformed_scenario_without_a_traceback(
+    tmp_path, capsys, mutation
+):
+    data = one_cluster_one_job().to_dict()
+    data = mutation(data) or data  # a mutation may replace the whole scenario
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(data))
+    rc = harness.main(["--scenario", str(scenario_path), "--report", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scenario")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_report_equality_is_field_wise():
     report = MarketReport(
         jobs_per_cluster={"A": 1},
