@@ -24,18 +24,19 @@ rests on three assumptions:
 
 Bids go out in at most two rounds. Round 1 asks the clusters tied at the
 lowest bound, in (bound, cluster_id) order, and stops after the first one
-that the broker's placement record shows idle (the broker placed work there
-and all of it has run out) or whose bound is above its floor (its report
-shows it busy): if nothing arrived there since, either bids about its
-bound. Round 2 asks the rest whose (bound, cluster_id) still beats the best
-(price, cluster_id) of round 1, or all the rest if round 1 drew no bid or a
-bid below its own cluster's bound. The record and the reports are only
-hints: a wrong one costs quotes or a round, never the winner. The winner is
-the one a quote from every eligible cluster would pick, as long as each
-front-end prices by the rate card it registered and the assumptions hold;
-a cluster that registers again is taken to have lost its jobs, and its
-report is dropped. All quotes of a round go out at once from one thread and
-share one bid timeout, so a find waits at most two bid timeouts, and a
+its placement record shows idle (the broker placed work there and all of
+it has run out) or its report shows busy (its bound is above its floor):
+if nothing arrived there since, either bids about its bound. Round 2 asks
+the rest whose (bound, cluster_id) still beats the best (price,
+cluster_id) of round 1, or all the rest if round 1 drew no bid or a bid
+below its own cluster's bound. Both hints live on the cluster's
+registration, and a wrong one costs quotes or a round, never the winner:
+that is the one a quote from every eligible cluster would pick, as long as
+each front-end prices by the rate card it registered and the assumptions
+hold. A cluster that registers again is taken to have lost its jobs, so
+its report goes but its placement record stays; a find that straddles the
+registration loses its placement. A round's quotes go out at once from one
+thread and share one bid timeout, so a find waits at most two, and a
 hanging front-end never blocks selection among responsive ones.
 """
 
@@ -75,11 +76,18 @@ class InvalidDescriptor(ServiceError):
     name = "InvalidDescriptor"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Registration:
+    """The broker's one record of a cluster: its descriptor and lease, the
+    ``(load, drain, at)`` of its last bid that showed load, and when the
+    last work this broker placed there ends. The last two change under the
+    broker lock."""
+
     descriptor: ClusterDescriptor
     registered_at: int
     ttl_s: int
+    report: tuple[tuple[int, int], tuple[int, int], int] | None = None
+    placed_until: int | None = None
 
     def live(self, now: int) -> bool:
         return now <= self.registered_at + self.ttl_s
@@ -125,46 +133,38 @@ def select_lowest(bids: list[tuple[str, int]]) -> tuple[str, int] | None:
     return best
 
 
-QuoteFn = Callable[[list[str], JobSpec, int], "list[Bid | dict[str, Any] | wire.RpcError]"]
+QuoteFn = Callable[[list[str], JobSpec, int], "list[Bid | str]"]
 
 
-def _parse_quote(result: Any) -> Bid | dict[str, Any]:
-    """A front-end's node.quote result as a Bid or a no-bid marker."""
+def _parse_quote(result: Any) -> Bid | str:
+    """A front-end's node.quote result, or the RpcError of a call that
+    failed, as a Bid or the reason there is none."""
+    if isinstance(result, wire.RpcError):
+        return "timeout" if result.code == wire.RpcErrorCode.TIMEOUT else "rpc_error"
     if not isinstance(result, dict):
-        return {"reason": "bad_bid"}
+        return "bad_bid"
     if "no_bid" in result:
         no_bid = result["no_bid"]
         reason = no_bid.get("reason", "no_bid") if isinstance(no_bid, dict) else None
-        return {"reason": reason if isinstance(reason, str) else "bad_bid"}
+        return reason if isinstance(reason, str) else "bad_bid"
     try:
         return Bid.from_dict(result["bid"])
     except (KeyError, TypeError, ValidationError):
-        return {"reason": "bad_bid"}
+        return "bad_bid"
 
 
-def _rpc_quotes(
-    addresses: list[str], spec: JobSpec, timeout_ms: int
-) -> list[Bid | dict[str, Any] | wire.RpcError]:
-    """Ask the given front-ends for a bid at once; per address, a Bid, a
-    no-bid marker, or the RpcError of a call that failed."""
+def _rpc_quotes(addresses: list[str], spec: JobSpec, timeout_ms: int) -> list[Bid | str]:
+    """Ask the given front-ends for a bid at once; per address, a Bid or
+    the reason there is none."""
     replies = wire.rpc_fanout(addresses, "node.quote", {"spec": spec.to_dict()}, timeout_ms)
-    return [r if isinstance(r, wire.RpcError) else _parse_quote(r) for r in replies]
+    return [_parse_quote(r) for r in replies]
 
 
 class BrokerCore:
-    """Registry plus selection; the registry, the placement record and the
-    load reports are guarded by one lock, which the quote rounds never hold
-    while waiting on the network.
-
-    The placement record keeps, per cluster this broker selected, the
-    virtual time its last placement there ends (selection time plus
-    ``walltime_s``). The reports keep, per cluster whose last bid showed
-    load, that bid's ``load`` and ``drain`` and the broker time of the find
-    that drew it. Each holds at most one entry per registered cluster. A
-    find asks the clusters at the lowest bound up to the first one the
-    record shows idle or the reports show busy, then at most one more round
-    of those whose bound can still beat the best bid; each round waits at
-    most ``bid_timeout_ms``, so a find waits at most two.
+    """Registry plus selection. The registry holds one ``Registration`` per
+    cluster, and a find writes what it learns onto it: each bidder's load
+    report, and the winner's placement. One lock guards the registry, and
+    the quote rounds never hold it while waiting on the network.
     """
 
     def __init__(
@@ -186,23 +186,20 @@ class BrokerCore:
         self._quote_fn = quote_fn
         self._lock = threading.Lock()
         self._registry: dict[str, Registration] = {}
-        # cluster_id -> when the last work this broker placed there ends
-        self._placed_until: dict[str, int] = {}
-        # cluster_id -> (load, drain, at) of its last bid that showed load
-        self._reports: dict[str, tuple[tuple[int, int], tuple[int, int], int]] = {}
 
     def register_cluster(self, descriptor: ClusterDescriptor, ttl_s: int) -> None:
         if not MIN_TTL_S <= ttl_s <= MAX_TTL_S:
             raise wire.InvalidParams(
                 f"ttl_s must be in [{MIN_TTL_S}, {MAX_TTL_S}], got {ttl_s}"
             )
-        registration = Registration(
-            descriptor=descriptor, registered_at=self.clock.now(), ttl_s=ttl_s
-        )
+        now = self.clock.now()
         with self._lock:
-            self._registry[descriptor.cluster_id] = registration
-            # A front-end that registers again may have restarted empty.
-            self._reports.pop(descriptor.cluster_id, None)
+            old = self._registry.get(descriptor.cluster_id)
+            # A front-end that registers again may have restarted empty, so
+            # its report goes; the work this broker placed there still runs.
+            self._registry[descriptor.cluster_id] = Registration(
+                descriptor, now, ttl_s, placed_until=old.placed_until if old else None
+            )
 
     def list_clusters(self) -> list[ClusterDescriptor]:
         now = self.clock.now()
@@ -214,15 +211,15 @@ class BrokerCore:
         now = self.clock.now()
         with self._lock:
             live = [
-                (registration, self._reports.get(cid))
-                for cid, registration in sorted(self._registry.items())
+                (registration, registration.report, registration.placed_until)
+                for _, registration in sorted(self._registry.items())
                 if registration.live(now)
             ]
         eligible: dict[str, Registration] = {}
-        floors: dict[str, int] = {}
         bounds: dict[str, int] = {}
+        stops: set[str] = set()  # known idle or busy: round 1 ends there
         reasons: dict[str, str] = {}
-        for registration, report in live:
+        for registration, report, placed_until in live:
             descriptor = registration.descriptor
             cid = descriptor.cluster_id
             refusal = refusal_reason(
@@ -233,11 +230,13 @@ class BrokerCore:
                 continue
             eligible[cid] = registration
             num, den = descriptor.cost(spec)
-            floors[cid] = bounds[cid] = -(-num // den)
+            floor = bounds[cid] = -(-num // den)
             if report is not None:
                 (load_p, load_q), (drain_p, drain_q), at = report
                 factor = load_p * drain_q - drain_p * (now - at + 1) * load_q
-                bounds[cid] = max(bounds[cid], -(-num * factor // (den * load_q * drain_q)))
+                bounds[cid] = max(floor, -(-num * factor // (den * load_q * drain_q)))
+            if bounds[cid] > floor or (placed_until is not None and placed_until <= now):
+                stops.add(cid)
         if not eligible:
             return NoEligibleCluster(reasons=reasons)
         bids: dict[str, Bid] = {}
@@ -252,11 +251,8 @@ class BrokerCore:
             for cluster_id, answer in zip(cluster_ids, answers):
                 if isinstance(answer, Bid):
                     bids[cluster_id] = answer
-                elif isinstance(answer, wire.RpcError):
-                    timed_out = answer.code == wire.RpcErrorCode.TIMEOUT
-                    reasons[cluster_id] = "timeout" if timed_out else "rpc_error"
                 else:
-                    reasons[cluster_id] = answer["reason"]
+                    reasons[cluster_id] = answer
             return select_lowest([(cid, bid.price.amount) for cid, bid in bids.items()])
 
         order = sorted((bound, cid) for cid, bound in bounds.items())
@@ -265,14 +261,12 @@ class BrokerCore:
         # about its bound, which no cluster after it in (bound, cluster_id)
         # order can beat.
         first: list[str] = []
-        with self._lock:
-            for bound, cid in order:
-                if bound != order[0][0]:
-                    break
-                first.append(cid)
-                placed_until = self._placed_until.get(cid)
-                if bound > floors[cid] or (placed_until is not None and placed_until <= now):
-                    break
+        for bound, cid in order:
+            if bound != order[0][0]:
+                break
+            first.append(cid)
+            if cid in stops:
+                break
         chosen = ask(first)
         # A bound equal to the best price can still win the tie on a
         # smaller cluster_id. A bid below its own bound shows a front-end
@@ -285,18 +279,16 @@ class BrokerCore:
         ]
         if rest:
             chosen = ask(rest)
+        # What this find learnt goes onto the records it read, so none of it
+        # reaches a cluster that registered again meanwhile.
         with self._lock:
             for cid, bid in bids.items():
-                if self._registry.get(cid) is not eligible[cid]:
-                    continue  # registered again meanwhile: the bid may predate it
-                if bid.load[0] > bid.load[1]:
-                    self._reports[cid] = (bid.load, bid.drain, now)
-                else:
-                    self._reports.pop(cid, None)
+                busy = bid.load[0] > bid.load[1]  # a bid at load 1 ends the report
+                eligible[cid].report = (bid.load, bid.drain, now) if busy else None
             if chosen is not None:
-                self._placed_until[chosen[0]] = max(
-                    self._placed_until.get(chosen[0], now), now + spec.walltime_s
-                )
+                winner = eligible[chosen[0]]
+                ends = now + spec.walltime_s
+                winner.placed_until = max(winner.placed_until or ends, ends)
         if chosen is None:
             return NoEligibleCluster(reasons=reasons)
         cluster_id, _ = chosen

@@ -81,17 +81,27 @@ class ClientConfig:
 
     def __post_init__(self) -> None:
         for name in ("broker", "bank"):
+            address = getattr(self, name)
+            if not isinstance(address, str):
+                raise ValidationError(name, "must be a host:port string")
             try:
-                wire.parse_address(getattr(self, name))
+                wire.parse_address(address)
             except ValueError as exc:
                 raise ValidationError(name, str(exc)) from None
-        if not self.secret:
-            raise ValidationError("secret", "must be non-empty")
+        for name in ("user", "secret", "account_id"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValidationError(name, "must be a non-empty string")
         if type(self.timeout_ms) is not int or self.timeout_ms < 1:
             raise ValidationError("timeout_ms", "must be an integer >= 1")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClientConfig":
+        if not isinstance(data, Mapping):
+            raise ValidationError("config", "must be a JSON object")
+        for name in ("broker", "bank", "user", "secret", "account_id"):
+            if name not in data:
+                raise ValidationError(name, "missing required field")
         return cls(
             broker=data["broker"],
             bank=data["bank"],

@@ -430,12 +430,6 @@ class ClusterDescriptor:
             self.feature_multipliers,
         )
 
-    def floor(self, spec: JobSpec) -> int:
-        """The least this cluster may bid for ``spec``: its rate card's
-        cost at zero load, rounded up to whole millicredits."""
-        num, den = self.cost(spec)
-        return -(-num // den)
-
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "cluster_id": self.cluster_id,

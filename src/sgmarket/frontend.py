@@ -57,6 +57,9 @@ DEFAULT_ANNOUNCE_TTL_S = 60
 
 NO_BID_PRICE_ABOVE_MAX = "price_above_max"
 
+# The descriptor fields a front-end's config gives as they are announced.
+_IDENTITY = ("cluster_id", "capacity_nodes", "capabilities", "payee_account")
+
 
 class QuoteExpired(ServiceError):
     name = "QuoteExpired"
@@ -349,11 +352,6 @@ class FrontendCore:
         quote_ttl_s: int = DEFAULT_QUOTE_TTL_S,
         horizon_s: int = DEFAULT_HORIZON_S,
     ):
-        unknown = set(policy.feature_multipliers) - set(capabilities)
-        if unknown:
-            raise ValidationError(
-                "feature_multipliers", f"not advertised capabilities: {sorted(unknown)}"
-            )
         for name, value in (("quote_ttl_s", quote_ttl_s), ("horizon_s", horizon_s)):
             if type(value) is not int or value < 1:
                 raise ValidationError(name, "must be an integer >= 1")
@@ -561,12 +559,26 @@ class FrontendService:
             raise ValidationError(
                 "announce_ttl_s", f"must be an integer in [{MIN_TTL_S}, {MAX_TTL_S}]"
             )
+        policy = PricingPolicy.from_config(self.config)
+        # The broker's own parser checks the identity and rate card this
+        # front-end announces; only the address waits for the bound server.
+        card = ClusterDescriptor.from_dict(
+            {key: self.config[key] for key in _IDENTITY if key in self.config}
+            | {
+                "address": "127.0.0.1:1",
+                "base_rate": policy.base_rate.to_dict(),
+                "feature_multipliers": {
+                    feature: [ratio.numerator, ratio.denominator]
+                    for feature, ratio in policy.feature_multipliers.items()
+                },
+            }
+        )
         self.core = FrontendCore(
-            cluster_id=self.config["cluster_id"],
-            capacity_nodes=self.config["capacity_nodes"],
-            capabilities=frozenset(self.config.get("capabilities", [])),
-            policy=PricingPolicy.from_config(self.config),
-            payee_account=self.config["payee_account"],
+            cluster_id=card.cluster_id,
+            capacity_nodes=card.capacity_nodes,
+            capabilities=card.capabilities,
+            policy=policy,
+            payee_account=card.payee_account,
             cluster_secret=self.config["cluster_secret"],
             users=self.config.get("users", {}),
             bank=BankClient(self.config["bank"]),

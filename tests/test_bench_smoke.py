@@ -73,6 +73,11 @@ def _quote_batches_per_find(monkeypatch, workload, seed):
     return batches_per_find, quotes
 
 
+# Seed-1 finds that took a second round: a hint change that keeps the quote
+# totals but adds rounds shows here.
+TWO_ROUND_FINDS = {"steady-4": 27, "wide-64": 0, "deep-4": 124}
+
+
 def test_wide_64_find_asks_few_clusters_in_at_most_two_rounds(monkeypatch):
     """Rate-card floors and the broker's placement record cut the seed-1
     ``wide-64`` run from 356 quotes (floor-bounded rounds alone) to 123,
@@ -81,6 +86,7 @@ def test_wide_64_find_asks_few_clusters_in_at_most_two_rounds(monkeypatch):
     assert len(batches_per_find) == 40
     assert quotes == 105
     assert max(batches_per_find) <= 2
+    assert batches_per_find.count(2) == TWO_ROUND_FINDS["wide-64"]
 
 
 @pytest.mark.parametrize(
@@ -97,3 +103,4 @@ def test_load_reports_cut_the_quotes_of_a_busy_fleet(monkeypatch, workload, find
     assert len(batches_per_find) == finds
     assert asked == quotes
     assert max(batches_per_find) <= 2
+    assert batches_per_find.count(2) == TWO_ROUND_FINDS[workload]

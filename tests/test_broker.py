@@ -78,12 +78,12 @@ def test_select_lowest_order_independent_with_ties():
 # -- registry -------------------------------------------------------------------
 
 def _quotes_from(table):
-    """Fake batch quote fn answering from {cluster_id: price-or-marker}; a
+    """Fake batch quote fn answering from {cluster_id: price-or-reason}; a
     ``(price, load, drain)`` answer is a bid with that load report."""
 
     def quote(address):
         if address not in table:  # nothing listens there
-            return wire.RpcError(wire.RpcErrorCode.APPLICATION_ERROR, "no such front-end")
+            return "rpc_error"
         answer = table[address]
         if isinstance(answer, int):
             answer = (answer, (1, 1), (0, 1))
@@ -98,9 +98,7 @@ def _quotes_from(table):
                 load=load,
                 drain=drain,
             )
-        if answer == "hang":
-            return wire.RpcError(wire.RpcErrorCode.TIMEOUT, "no answer")
-        return {"reason": answer}
+        return answer
 
     def fn(addresses, spec, timeout_ms):
         return [quote(address) for address in addresses]
@@ -249,14 +247,15 @@ def test_find_cluster_breaks_ties_lexicographically():
 
 def test_find_cluster_ignores_hangs_and_no_bids():
     core = _core_with(
-        {"127.0.0.1:1#A": "hang", "127.0.0.1:1#B": 500, "127.0.0.1:1#C": "unsupported_feature"}
+        {"127.0.0.1:1#A": "timeout", "127.0.0.1:1#B": 500,
+         "127.0.0.1:1#C": "unsupported_feature"}
     )
     outcome = core.find_cluster(_spec())
     assert outcome.cluster_id == "B"
 
 
 def test_find_cluster_reports_reasons_when_nothing_bids():
-    core = _core_with({"127.0.0.1:1#A": "hang", "127.0.0.1:1#B": "unsupported_feature"})
+    core = _core_with({"127.0.0.1:1#A": "timeout", "127.0.0.1:1#B": "unsupported_feature"})
     outcome = core.find_cluster(_spec())
     assert isinstance(outcome, NoEligibleCluster)
     assert outcome.reasons == {"A": "timeout", "B": "unsupported_feature"}
@@ -281,7 +280,7 @@ def test_find_cluster_with_empty_registry():
         # A floor equal to the best price is asked only if it wins the tie.
         ({"X": (1, 800), "A": (2, 800), "Z": (2, 800)}, [["X"], ["A"]], "A"),
         # No bid in round 1: round 2 asks every remaining cluster.
-        ({"A": (1, "hang"), "B": (2, 900), "C": (3, 1300)}, [["A"], ["B", "C"]], "B"),
+        ({"A": (1, "timeout"), "B": (2, 900), "C": (3, 1300)}, [["A"], ["B", "C"]], "B"),
         # A no-bid beside a bid in round 1: the bid still bounds round 2.
         ({"A": (1, "price_above_max"), "B": (1, 900), "C": (2, 850), "D": (3, 1300)},
          [["A", "B"], ["C"]], "C"),
@@ -325,11 +324,8 @@ def _full_fanout(descriptors, spec, answers):
         answer = answers[descriptor.address]
         if isinstance(answer, Bid):
             bids[cid] = answer
-        elif isinstance(answer, wire.RpcError):
-            timed_out = answer.code == wire.RpcErrorCode.TIMEOUT
-            reasons[cid] = "timeout" if timed_out else "rpc_error"
         else:
-            reasons[cid] = answer["reason"]
+            reasons[cid] = answer
     chosen = select_lowest([(cid, bid.price.amount) for cid, bid in bids.items()])
     if chosen is None:
         return NoEligibleCluster(reasons=reasons)
@@ -347,7 +343,7 @@ def _full_fanout(descriptors, spec, answers):
 @given(
     st.dictionaries(
         st.sampled_from("ABCDEFGH"),
-        st.tuples(st.integers(1, 3), st.integers(0, 2) | st.sampled_from(["hang", "x"])),
+        st.tuples(st.integers(1, 3), st.integers(0, 2) | st.sampled_from(["timeout", "x"])),
         min_size=1,
     )
 )
@@ -427,7 +423,7 @@ def test_bounded_find_selects_what_a_full_fanout_would(
     for frontend in fleet:
         answer = frontend.quote(spec)
         answers[f"127.0.0.1:1#{frontend.cluster_id}"] = (
-            answer if isinstance(answer, Bid) else {"reason": answer.reason}
+            answer if isinstance(answer, Bid) else answer.reason
         )
     batches = []
 
@@ -552,7 +548,33 @@ def test_round_one_follows_the_load_reports():
     assert batches[-1:] == [["C"]]
     assert len(batches) == 5
     # A bid at load 1 ends a cluster's report.
-    assert "C" not in core._reports and set(core._reports) == {"A", "B", "D"}
+    reported = {cid for cid, record in core._registry.items() if record.report is not None}
+    assert reported == {"A", "B", "D"}
+
+
+def test_registering_again_drops_the_report_but_keeps_the_placement_record():
+    """A front-end renews its registration every half ttl. A renewal may
+    be a restart, so its report goes; but the work this broker placed
+    there still runs, so its placement record stays."""
+    # nodes=4, walltime_s=100: floor 400 on every cluster.
+    clock = VirtualClock()
+    table = {
+        "127.0.0.1:1#A": (600, (3, 2), (0, 1)),
+        "127.0.0.1:1#B": 400,
+        "127.0.0.1:1#C": 500,
+    }
+    core, batches = _recording_core(table, dict.fromkeys("ABC", 1), clock=clock)
+    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert batches == [["A", "B", "C"]]
+    # Without the renewals, A's report would bound it at 600, and round 1
+    # would be B alone, the first floor-400 cluster, which the record shows
+    # idle from t=100.
+    clock.advance(100)
+    for cid in "ABC":
+        core.register_cluster(_descriptor(cid, address=f"127.0.0.1:1#{cid}"), 3600)
+    # A is back at its floor and asked first; B still stops round 1.
+    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert batches[1:] == [["A", "B"]]
 
 
 def test_bid_below_its_own_bound_sends_round_two_to_everyone():
@@ -636,7 +658,7 @@ def test_placement_record_survives_concurrent_finds():
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert core._placed_until == {"A": max(walltimes)}
+    assert core._registry["A"].placed_until == max(walltimes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -695,7 +717,7 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
         answers.clear()
         for address, frontend in frontends.items():
             answer = frontend.quote(spec)
-            answers[address] = answer if isinstance(answer, Bid) else {"reason": answer.reason}
+            answers[address] = answer if isinstance(answer, Bid) else answer.reason
         batches.clear()
         outcome = core.find_cluster(spec)
         assert outcome == _full_fanout(core.list_clusters(), spec, answers)
@@ -707,8 +729,6 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
         for frontend in frontends.values():
             frontend.tick(dt)
         clock.advance(dt)
-    assert set(core._placed_until) <= {frontend.cluster_id for frontend in fleet}
-    assert set(core._reports) <= {frontend.cluster_id for frontend in fleet}
 
 
 # -- matchmaking ------------------------------------------------------------------

@@ -301,3 +301,46 @@ def test_zero_timeout_config_exits_1_without_a_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: timeout_ms")
     assert "Traceback" not in err
+
+
+_CONFIG = {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "user": "alice",
+           "secret": "pw", "account_id": "alice"}
+
+
+@pytest.mark.parametrize("field", sorted(_CONFIG))
+def test_config_names_a_missing_field(field):
+    data = {name: value for name, value in _CONFIG.items() if name != field}
+    with pytest.raises(ValidationError) as err:
+        ClientConfig.from_dict(data)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(field, value) for field in ("user", "secret", "account_id")
+     for value in ("", 5, None, ["alice"])]
+    + [("broker", 5), ("bank", None)],
+)
+def test_config_identity_and_addresses_must_be_strings(field, value):
+    with pytest.raises(ValidationError) as err:
+        ClientConfig.from_dict({**_CONFIG, field: value})
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {name: value for name, value in _CONFIG.items() if name != "user"},
+        [_CONFIG],
+        "alice",
+    ],
+)
+def test_malformed_config_exits_1_without_a_traceback(tmp_path, capsys, config):
+    """A config without ``user`` once died with a KeyError, and one that is
+    a JSON list with a TypeError."""
+    path = tmp_path / "client.json"
+    path.write_text(json.dumps(config))
+    assert client.main(["balance", "--config", str(path)]) == client.EXIT_OTHER
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -308,9 +308,10 @@ def test_price_never_falls_below_the_published_rate_card_floor(
         users={},
         bank=FakeBank(),
     )
-    floor = core.descriptor("127.0.0.1:7710").floor(
+    num, den = core.descriptor("127.0.0.1:7710").cost(
         _spec(nodes=nodes, walltime_s=walltime, features=features)
     )
+    floor = -(-num // den)
     assert policy.price(nodes, walltime, features, load) >= floor
     assert policy.price(nodes, walltime, features, Fraction(0)) == floor
 

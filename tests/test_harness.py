@@ -305,6 +305,9 @@ def test_scenario_times_must_be_integers(mutation, message):
         lambda d: d.update(workload=5),
         lambda d: d.update(seed=[1]),
         lambda d: [1],
+        # A cluster the broker would refuse to register.
+        lambda d: d["clusters"][0].update(capabilities="gpu"),
+        lambda d: d["clusters"][0].update(capabilities=["GPU!"]),
     ],
 )
 def test_sim_cli_answers_a_malformed_scenario_without_a_traceback(

@@ -5,6 +5,7 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -157,6 +158,34 @@ def test_announce_ttl_s_must_be_a_ttl_the_broker_accepts(value):
     with pytest.raises(ValidationError) as err:
         FrontendService(_frontend_config(announce_ttl_s=value))
     assert err.value.field == "announce_ttl_s"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("capabilities", "gpu"),  # once registered the features g, p and u
+        ("capabilities", ["GPU!"]),
+        ("capabilities", ["gpu", "gpu"]),
+        ("cluster_id", ""),
+        ("cluster_id", 5),
+        ("feature_multipliers", {"gpu": [2, 1]}),  # prices no advertised feature
+    ],
+)
+def test_identity_and_rate_card_are_checked_as_the_broker_would(field, value):
+    """Otherwise the front-end starts, and the broker refuses every announce
+    while the announcer retries forever. A refused config leaves nothing
+    listening or running."""
+    port = _reserved_port()
+    threads = threading.active_count()
+    with pytest.raises(ValidationError) as err:
+        FrontendService(_frontend_config(listen=f"127.0.0.1:{port}", **{field: value}))
+    assert err.value.field.startswith(field)
+    assert threading.active_count() == threads
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        probe.bind(("127.0.0.1", port))
+    finally:
+        probe.close()
 
 
 def test_sim_console_script_end_to_end(tmp_path):
