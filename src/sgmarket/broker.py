@@ -18,9 +18,10 @@ report it sent at broker time ``at``, or its floor if it sent none. That
 rests on three assumptions:
 
 * load only falls by draining: new work never lowers a price;
-* a front-end's clock runs no faster than the broker's (the placement
-  record below assumes this too);
-* the ``+ 1`` covers the offset between two whole-second clocks.
+* a front-end's clock runs no faster than the broker's, as both count the
+  whole seconds of one ``VirtualClock`` in ``sg-sim`` or of monotonic clocks
+  in a deployment (the placement record below assumes this too);
+* the ``+ 1`` covers the offset between two clocks' origins.
 
 Bids go out in at most two rounds. Round 1 asks the clusters tied at the
 lowest bound, in (bound, cluster_id) order, and stops after the first one
@@ -33,9 +34,11 @@ below its own cluster's bound. Both hints live on the cluster's
 registration, and a wrong one costs quotes or a round, never the winner:
 that is the one a quote from every eligible cluster would pick, as long as
 each front-end prices by the rate card it registered and the assumptions
-hold. A cluster that registers again is taken to have lost its jobs, so
-its report goes but its placement record stays; a find that straddles the
-registration loses its placement. A round's quotes go out at once from one
+hold. A front-end registers with a boot id drawn once per start. A renewal
+under the live record's id keeps the cluster's report; under a new id, or
+none, the front-end may have restarted empty, so the report goes. The
+placement record stays either way, and a find that straddles a
+registration loses what it learnt. A round's quotes go out at once from one
 thread and share one bid timeout, so a find waits at most two, and a
 hanging front-end never blocks selection among responsive ones.
 """
@@ -78,14 +81,15 @@ class InvalidDescriptor(ServiceError):
 
 @dataclass
 class Registration:
-    """The broker's one record of a cluster: its descriptor and lease, the
-    ``(load, drain, at)`` of its last bid that showed load, and when the
-    last work this broker placed there ends. The last two change under the
-    broker lock."""
+    """The broker's one record of a cluster: its descriptor, lease and boot
+    id, the ``(load, drain, at)`` of its last bid that showed load, and when
+    the last work this broker placed there ends. The last two change under
+    the broker lock."""
 
     descriptor: ClusterDescriptor
     registered_at: int
     ttl_s: int
+    boot_id: str | None = None
     report: tuple[tuple[int, int], tuple[int, int], int] | None = None
     placed_until: int | None = None
 
@@ -187,7 +191,9 @@ class BrokerCore:
         self._lock = threading.Lock()
         self._registry: dict[str, Registration] = {}
 
-    def register_cluster(self, descriptor: ClusterDescriptor, ttl_s: int) -> None:
+    def register_cluster(
+        self, descriptor: ClusterDescriptor, ttl_s: int, boot_id: str | None = None
+    ) -> None:
         if not MIN_TTL_S <= ttl_s <= MAX_TTL_S:
             raise wire.InvalidParams(
                 f"ttl_s must be in [{MIN_TTL_S}, {MAX_TTL_S}], got {ttl_s}"
@@ -195,10 +201,16 @@ class BrokerCore:
         now = self.clock.now()
         with self._lock:
             old = self._registry.get(descriptor.cluster_id)
-            # A front-end that registers again may have restarted empty, so
-            # its report goes; the work this broker placed there still runs.
+            renewal = old is not None and old.live(now) and old.boot_id == boot_id
+            # Only a renewal from the same start keeps the report; the work
+            # this broker placed there still runs after a restart.
             self._registry[descriptor.cluster_id] = Registration(
-                descriptor, now, ttl_s, placed_until=old.placed_until if old else None
+                descriptor,
+                now,
+                ttl_s,
+                boot_id,
+                report=old.report if renewal and boot_id is not None else None,
+                placed_until=old.placed_until if old else None,
             )
 
     def list_clusters(self) -> list[ClusterDescriptor]:
@@ -314,7 +326,10 @@ def rpc_handlers(core: BrokerCore) -> dict[str, wire.Handler]:
         ttl_s = params.get("ttl_s", core.default_ttl_s)
         if not isinstance(ttl_s, int) or isinstance(ttl_s, bool):
             raise wire.InvalidParams("ttl_s must be an integer")
-        core.register_cluster(descriptor, ttl_s)
+        boot_id = params.get("boot_id")
+        if boot_id is not None and not isinstance(boot_id, str):
+            raise wire.InvalidParams("boot_id must be a string")
+        core.register_cluster(descriptor, ttl_s, boot_id)
         return {"ok": True}
 
     def find_cluster(params: Mapping[str, Any]) -> dict[str, Any]:

@@ -14,8 +14,8 @@ import time
 class VirtualClock:
     """Logical seconds that advance only via :meth:`advance`."""
 
-    def __init__(self, start: int = 0):
-        self._now = start
+    def __init__(self):
+        self._now = 0
         self._lock = threading.Lock()
 
     def now(self) -> int:

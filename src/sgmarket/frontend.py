@@ -32,6 +32,7 @@ from typing import Any, Mapping
 from . import wire
 from .bank import BankClient
 from .broker import MAX_TTL_S, MIN_TTL_S
+from .clock import VirtualClock, WallClock
 from .domain import (
     Bid,
     ClusterDescriptor,
@@ -54,6 +55,7 @@ log = logging.getLogger(__name__)
 DEFAULT_QUOTE_TTL_S = 60
 DEFAULT_HORIZON_S = 3600
 DEFAULT_ANNOUNCE_TTL_S = 60
+TICK_INTERVAL_S = 0.1  # how often ``sg-node``'s ticker catches up with its clock
 
 NO_BID_PRICE_ABOVE_MAX = "price_above_max"
 
@@ -217,11 +219,11 @@ class SchedulerCore:
     O(jobs) cross-check.
     """
 
-    def __init__(self, capacity_nodes: int, start_clock: int = 0):
+    def __init__(self, capacity_nodes: int):
         if type(capacity_nodes) is not int or capacity_nodes < 1:
             raise ValidationError("capacity_nodes", "must be an integer >= 1")
         self.capacity_nodes = capacity_nodes
-        self.clock = start_clock
+        self.clock = 0
         self.queue: deque[str] = deque()
         self.running: set[str] = set()
         self.jobs: dict[str, _JobRecord] = {}
@@ -488,8 +490,9 @@ class FrontendCore:
 
     # -- time ---------------------------------------------------------------
 
-    def tick(self, dt: int) -> list[dict[str, Any]]:
+    def tick(self, dt: int = 0, *, to: int | None = None) -> list[dict[str, Any]]:
         with self._lock:
+            dt = dt if to is None else max(0, to - self.scheduler.clock)
             events = self.scheduler.tick(dt)
             for event in events:
                 if event["type"] != "COMPLETED":
@@ -526,10 +529,6 @@ class FrontendCore:
         with self._lock:
             return self.scheduler.status(job_id)
 
-    def clock(self) -> int:
-        with self._lock:
-            return self.scheduler.clock
-
     def descriptor(self, address: str) -> ClusterDescriptor:
         return ClusterDescriptor(
             cluster_id=self.cluster_id,
@@ -543,15 +542,16 @@ class FrontendCore:
 
 
 class FrontendService:
-    """RPC wrapper: one front-end service process for one cluster. Once
-    started, it advances its own clock one virtual second every
-    ``wall_ms_per_second`` of wall time; no RPC moves it."""
+    """RPC wrapper: one front-end service process for one cluster. Its time
+    is the whole seconds of ``clock``, monotonic wall time unless one is
+    given; ``catch_up`` brings the core to it, and no RPC moves it."""
 
-    def __init__(self, config: Mapping[str, Any]):
+    def __init__(
+        self, config: Mapping[str, Any], clock: VirtualClock | WallClock | None = None
+    ):
         self.config = dict(config)
-        self.wall_ms_per_second = self.config.get("wall_ms_per_second", 1000)
-        if type(self.wall_ms_per_second) is not int or self.wall_ms_per_second < 1:
-            raise ValidationError("wall_ms_per_second", "must be an integer >= 1")
+        self.clock = clock if clock is not None else WallClock()
+        self.boot_id = secrets.token_hex(8)  # tells the broker a renewal from a restart
         self.announce_ttl_s = self.config.get("announce_ttl_s", DEFAULT_ANNOUNCE_TTL_S)
         if type(self.announce_ttl_s) is not int or not (
             MIN_TTL_S <= self.announce_ttl_s <= MAX_TTL_S
@@ -632,13 +632,19 @@ class FrontendService:
             {
                 "descriptor": self.core.descriptor(self.address).to_dict(),
                 "ttl_s": ttl_s,
+                "boot_id": self.boot_id,
             },
             timeout_ms=2000,
         )
 
+    def catch_up(self) -> list[dict[str, Any]]:
+        """Tick the core to ``clock.now()``, read under the core's lock so it
+        never ticks ahead or twice; the lifecycle events of that tick."""
+        return self.core.tick(to=self.clock.now())
+
     def start_background(self) -> None:
         """Start the service's own machinery: periodic announcements with
-        retry, and a thread that maps wall time onto scheduler ticks."""
+        retry, and a ticker that keeps the core caught up with the clock."""
         for target, name in ((self._announce_loop, "announce"), (self._tick_loop, "ticker")):
             thread = threading.Thread(target=target, name=name, daemon=True)
             thread.start()
@@ -656,8 +662,8 @@ class FrontendService:
             self._stop.wait(self.announce_ttl_s / 2)
 
     def _tick_loop(self) -> None:
-        while not self._stop.wait(self.wall_ms_per_second / 1000.0):
-            self.core.tick(1)
+        while not self._stop.wait(TICK_INTERVAL_S):
+            self.catch_up()
 
     def shutdown(self) -> None:
         self._stop.set()

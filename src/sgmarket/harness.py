@@ -3,16 +3,16 @@ run in-process over real loopback sockets while scripted clients submit a
 workload in virtual time.
 
 Only market traffic crosses loopback: find, quotes, escrow, submit and
-settlement. The harness never starts a front-end's own ticker: it alone
-advances time, in-process, the way that ticker does in ``sg-node``. Each
-virtual second it delivers the submissions due (sequentially, in workload
-order), then calls every front-end core's ``tick`` in turn; stretches with
-no due submissions are ticked in one jump, pausing at every tenth second for
-a conservation audit. A run longer than the broker's longest ttl
-re-announces the front-ends at such a stop. The COMPLETED events those ticks
-return tell it how many accepted jobs finished; with the bank's audit, that
-is all it reads at the end. Given a fixed seed, two runs of the same
-scenario produce byte-identical reports.
+settlement. The broker and every front-end share one ``VirtualClock``, and
+only the harness advances it. Each virtual second it delivers the
+submissions due (sequentially, in workload order), then advances the clock
+and catches each front-end up with the call ``sg-node``'s ticker makes;
+stretches with no due submissions are ticked in one jump, pausing at every
+tenth second for a conservation audit. A run longer than the broker's
+longest ttl re-announces the front-ends at such a stop. The COMPLETED
+events those ticks return tell it how many accepted jobs finished; with the
+bank's audit, that is all it reads at the end. Given a fixed seed, two runs
+of the same scenario produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ class MarketRuntime:
                     "cluster_secret": secrets[cluster_id],
                 }
             )
-            service = FrontendService(config)
+            service = FrontendService(config, clock=self.virtual_clock)
             self._started.append(service)
             self.frontends.append(service)
 
@@ -252,15 +252,10 @@ class MarketRuntime:
         self._renew_at = now + ttl // 2 if now + ttl < self.scenario.duration_s else None
 
     def _tick_all(self, dt: int) -> int:
-        """Advance every front-end ``dt`` seconds; the number of jobs that
-        completed meanwhile."""
-        completed = 0
-        for service in self.frontends:
-            for event in service.core.tick(dt):
-                if event["type"] == "COMPLETED":
-                    completed += 1
+        """Advance the clock ``dt`` seconds and catch every front-end up;
+        the number of jobs that completed meanwhile."""
         self.virtual_clock.advance(dt)
-        return completed
+        return sum(e["type"] == "COMPLETED" for s in self.frontends for e in s.catch_up())
 
     def _conservation_holds(self) -> bool:
         totals = self.bank_core.audit()

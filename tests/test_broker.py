@@ -458,7 +458,8 @@ def _recording_core(table, rates, clock=None):
             capabilities=multipliers,
         )
         core.register_cluster(
-            dataclasses.replace(descriptor, feature_multipliers=multipliers), 3600
+            dataclasses.replace(descriptor, feature_multipliers=multipliers), 3600,
+            boot_id=f"boot-{cid}",
         )
     return core, batches
 
@@ -553,9 +554,9 @@ def test_round_one_follows_the_load_reports():
 
 
 def test_registering_again_drops_the_report_but_keeps_the_placement_record():
-    """A front-end renews its registration every half ttl. A renewal may
-    be a restart, so its report goes; but the work this broker placed
-    there still runs, so its placement record stays."""
+    """A registration under a new boot id, or none, may come from a
+    front-end restarted empty, so its report goes; but the work this broker
+    placed there still runs, so its placement record stays."""
     # nodes=4, walltime_s=100: floor 400 on every cluster.
     clock = VirtualClock()
     table = {
@@ -566,15 +567,46 @@ def test_registering_again_drops_the_report_but_keeps_the_placement_record():
     core, batches = _recording_core(table, dict.fromkeys("ABC", 1), clock=clock)
     assert core.find_cluster(_spec()).cluster_id == "B"
     assert batches == [["A", "B", "C"]]
-    # Without the renewals, A's report would bound it at 600, and round 1
+    # Without the restarts, A's report would bound it at 600, and round 1
     # would be B alone, the first floor-400 cluster, which the record shows
     # idle from t=100.
     clock.advance(100)
-    for cid in "ABC":
+    core.register_cluster(_descriptor("A", address="127.0.0.1:1#A"), 3600, boot_id="new")
+    for cid in "BC":
         core.register_cluster(_descriptor(cid, address=f"127.0.0.1:1#{cid}"), 3600)
     # A is back at its floor and asked first; B still stops round 1.
     assert core.find_cluster(_spec()).cluster_id == "B"
     assert batches[1:] == [["A", "B"]]
+
+
+def test_a_renewal_under_the_same_boot_id_keeps_the_report():
+    """``sg-node`` renews its registration every half ttl under the boot id
+    it drew at start; such a renewal keeps a busy cluster's bound."""
+    # nodes=4, walltime_s=100: floor 400 on both clusters.
+    clock = VirtualClock()
+    table = {"127.0.0.1:1#A": (600, (3, 2), (0, 1)), "127.0.0.1:1#B": 500}
+    core, batches = _recording_core(table, dict.fromkeys("AB", 1), clock=clock)
+    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert batches == [["A", "B"]]
+    clock.advance(30)
+    for cid in "AB":
+        core.register_cluster(
+            _descriptor(cid, address=f"127.0.0.1:1#{cid}"), 3600, boot_id=f"boot-{cid}"
+        )
+    # A's report still bounds it at 600, so round 1 is B alone, and its bid
+    # of 500 ends the find. Had the report gone, both would share floor 400.
+    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert batches[1:] == [["B"]]
+
+
+def test_boot_id_must_be_a_string():
+    core = BrokerCore(clock=VirtualClock(), quote_fn=_quotes_from({}))
+    handlers = rpc_handlers(core)
+    with pytest.raises(wire.InvalidParams):
+        handlers["broker.register_cluster"](
+            {"descriptor": _descriptor("A").to_dict(), "ttl_s": 60, "boot_id": 7}
+        )
+    assert core.list_clusters() == []
 
 
 def test_bid_below_its_own_bound_sends_round_two_to_everyone():

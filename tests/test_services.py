@@ -2,19 +2,23 @@
 packaging."""
 
 import json
+import re
 import socket
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from sgmarket import wire
+from sgmarket import bank, broker, frontend, wire
 from sgmarket.broker import BrokerCore, rpc_handlers as broker_handlers
 from sgmarket.clock import VirtualClock
-from sgmarket.domain import ValidationError, canonical_encode
-from sgmarket.frontend import FrontendService
+from sgmarket.domain import ValidationError, canonical_encode, validate_jobspec
+from sgmarket.frontend import TICK_INTERVAL_S, FrontendService
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _frontend_config(**overrides):
@@ -120,36 +124,181 @@ def test_announcer_retries_until_broker_appears():
             broker.shutdown()
 
 
+def _wait_until(condition, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(TICK_INTERVAL_S / 5)
+    return condition()
+
+
 def test_service_with_no_clock_setting_advances_its_own_clock():
+    """The one test that waits on wall time: a front-end's default clock
+    counts monotonic seconds, as the broker's does."""
     service = FrontendService(_frontend_config())
     try:
         service.start_background()
-        deadline = time.monotonic() + 5.0
-        while service.core.clock() < 1 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert service.core.clock() >= 1
+        assert _wait_until(lambda: service.core.scheduler.clock >= 1)
     finally:
         service.shutdown()
 
 
-def test_wall_ms_per_second_sets_the_tick_rate():
-    service = FrontendService(_frontend_config(wall_ms_per_second=20))
+def test_a_started_service_never_runs_ahead_of_its_clock():
+    clock = VirtualClock()
+    service = FrontendService(_frontend_config(), clock=clock)
     try:
         service.start_background()
-        deadline = time.monotonic() + 5.0
-        while service.core.clock() < 3 and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert service.core.clock() >= 3
+        clock.advance(5)
+        assert _wait_until(lambda: service.core.scheduler.clock == 5)
+        time.sleep(5 * TICK_INTERVAL_S)  # several more catch-ups
+        assert service.core.scheduler.clock == 5
     finally:
         service.shutdown()
 
 
-@pytest.mark.parametrize("value", [0, -1, True, 1.5, "1000", None])
-def test_wall_ms_per_second_must_be_a_positive_integer(value):
-    """At 0 the ticker would spin a CPU and expire every quote as it is made."""
-    with pytest.raises(ValidationError) as err:
-        FrontendService(_frontend_config(wall_ms_per_second=value))
-    assert err.value.field == "wall_ms_per_second"
+def _recorded_steps(scheduler):
+    """The list of every ``dt`` the scheduler is ticked by from now on."""
+    steps = []
+    tick = scheduler.tick
+    scheduler.tick = lambda dt: steps.append(dt) or tick(dt)
+    return steps
+
+
+def test_concurrent_catch_ups_tick_each_second_once():
+    """Many threads catching one core up while its clock advances: the core
+    reads its time under its lock, so together they tick exactly the
+    seconds the clock moved."""
+    clock = VirtualClock()
+    service = FrontendService(_frontend_config(), clock=clock)
+    scheduler = service.core.scheduler
+    steps = _recorded_steps(scheduler)
+
+    def catch_up():
+        for _ in range(300):
+            service.catch_up()
+
+    workers = [threading.Thread(target=catch_up) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for _ in range(200):
+            clock.advance(1)
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+        service.shutdown()
+    service.catch_up()
+    assert scheduler.clock == clock.now() == sum(steps) == 200
+
+
+class _StallingBank:
+    """Holds every settlement until released, as a slow bank would."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.settled = []
+
+    def settle_escrow(self, escrow_id, job_id, outcome, reporter_secret):
+        self.entered.set()
+        self.release.wait(5.0)
+        self.settled.append((escrow_id, outcome))
+
+
+def test_a_stalled_ticker_ticks_the_whole_gap_at_once():
+    """A payment that holds the ticker up for 30 seconds costs the core no
+    time: its next catch-up ticks all 30 in one step."""
+    clock = VirtualClock()
+    service = FrontendService(_frontend_config(), clock=clock)
+    stalling = service.core.bank = _StallingBank()
+    scheduler = service.core.scheduler
+    scheduler.enqueue("j1", 1, 1)
+    scheduler.jobs["j1"].escrow_id = "e1"
+    steps = _recorded_steps(scheduler)
+    try:
+        service.start_background()
+        clock.advance(1)  # j1 runs from 0 to 1, and paying for it stalls the ticker
+        assert stalling.entered.wait(5.0)
+        clock.advance(30)
+        stalling.release.set()
+        assert _wait_until(lambda: scheduler.clock == 31)
+        assert [dt for dt in steps if dt] == [1, 30]
+        assert stalling.settled == [("e1", "COMPLETED")]
+    finally:
+        stalling.release.set()
+        service.shutdown()
+
+
+def _priced_fleet(clock, broker_address):
+    """A: 10 nodes at base rate 10 over a 100 s horizon, holding a 10-node
+    x 100 s job, so load factor 2; C: 10 idle nodes at base rate 17."""
+    fleet = {
+        cid: FrontendService(
+            _frontend_config(
+                cluster_id=cid, broker=broker_address, capacity_nodes=10,
+                base_rate=rate, horizon_s=100, payee_account=f"cluster:{cid}",
+            ),
+            clock=clock,
+        )
+        for cid, rate in (("A", 10), ("C", 17))
+    }
+    fleet["A"].core.scheduler.enqueue("held", 10, 100)
+    for service in fleet.values():
+        service.announce()
+    return fleet
+
+
+def _one_node_job(job_id):
+    return validate_jobspec(
+        {"job_id": job_id, "user": "alice", "secret": "pw-alice", "nodes": 1,
+         "walltime_s": 100, "command": "run", "workdir": "/d"}
+    )
+
+
+def test_broker_picks_the_full_fan_out_winner_on_the_shared_clock():
+    """The broker bounds A's later prices from its first bid, assuming A's
+    clock runs no faster than its own. Had A's core run 45 s ahead, A
+    would quote 1,500 while the bound skipped it for C at 1,700."""
+    clock = VirtualClock()
+    broker_core = BrokerCore(clock=clock)
+    server = wire.serve("127.0.0.1:0", broker_handlers(broker_core))
+    fleet = _priced_fleet(clock, server.address)
+    try:
+        assert broker_core.find_cluster(_one_node_job("1" * 32)).cluster_id == "C"
+        clock.advance(5)
+        for service in fleet.values():
+            service.catch_up()
+        job = _one_node_job("2" * 32)
+        prices = {cid: s.core.quote(job).price.amount for cid, s in fleet.items()}
+        assert broker_core.find_cluster(job).cluster_id == min(prices, key=prices.get)
+        assert prices == {"A": 1950, "C": 1700}
+    finally:
+        for service in fleet.values():
+            service.shutdown()
+        server.shutdown()
+
+
+def test_a_renewal_keeps_the_load_report_and_a_restart_drops_it():
+    clock = VirtualClock()
+    broker_core = BrokerCore(clock=clock)
+    server = wire.serve("127.0.0.1:0", broker_handlers(broker_core))
+    fleet = _priced_fleet(clock, server.address)
+    restarted = FrontendService(fleet["A"].config, clock=clock)
+    try:
+        broker_core.find_cluster(_one_node_job("1" * 32))
+        report = broker_core._registry["A"].report
+        assert report is not None  # A bid at load factor 2
+        fleet["A"].announce()
+        assert broker_core._registry["A"].report == report
+        restarted.announce()
+        assert broker_core._registry["A"].report is None
+    finally:
+        for service in (*fleet.values(), restarted):
+            service.shutdown()
+        server.shutdown()
 
 
 @pytest.mark.parametrize("value", [0, 4, 3601, -60, True, "60", 60.0, None])
@@ -186,6 +335,25 @@ def test_identity_and_rate_card_are_checked_as_the_broker_would(field, value):
         probe.bind(("127.0.0.1", port))
     finally:
         probe.close()
+
+
+def test_readme_configs_start(tmp_path):
+    """Each service starts from the config the README shows for it, so the
+    documented settings pass the services' own start-up checks."""
+    heredoc = re.compile(r"cat > (\w+\.json) <<'EOF'\n(.*?)\nEOF", re.S)
+    examples = dict(heredoc.findall(README.read_text()))
+    for name in ("bank.json", "broker.json", "node.json"):
+        (tmp_path / name).write_text(examples[name])
+    config = bank.load_config(tmp_path / "bank.json")
+    config.update(listen="127.0.0.1:0", log_path=str(tmp_path / "bank.log"))
+    server, core = bank.start_service(config)
+    server.shutdown()
+    core.close()
+    config = broker.load_config(tmp_path / "broker.json")
+    server, _ = broker.start_service({**config, "listen": "127.0.0.1:0"})
+    server.shutdown()
+    config = frontend.load_config(tmp_path / "node.json")
+    FrontendService({**config, "listen": "127.0.0.1:0"}).shutdown()
 
 
 def test_sim_console_script_end_to_end(tmp_path):
