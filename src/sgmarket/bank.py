@@ -24,9 +24,19 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import wire
-from .domain import Money, ServiceError, canonical_json_bytes, parse_money, secret_matches
+from .domain import (
+    ServiceError,
+    ValidationError,
+    canonical_json_bytes,
+    check_secrets,
+    load_config,
+    parse_money,
+    secret_matches,
+)
 
 log = logging.getLogger(__name__)
+
+DEFAULT_LISTEN = "127.0.0.1:7702"
 
 
 class AccountKind(str, Enum):
@@ -139,9 +149,13 @@ class BankCore:
         self._escrows: dict[str, EscrowRecord] = {}
         self._held_by_job: dict[str, str] = {}
         self._escrow_seq = 0
-        self.cluster_secrets = dict(cluster_secrets or {})
+        self.cluster_secrets = check_secrets(
+            "cluster_secrets", {} if cluster_secrets is None else cluster_secrets
+        )
         self._log_file = None
         if log_path is not None:
+            if not isinstance(log_path, (str, os.PathLike)):
+                raise ValidationError("log_path", "must be a file path")
             self._log_file = open(log_path, "a+b")  # appends whatever the position
             try:
                 self._log_file.seek(0)
@@ -479,21 +493,15 @@ class BankClient:
         }
 
 
-def load_config(path: str | Path) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    config.setdefault("listen", "127.0.0.1:7702")
-    config.setdefault("cluster_secrets", {})
-    config.setdefault("log_path", None)
-    return config
-
-
 def start_service(config: Mapping[str, Any]) -> tuple[wire.Server, BankCore]:
     core = BankCore(
-        cluster_secrets=config.get("cluster_secrets") or {},
-        log_path=config.get("log_path"),
+        cluster_secrets=config.get("cluster_secrets"), log_path=config.get("log_path")
     )
-    server = wire.serve(config["listen"], rpc_handlers(core))
+    try:
+        server = wire.serve(config.get("listen", DEFAULT_LISTEN), rpc_handlers(core))
+    except BaseException:
+        core.close()
+        raise
     return server, core
 
 
@@ -502,8 +510,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to bank config JSON")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
-    config = load_config(args.config)
-    server, core = start_service(config)
+    try:
+        server, core = start_service(load_config(args.config))
+    except (ValidationError, OSError, ValueError) as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return 1
     log.info("bank listening on %s", server.address)
     try:
         threading.Event().wait()

@@ -46,12 +46,10 @@ hanging front-end never blocks selection among responsive ones.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import wire
@@ -63,12 +61,14 @@ from .domain import (
     Money,
     ServiceError,
     ValidationError,
+    load_config,
     refusal_reason,
     validate_jobspec,
 )
 
 log = logging.getLogger(__name__)
 
+DEFAULT_LISTEN = "127.0.0.1:7701"
 DEFAULT_BID_TIMEOUT_MS = 2000
 DEFAULT_TTL_S = 60
 MIN_TTL_S = 5
@@ -351,15 +351,6 @@ def rpc_handlers(core: BrokerCore) -> dict[str, wire.Handler]:
     }
 
 
-def load_config(path: str | Path) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    config.setdefault("listen", "127.0.0.1:7701")
-    config.setdefault("bid_timeout_ms", DEFAULT_BID_TIMEOUT_MS)
-    config.setdefault("default_ttl_s", DEFAULT_TTL_S)
-    return config
-
-
 def start_service(
     config: Mapping[str, Any], clock: VirtualClock | WallClock | None = None
 ) -> tuple[wire.Server, BrokerCore]:
@@ -368,7 +359,7 @@ def start_service(
         default_ttl_s=config.get("default_ttl_s", DEFAULT_TTL_S),
         clock=clock,
     )
-    server = wire.serve(config["listen"], rpc_handlers(core))
+    server = wire.serve(config.get("listen", DEFAULT_LISTEN), rpc_handlers(core))
     return server, core
 
 
@@ -377,7 +368,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to broker config JSON")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
-    server, _ = start_service(load_config(args.config))
+    try:
+        server, _ = start_service(load_config(args.config))
+    except (ValidationError, OSError, ValueError) as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return 1
     log.info("broker listening on %s", server.address)
     try:
         threading.Event().wait()

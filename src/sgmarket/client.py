@@ -81,17 +81,16 @@ class ClientConfig:
 
     def __post_init__(self) -> None:
         for name in ("broker", "bank"):
-            address = getattr(self, name)
-            if not isinstance(address, str):
-                raise ValidationError(name, "must be a host:port string")
             try:
-                wire.parse_address(address)
+                wire.parse_address(getattr(self, name))
             except ValueError as exc:
                 raise ValidationError(name, str(exc)) from None
         for name in ("user", "secret", "account_id"):
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ValidationError(name, "must be a non-empty string")
+        if self.rng_seed is not None and type(self.rng_seed) is not int:
+            raise ValidationError("rng_seed", "must be an integer")
         if type(self.timeout_ms) is not int or self.timeout_ms < 1:
             raise ValidationError("timeout_ms", "must be an integer >= 1")
 

@@ -15,6 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
 FEATURE_RE = re.compile(r"^[a-z_]+$")
@@ -87,6 +88,27 @@ def secret_matches(expected: str | None, given: str) -> bool:
         expected.encode("utf-8", "surrogatepass"),
         given.encode("utf-8", "surrogatepass"),
     )
+
+
+def check_secrets(field: str, table: Any) -> dict[str, str]:
+    """A table of secrets by name, as a new dict: string names, each with
+    a non-empty string secret."""
+    if not isinstance(table, Mapping):
+        raise ValidationError(field, "must be an object of name: secret")
+    for name, secret in table.items():
+        if not isinstance(name, str) or not isinstance(secret, str) or not secret:
+            raise ValidationError(f"{field}[{name!r}]", "must be a non-empty string")
+    return dict(table)
+
+
+def load_config(path: str | Path) -> dict[str, Any]:
+    """A service's settings: the JSON object in the file at ``path``. Each
+    service applies its own defaults where it reads a setting."""
+    with open(path, "r", encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValidationError("config", "must be a JSON object")
+    return config
 
 
 def _require(data: Mapping[str, Any], field: str) -> Any:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import heapq
-import json
 import logging
 import secrets
 import sys
@@ -26,7 +25,6 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Mapping
 
 from . import wire
@@ -42,7 +40,9 @@ from .domain import (
     Money,
     ServiceError,
     ValidationError,
+    check_secrets,
     is_legal_transition,
+    load_config,
     parse_money,
     rate_card_cost,
     refusal_reason,
@@ -52,6 +52,7 @@ from .domain import (
 
 log = logging.getLogger(__name__)
 
+DEFAULT_LISTEN = "127.0.0.1:7710"
 DEFAULT_QUOTE_TTL_S = 60
 DEFAULT_HORIZON_S = 3600
 DEFAULT_ANNOUNCE_TTL_S = 60
@@ -164,13 +165,16 @@ class PricingPolicy:
 
     @classmethod
     def from_config(cls, config: Mapping[str, Any]) -> "PricingPolicy":
+        raw = config.get("feature_multipliers") or {}
+        if not isinstance(raw, Mapping):
+            raise ValidationError("feature_multipliers", "must be an object")
         multipliers = {
             feature: _parse_ratio(f"feature_multipliers[{feature}]", ratio)
-            for feature, ratio in (config.get("feature_multipliers") or {}).items()
+            for feature, ratio in raw.items()
         }
         return cls(
             policy_id=config.get("policy", "load_proportional"),
-            base_rate=parse_money("base_rate", config["base_rate"], minimum=1),
+            base_rate=parse_money("base_rate", config.get("base_rate"), minimum=1),
             load_coefficient=_parse_ratio(
                 "load_coefficient", config.get("load_coefficient", 1)
             ),
@@ -357,12 +361,14 @@ class FrontendCore:
         for name, value in (("quote_ttl_s", quote_ttl_s), ("horizon_s", horizon_s)):
             if type(value) is not int or value < 1:
                 raise ValidationError(name, "must be an integer >= 1")
+        if not isinstance(cluster_secret, str) or not cluster_secret:
+            raise ValidationError("cluster_secret", "must be a non-empty string")
         self.cluster_id = cluster_id
         self.capabilities = frozenset(capabilities)
         self.policy = policy
         self.payee_account = payee_account
         self.cluster_secret = cluster_secret
-        self.users = dict(users)
+        self.users = check_secrets("users", users)
         self.bank = bank
         self.quote_ttl_s = quote_ttl_s
         self.horizon_s = horizon_s
@@ -559,6 +565,11 @@ class FrontendService:
             raise ValidationError(
                 "announce_ttl_s", f"must be an integer in [{MIN_TTL_S}, {MAX_TTL_S}]"
             )
+        for name in ("broker", "bank"):
+            try:
+                wire.parse_address(self.config.get(name))
+            except ValueError as exc:
+                raise ValidationError(name, str(exc)) from None
         policy = PricingPolicy.from_config(self.config)
         # The broker's own parser checks the identity and rate card this
         # front-end announces; only the address waits for the bound server.
@@ -579,13 +590,13 @@ class FrontendService:
             capabilities=card.capabilities,
             policy=policy,
             payee_account=card.payee_account,
-            cluster_secret=self.config["cluster_secret"],
+            cluster_secret=self.config.get("cluster_secret"),
             users=self.config.get("users", {}),
             bank=BankClient(self.config["bank"]),
             quote_ttl_s=self.config.get("quote_ttl_s", DEFAULT_QUOTE_TTL_S),
             horizon_s=self.config.get("horizon_s", DEFAULT_HORIZON_S),
         )
-        self.server = wire.serve(self.config["listen"], self._handlers())
+        self.server = wire.serve(self.config.get("listen", DEFAULT_LISTEN), self._handlers())
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
 
@@ -679,19 +690,16 @@ def _spec_param(params: Mapping[str, Any]) -> JobSpec:
     return validate_jobspec(raw)
 
 
-def load_config(path: str | Path) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    config.setdefault("listen", "127.0.0.1:7710")
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="sg-node", description="cluster front-end service")
     parser.add_argument("--config", required=True, help="path to node config JSON")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
-    service = FrontendService(load_config(args.config))
+    try:
+        service = FrontendService(load_config(args.config))
+    except (ValidationError, OSError, ValueError) as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return 1
     service.start_background()
     log.info("front-end %s listening on %s", service.core.cluster_id, service.address)
     try:

@@ -2,17 +2,18 @@
 run in-process over real loopback sockets while scripted clients submit a
 workload in virtual time.
 
-Only market traffic crosses loopback: find, quotes, escrow, submit and
-settlement. The broker and every front-end share one ``VirtualClock``, and
-only the harness advances it. Each virtual second it delivers the
-submissions due (sequentially, in workload order), then advances the clock
-and catches each front-end up with the call ``sg-node``'s ticker makes;
-stretches with no due submissions are ticked in one jump, pausing at every
-tenth second for a conservation audit. A run longer than the broker's
-longest ttl re-announces the front-ends at such a stop. The COMPLETED
-events those ticks return tell it how many accepted jobs finished; with the
-bank's audit, that is all it reads at the end. Given a fixed seed, two runs
-of the same scenario produce byte-identical reports.
+Only the per-job market methods cross loopback: ``broker.find_cluster``,
+``node.quote``, ``bank.hold_escrow``, ``node.submit``, ``bank.verify_escrow``
+and ``bank.settle_escrow``. Accounts, deposits and registrations go to the
+cores, registrations as ``sg-node``'s announcer makes them. The broker and
+every front-end share one ``VirtualClock`` that only the harness advances.
+Each virtual second it delivers the submissions due (in workload order),
+then advances the clock and catches each front-end up as ``sg-node``'s
+ticker does; stretches with no submissions are ticked in one jump, pausing
+every tenth second for a conservation audit, where a run longer than the
+broker's longest ttl renews the registrations. The COMPLETED events of those
+ticks count the finished jobs; with the bank's audit, that is all it reads.
+Given a fixed seed, two runs of a scenario produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import wire
-from .bank import BankClient, BankCore, rpc_handlers as bank_handlers
+from .bank import BankCore, rpc_handlers as bank_handlers
 from .broker import BrokerCore, MAX_TTL_S, rpc_handlers as broker_handlers
 from .client import ClientConfig, ClientError, ClientSession
 from .clock import VirtualClock
@@ -195,16 +196,15 @@ class MarketRuntime:
         self._started.append(self.broker_server)
         broker_address = self.broker_server.address
 
-        bank_client = BankClient(bank_address)
         self.user_accounts: dict[str, str] = {}
         self.deposited_total = 0
         for user in scenario.users:
             login = user["account"]
-            account_id = bank_client.create_account(login, "USER")
+            account_id = self.bank_core.create_account(login, "USER")
             self.user_accounts[login] = account_id
             amount = user.get("initial_deposit", 0)
             if amount > 0:
-                bank_client.deposit(account_id, amount)
+                self.bank_core.deposit(account_id, amount)
                 self.deposited_total += amount
 
         users_table = {login: _user_secret(login) for login in self.user_accounts}
@@ -212,7 +212,7 @@ class MarketRuntime:
         self.cluster_accounts: dict[str, str] = {}
         for fragment in scenario.clusters:
             cluster_id = fragment["cluster_id"]
-            payee_account = bank_client.create_account(cluster_id, "CLUSTER")
+            payee_account = self.bank_core.create_account(cluster_id, "CLUSTER")
             self.cluster_accounts[cluster_id] = payee_account
             config = dict(fragment)
             config.update(
@@ -229,7 +229,7 @@ class MarketRuntime:
             self._started.append(service)
             self.frontends.append(service)
 
-        self._announce_all(0)
+        self._register_all(0)
 
         self.sessions = {
             login: ClientSession(
@@ -244,10 +244,10 @@ class MarketRuntime:
             for login in self.user_accounts
         }
 
-    def _announce_all(self, now: int) -> None:
+    def _register_all(self, now: int) -> None:
         ttl = min(MAX_TTL_S, self.scenario.duration_s - now + 60)
-        for service in self.frontends:
-            service.announce(ttl_s=ttl)
+        for s in self.frontends:
+            self.broker_core.register_cluster(s.core.descriptor(s.address), ttl, s.boot_id)
         # Unless this ttl outlasts the run, renew at an audit stop half of it on.
         self._renew_at = now + ttl // 2 if now + ttl < self.scenario.duration_s else None
 
@@ -308,7 +308,7 @@ class MarketRuntime:
             if vt % AUDIT_INTERVAL_S == 0:
                 conservation_ok = conservation_ok and self._conservation_holds()
                 if self._renew_at is not None and vt >= self._renew_at:
-                    self._announce_all(vt)
+                    self._register_all(vt)
 
         conservation_ok = conservation_ok and self._conservation_holds()
 

@@ -179,7 +179,7 @@ def decode_message(line: bytes) -> RpcRequest | RpcResponse:
 
 
 def parse_address(address: str) -> tuple[str, int]:
-    host, sep, port = address.rpartition(":")
+    host, sep, port = address.rpartition(":") if isinstance(address, str) else ("", "", "")
     if not sep or not host or not port.isdigit() or int(port) > 65535:
         raise ValueError(f"bad address {address!r}, expected host:port")
     return host, int(port)
@@ -477,9 +477,13 @@ class Server:
         host, port = parse_address(bind)
         self._handlers = dict(handlers)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(128)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(128)
+        except OSError:
+            self._listener.close()  # a port in use leaves no socket behind
+            raise
         self._listener.setblocking(False)
         self.host, self.port = self._listener.getsockname()[:2]
         self._shutdown = threading.Event()

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from sgmarket import wire
+from sgmarket.domain import ValidationError
 from sgmarket.bank import (
     AccountKind,
     AlreadySettled,
@@ -157,6 +158,18 @@ def test_settle_accepts_non_ascii_cluster_secret():
         core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sekrit-密")
     record = core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sëkrit-密")
     assert record.state is EscrowState.RELEASED
+
+
+@pytest.mark.parametrize(
+    "table", [{"clusterA": 5}, {"clusterA": ""}, {5: "sekrit"}, [1], "clusterA"]
+)
+def test_cluster_secrets_must_map_names_to_non_empty_strings(table):
+    """A non-string secret once made every settlement for that cluster
+    raise AttributeError, which its front-end logged and dropped, leaving
+    the escrow held for good."""
+    with pytest.raises(ValidationError) as err:
+        BankCore(cluster_secrets=table)
+    assert err.value.field.startswith("cluster_secrets")
 
 
 def test_settle_unknown_escrow(core):

@@ -327,17 +327,27 @@ def test_config_identity_and_addresses_must_be_strings(field, value):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("rng_seed", [[1], "7", 7.0, True])
+def test_rng_seed_must_be_an_integer_or_absent(rng_seed):
+    with pytest.raises(ValidationError) as err:
+        ClientConfig.from_dict({**_CONFIG, "rng_seed": rng_seed})
+    assert err.value.field == "rng_seed"
+    assert ClientConfig.from_dict({**_CONFIG, "rng_seed": 7}).rng_seed == 7
+    assert ClientConfig.from_dict(_CONFIG).rng_seed is None
+
+
 @pytest.mark.parametrize(
     "config",
     [
         {name: value for name, value in _CONFIG.items() if name != "user"},
         [_CONFIG],
         "alice",
+        {**_CONFIG, "rng_seed": [1]},
     ],
 )
 def test_malformed_config_exits_1_without_a_traceback(tmp_path, capsys, config):
     """A config without ``user`` once died with a KeyError, and one that is
-    a JSON list with a TypeError."""
+    a JSON list, or whose ``rng_seed`` is a list, with a TypeError."""
     path = tmp_path / "client.json"
     path.write_text(json.dumps(config))
     assert client.main(["balance", "--config", str(path)]) == client.EXIT_OTHER

@@ -103,7 +103,7 @@ def served_bank():
 
 
 def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
-          quote_ttl_s=60, horizon_s=3600, base_rate=1, users=None):
+          quote_ttl_s=60, horizon_s=3600, base_rate=1, users=None, cluster_secret="cs-A"):
     policy = PricingPolicy(
         policy_id="load_proportional",
         base_rate=Money(base_rate),
@@ -116,7 +116,7 @@ def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
         capabilities=frozenset(capabilities),
         policy=policy,
         payee_account="cluster:clusterA",
-        cluster_secret="cs-A",
+        cluster_secret=cluster_secret,
         users=users or {"alice": "pw"},
         bank=bank if bank is not None else FakeBank(),
         quote_ttl_s=quote_ttl_s,
@@ -332,6 +332,27 @@ def test_quote_ttl_and_horizon_must_be_positive_integers(name, value):
     with pytest.raises(ValidationError) as err:
         _core(**{name: value})
     assert err.value.field == name
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("users", {"alice": 5}),
+        ("users", {"alice": ""}),
+        ("users", {5: "pw"}),
+        ("users", ["alice"]),
+        ("cluster_secret", ""),
+        ("cluster_secret", None),
+        ("cluster_secret", 5),
+    ],
+)
+def test_secrets_must_be_non_empty_strings(field, value):
+    """A non-string password once made ``submit`` raise AttributeError,
+    which is no ServiceError, so no refund of the job's escrow was queued;
+    a bad cluster secret makes the bank refuse every settlement."""
+    with pytest.raises(ValidationError) as err:
+        _core(**{field: value})
+    assert err.value.field.startswith(field)
 
 
 def test_capacity_must_be_a_positive_integer():

@@ -73,28 +73,52 @@ def test_even_distribution_across_identical_clusters():
     assert report.all_jobs_terminal is True
 
 
-def test_run_sends_only_market_traffic_over_rpc(monkeypatch):
+MARKET_METHODS = {
+    "broker.find_cluster",
+    "node.quote",
+    "bank.hold_escrow",
+    "node.submit",
+    "bank.verify_escrow",
+    "bank.settle_escrow",
+}
+
+
+@pytest.fixture()
+def rpc_methods(monkeypatch):
+    """The method of every RPC sent, a batch of quotes counting once:
+    ``rpc_call`` and the broker's quote rounds both go through
+    ``rpc_fanout``."""
     methods = []
-    rpc_call = wire.rpc_call
+    rpc_fanout = wire.rpc_fanout
 
-    def recording(address, method, *args, **kwargs):
+    def recording(addresses, method, *args, **kwargs):
         methods.append(method)
-        return rpc_call(address, method, *args, **kwargs)
+        return rpc_fanout(addresses, method, *args, **kwargs)
 
-    monkeypatch.setattr(wire, "rpc_call", recording)
-    report = run_scenario(four_clusters_eight_jobs())
-    assert "node.submit" in methods and "bank.settle_escrow" in methods
-    assert "node.tick" not in methods and "node.status" not in methods
-    assert "node.describe" not in methods  # the winning bid names the payee
+    monkeypatch.setattr(wire, "rpc_fanout", recording)
+    return methods
+
+
+def test_run_sends_only_market_traffic_over_rpc(rpc_methods):
+    """Accounts, deposits and registrations go to the cores in-process, as
+    do ticks and audits: booting sends no RPC, and a run sends only the
+    per-job market methods."""
+    runtime = harness.MarketRuntime(four_clusters_eight_jobs())
+    try:
+        assert rpc_methods == []
+        report = runtime.run()
+    finally:
+        runtime.shutdown()
+    assert set(rpc_methods) == MARKET_METHODS
     # The canonical report bytes of this scenario, from before the harness
     # ticked front-ends in-process: driving time directly moves no money.
     digest = hashlib.sha256(canonical_encode(report.to_dict())).hexdigest()
     assert digest == "530f5145aa95ac60e347d5373416c4b498733a4e2e10aa61991f72a5fcfd8caf"
 
 
-def test_registrations_outlive_the_brokers_longest_ttl():
+def test_registrations_outlive_the_brokers_longest_ttl(rpc_methods):
     """A run longer than the broker's 3,600 s ttl cap still finds its
-    clusters: the harness re-announces them before they lapse."""
+    clusters: the harness renews them in-process before they lapse."""
     scenario = Scenario(
         clusters=({"cluster_id": "A", "capacity_nodes": 8, "base_rate": 1},),
         users=({"account": "alice", "initial_deposit": 10000},),
@@ -109,6 +133,34 @@ def test_registrations_outlive_the_brokers_longest_ttl():
     assert report.errors == []
     assert report.jobs_per_cluster == {"A": 2}
     assert report.all_jobs_terminal is True
+    assert set(rpc_methods) == MARKET_METHODS
+
+
+def test_in_process_registration_matches_an_announce(market_factory):
+    """The harness registers each front-end as ``sg-node``'s announcer
+    would: the same descriptor, ttl and boot id, recorded the same way."""
+    runtime = market_factory(
+        clusters=[
+            {"cluster_id": "A", "capacity_nodes": 8, "base_rate": 1},
+            {
+                "cluster_id": "B",
+                "capacity_nodes": 16,
+                "base_rate": 2,
+                "capabilities": ["gpu"],
+                "feature_multipliers": {"gpu": [5, 2]},
+            },
+        ],
+        users=[{"account": "alice", "initial_deposit": 100}],
+        duration_s=500,
+    )
+    registry = runtime.broker_core._registry
+    in_process = dict(registry)
+    assert sorted(in_process) == ["A", "B"]
+    assert {r.ttl_s for r in in_process.values()} == {560}
+    for service in runtime.frontends:
+        service.announce(runtime.broker_server.address, ttl_s=560)
+        assert registry[service.core.cluster_id] is not in_process[service.core.cluster_id]
+    assert registry == in_process
 
 
 def test_replay_check_fixed_seed():

@@ -1,6 +1,8 @@
 """Service-level behavior: announcements, the service clock, settings, and
 packaging."""
 
+import gc
+import importlib
 import json
 import re
 import socket
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from sgmarket.domain import ValidationError, canonical_encode, validate_jobspec
 from sgmarket.frontend import TICK_INTERVAL_S, FrontendService
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 
 def _frontend_config(**overrides):
@@ -337,6 +341,71 @@ def test_identity_and_rate_card_are_checked_as_the_broker_would(field, value):
         probe.close()
 
 
+@pytest.mark.parametrize("field", ["broker", "bank"])
+@pytest.mark.parametrize("value", [None, 7701, "7701", "127.0.0.1:x"])
+def test_peer_addresses_are_checked_at_start(field, value):
+    """Without ``broker`` a front-end once started, and its announcer died
+    with a KeyError on its own thread."""
+    config = _frontend_config(**{field: value})
+    if value is None:
+        del config[field]
+    with pytest.raises(ValidationError) as err:
+        FrontendService(config)
+    assert err.value.field == field
+
+
+_NODE = _frontend_config(listen="127.0.0.1:0")
+
+
+@pytest.mark.parametrize(
+    "service, config",
+    [
+        (bank, [1]),  # each of the three once raised AttributeError
+        (broker, [1]),
+        (frontend, [1]),
+        (bank, None),  # no such file: FileNotFoundError
+        (broker, None),
+        (frontend, None),
+        (bank, "{"),
+        (frontend, {k: v for k, v in _NODE.items() if k != "cluster_secret"}),
+        (frontend, {k: v for k, v in _NODE.items() if k != "bank"}),
+        (frontend, {**_NODE, "horizon_s": 0}),
+        (frontend, {**_NODE, "feature_multipliers": [1]}),
+        (frontend, {**_NODE, "listen": "{busy}"}),
+        (broker, {"listen": "127.0.0.1:0", "bid_timeout_ms": "x"}),
+        (broker, {"listen": 7701}),
+        (broker, {"listen": "{busy}"}),
+        (bank, {"listen": "127.0.0.1:0", "cluster_secrets": [1]}),
+        (bank, {"listen": "127.0.0.1:0", "log_path": ["bank.log"]}),
+        (bank, {"listen": "{busy}", "log_path": "{tmp}/bank.log"}),
+    ],
+)
+def test_services_answer_a_bad_config_with_an_error_line(tmp_path, capsys, service, config):
+    """``sg-bank``, ``sg-broker`` and ``sg-node`` once stopped with a
+    traceback on each of these. A refused config leaves no socket or file
+    open, even once the listener was made or the bank's log opened."""
+    busy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    busy.bind(("127.0.0.1", 0))
+    busy.listen(1)
+    path = tmp_path / "config.json"
+    if config is not None:
+        text = config if isinstance(config, str) else json.dumps(config)
+        text = text.replace("{busy}", f"127.0.0.1:{busy.getsockname()[1]}")
+        path.write_text(text.replace("{tmp}", str(tmp_path)))
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = service.main(["--config", str(path)])
+            gc.collect()
+    finally:
+        busy.close()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: ")
+    assert "Traceback" not in err
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_readme_configs_start(tmp_path):
     """Each service starts from the config the README shows for it, so the
     documented settings pass the services' own start-up checks."""
@@ -384,3 +453,33 @@ def test_sim_console_script_end_to_end(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["jobs_per_cluster"] == {"A": 1}
     assert report["final_balances"]["user:alice"] == {"amount": 10000 - 40}
+
+
+# How each console script is pointed at an input file.
+_FILE_ARGS = {
+    "sg": ["balance", "--config", "{missing}"],
+    "sg-bank": ["--config", "{missing}"],
+    "sg-broker": ["--config", "{missing}"],
+    "sg-node": ["--config", "{missing}"],
+    "sg-sim": ["--scenario", "{missing}", "--report", "{tmp}/report.json"],
+}
+
+
+def test_every_console_script_answers_a_missing_file(tmp_path, capsys):
+    """Each ``[project.scripts]`` entry point imports, and answers an input
+    file that does not exist with exit 1 and an ``error:`` line."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert sorted(scripts) == sorted(_FILE_ARGS)
+    for name, target in scripts.items():
+        module, _, function = target.partition(":")
+        main = getattr(importlib.import_module(module), function)
+        argv = [
+            arg.format(missing=tmp_path / "missing.json", tmp=tmp_path)
+            for arg in _FILE_ARGS[name]
+        ]
+        assert main(argv) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), (name, err)
+        assert "Traceback" not in err
