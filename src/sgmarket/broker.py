@@ -61,6 +61,7 @@ from .domain import (
     Money,
     ServiceError,
     ValidationError,
+    check_int,
     load_config,
     refusal_reason,
     validate_jobspec,
@@ -178,14 +179,10 @@ class BrokerCore:
         clock: VirtualClock | WallClock | None = None,
         quote_fn: QuoteFn = _rpc_quotes,
     ):
-        if type(bid_timeout_ms) is not int or bid_timeout_ms < 1:
-            raise ValidationError("bid_timeout_ms", "must be an integer >= 1")
-        if type(default_ttl_s) is not int or not MIN_TTL_S <= default_ttl_s <= MAX_TTL_S:
-            raise ValidationError(
-                "default_ttl_s", f"must be an integer in [{MIN_TTL_S}, {MAX_TTL_S}]"
-            )
-        self.bid_timeout_ms = bid_timeout_ms
-        self.default_ttl_s = default_ttl_s
+        self.bid_timeout_ms = check_int("bid_timeout_ms", bid_timeout_ms, minimum=1)
+        self.default_ttl_s = check_int(
+            "default_ttl_s", default_ttl_s, minimum=MIN_TTL_S, maximum=MAX_TTL_S
+        )
         self.clock = clock if clock is not None else WallClock()
         self._quote_fn = quote_fn
         self._lock = threading.Lock()

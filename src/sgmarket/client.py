@@ -27,6 +27,8 @@ from .domain import (
     JobStatus,
     ValidationError,
     canonical_encode,
+    check_address,
+    check_int,
     parse_money,
     validate_jobspec,
 )
@@ -81,18 +83,14 @@ class ClientConfig:
 
     def __post_init__(self) -> None:
         for name in ("broker", "bank"):
-            try:
-                wire.parse_address(getattr(self, name))
-            except ValueError as exc:
-                raise ValidationError(name, str(exc)) from None
+            check_address(name, getattr(self, name))
         for name in ("user", "secret", "account_id"):
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ValidationError(name, "must be a non-empty string")
-        if self.rng_seed is not None and type(self.rng_seed) is not int:
-            raise ValidationError("rng_seed", "must be an integer")
-        if type(self.timeout_ms) is not int or self.timeout_ms < 1:
-            raise ValidationError("timeout_ms", "must be an integer >= 1")
+        if self.rng_seed is not None:
+            check_int("rng_seed", self.rng_seed)
+        check_int("timeout_ms", self.timeout_ms, minimum=1)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClientConfig":

@@ -125,11 +125,16 @@ def _check_str(field: str, value: Any, *, nonempty: bool = True) -> str:
     return value
 
 
-def _check_int(field: str, value: Any, *, minimum: int | None = None) -> int:
+def check_int(
+    field: str, value: Any, *, minimum: int | None = None, maximum: int | None = None
+) -> int:
+    """``value`` if it is an integer (not a bool) within the given bounds."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(field, "must be an integer")
     if minimum is not None and value < minimum:
         raise ValidationError(field, f"must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(field, f"must be <= {maximum}")
     return value
 
 
@@ -150,13 +155,24 @@ def _check_features(field: str, value: Any) -> frozenset[str]:
     return frozenset(items)
 
 
-def _check_address(field: str, value: Any) -> str:
-    value = _check_str(field, value)
-    host, sep, port = value.rpartition(":")
-    if not sep or not host:
-        raise ValidationError(field, "must look like host:port")
-    if not port.isdigit() or not 1 <= int(port) <= 65535:
-        raise ValidationError(field, f"bad port {port!r}")
+def parse_address(address: str) -> tuple[str, int]:
+    """``(host, port)`` of a ``host:port`` string; port 0 is allowed, and
+    means an ephemeral port to a server that binds it."""
+    host, sep, port = address.rpartition(":") if isinstance(address, str) else ("", "", "")
+    if not sep or not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"bad address {address!r}, expected host:port")
+    return host, int(port)
+
+
+def check_address(field: str, value: Any) -> str:
+    """``value`` if it is the address of a peer to connect to: ``host:port``
+    with a port of at least 1."""
+    try:
+        _, port = parse_address(value)
+    except ValueError as exc:
+        raise ValidationError(field, str(exc)) from None
+    if port < 1:
+        raise ValidationError(field, "a peer's port must be >= 1")
     return value
 
 
@@ -174,7 +190,7 @@ class Money:
     amount: int
 
     def __post_init__(self) -> None:
-        _check_int("amount", self.amount, minimum=0)
+        check_int("amount", self.amount, minimum=0)
 
     def to_dict(self) -> dict[str, Any]:
         return {"amount": self.amount}
@@ -184,7 +200,7 @@ class Money:
         if not isinstance(data, Mapping):
             raise ValidationError("amount", "Money must be an object")
         _reject_unknown(data, frozenset({"amount"}), "Money")
-        return cls(amount=_check_int("amount", _require(data, "amount"), minimum=0))
+        return cls(amount=check_int("amount", _require(data, "amount"), minimum=0))
 
 
 def parse_money(field: str, value: Any, *, minimum: int = 0) -> Money:
@@ -244,7 +260,7 @@ class JobStatus:
         for name in ("submitted_at", "started_at", "finished_at", "exit_code"):
             value = getattr(self, name)
             if value is not None:
-                _check_int(name, value)
+                check_int(name, value)
         if self.started_at is not None and self.submitted_at is not None:
             if self.started_at < self.submitted_at:
                 raise ValidationError("started_at", "precedes submitted_at")
@@ -339,8 +355,8 @@ def validate_jobspec(raw: Mapping[str, Any]) -> JobSpec:
         raise ValidationError("job_id", "must be 32 lowercase hex characters")
     user = _check_str("user", _require(raw, "user"))
     secret = _check_str("secret", _require(raw, "secret"))
-    nodes = _check_int("nodes", _require(raw, "nodes"), minimum=1)
-    walltime_s = _check_int("walltime_s", _require(raw, "walltime_s"), minimum=1)
+    nodes = check_int("nodes", _require(raw, "nodes"), minimum=1)
+    walltime_s = check_int("walltime_s", _require(raw, "walltime_s"), minimum=1)
     features = _check_features("required_features", raw.get("required_features", []))
     max_price_raw = raw.get("max_price")
     max_price = None if max_price_raw is None else parse_money("max_price", max_price_raw)
@@ -374,27 +390,6 @@ def refusal_reason(
     if spec.nodes > capacity_nodes:
         return NO_BID_INSUFFICIENT_CAPACITY
     return None
-
-
-def rate_card_cost(
-    base_rate: int,
-    nodes: int,
-    walltime_s: int,
-    features: frozenset[str],
-    multipliers: Mapping[str, Fraction],
-) -> tuple[int, int]:
-    """A job's cost at zero load under a rate card, as an exact numerator
-    and denominator: ``base_rate * nodes * walltime_s`` times the
-    multiplier of each required feature the card prices. A front-end's
-    price and the broker's floor both start from this one product."""
-    num = base_rate * nodes * walltime_s
-    den = 1
-    for feature in features:
-        multiplier = multipliers.get(feature)
-        if multiplier is not None:
-            num *= multiplier.numerator
-            den *= multiplier.denominator
-    return num, den
 
 
 def _check_ratio(field: str, value: Any, minimum: int) -> tuple[int, int]:
@@ -442,15 +437,18 @@ class ClusterDescriptor:
     feature_multipliers: Mapping[str, Fraction] = field(default_factory=dict, hash=False)
 
     def cost(self, spec: JobSpec) -> tuple[int, int]:
-        """``spec``'s cost at zero load under this rate card, as
-        ``rate_card_cost`` gives it."""
-        return rate_card_cost(
-            self.base_rate.amount,
-            spec.nodes,
-            spec.walltime_s,
-            spec.required_features,
-            self.feature_multipliers,
-        )
+        """``spec``'s cost at zero load under this rate card, as an exact
+        numerator and denominator: ``base_rate * nodes * walltime_s`` times
+        the multiplier of each required feature the card prices. A
+        front-end's price and the broker's floor both start from it."""
+        num = self.base_rate.amount * spec.nodes * spec.walltime_s
+        den = 1
+        for feature in spec.required_features:
+            multiplier = self.feature_multipliers.get(feature)
+            if multiplier is not None:
+                num *= multiplier.numerator
+                den *= multiplier.denominator
+        return num, den
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -487,8 +485,8 @@ class ClusterDescriptor:
         capabilities = _check_features("capabilities", data.get("capabilities", []))
         return cls(
             cluster_id=_check_str("cluster_id", _require(data, "cluster_id")),
-            address=_check_address("address", _require(data, "address")),
-            capacity_nodes=_check_int(
+            address=check_address("address", _require(data, "address")),
+            capacity_nodes=check_int(
                 "capacity_nodes", _require(data, "capacity_nodes"), minimum=1
             ),
             capabilities=capabilities,
@@ -546,7 +544,7 @@ class Bid:
             cluster_id=_check_str("cluster_id", _require(data, "cluster_id")),
             price=parse_money("price", _require(data, "price")),
             bid_token=_check_str("bid_token", _require(data, "bid_token")),
-            expires_at=_check_int("expires_at", _require(data, "expires_at")),
+            expires_at=check_int("expires_at", _require(data, "expires_at")),
             payee_account=_check_str("payee_account", _require(data, "payee_account")),
             load=_check_ratio("load", data.get("load", (1, 1)), 1),
             drain=_check_ratio("drain", data.get("drain", (0, 1)), 0),

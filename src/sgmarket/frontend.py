@@ -3,6 +3,9 @@ and runs them on a simulated batch scheduler.
 
 Pricing is load-sensitive: the committed node-seconds of running and queued
 work raise the offered price, so lightly loaded clusters underbid busy ones.
+A job's price is its cost under the rate card the front-end registers with
+the broker, times the policy's load factor; the card is the one the broker
+bounds the cluster's bids with.
 The scheduler is strict FIFO with head-of-line blocking; if the queue head
 does not fit in the free nodes, nothing behind it starts.
 
@@ -16,6 +19,7 @@ MAC only this front-end can make. A tick costs only the completions it meets.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import heapq
 import logging
@@ -40,11 +44,11 @@ from .domain import (
     Money,
     ServiceError,
     ValidationError,
+    check_address,
+    check_int,
     check_secrets,
     is_legal_transition,
     load_config,
-    parse_money,
-    rate_card_cost,
     refusal_reason,
     secret_matches,
     validate_jobspec,
@@ -60,8 +64,16 @@ TICK_INTERVAL_S = 0.1  # how often ``sg-node``'s ticker catches up with its cloc
 
 NO_BID_PRICE_ABOVE_MAX = "price_above_max"
 
-# The descriptor fields a front-end's config gives as they are announced.
-_IDENTITY = ("cluster_id", "capacity_nodes", "capabilities", "payee_account")
+# The descriptor fields a front-end's config gives as they are announced:
+# its identity and its rate card.
+_CARD = (
+    "cluster_id",
+    "capacity_nodes",
+    "capabilities",
+    "payee_account",
+    "base_rate",
+    "feature_multipliers",
+)
 
 
 class QuoteExpired(ServiceError):
@@ -113,30 +125,22 @@ def _parse_ratio(field: str, value: Any) -> Fraction:
 
 @dataclass(frozen=True)
 class PricingPolicy:
-    """How a cluster turns a job spec and its current load into a price.
+    """How a cluster turns a job's rate-card cost and its current load into
+    a price.
 
-    ``load_proportional`` charges base cost times (1 + coefficient * load
-    ratio); a flat policy ignores load entirely. Feature multipliers pass the
-    cost of expensive scheduler features on to the jobs that request them.
+    ``load_proportional`` charges the cost times (1 + coefficient * load
+    ratio); a flat policy charges the cost whatever the load. The cost
+    comes from the rate card the cluster registers, ``ClusterDescriptor.cost``.
     """
 
     policy_id: str
-    base_rate: Money
     load_coefficient: Fraction = Fraction(1)
-    feature_multipliers: Mapping[str, Fraction] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.policy_id not in ("load_proportional", "flat"):
             raise ValidationError("policy_id", f"unknown policy {self.policy_id!r}")
         if self.load_coefficient < 0:
             raise ValidationError("load_coefficient", "must be >= 0")
-        multipliers = dict(self.feature_multipliers or {})
-        for feature, mult in multipliers.items():
-            if mult < 1:
-                raise ValidationError(
-                    "feature_multipliers", f"multiplier for {feature!r} must be >= 1"
-                )
-        object.__setattr__(self, "feature_multipliers", multipliers)
 
     def factor(self, load_ratio: Fraction) -> tuple[int, int]:
         """The factor a price applies to the rate-card cost at this load
@@ -148,37 +152,21 @@ class PricingPolicy:
         q = coefficient.denominator * load_ratio.denominator
         return q + coefficient.numerator * load_ratio.numerator, q
 
-    def price(
-        self,
-        nodes: int,
-        walltime_s: int,
-        features: frozenset[str],
-        load_ratio: Fraction,
-    ) -> int:
-        """Price in millicredits: the exact rational formula as one integer
+    def price(self, cost: tuple[int, int], load_ratio: Fraction) -> int:
+        """Price in millicredits of a job whose rate-card cost is ``cost``,
+        as ``(num, den)``: the exact rational formula as one integer
         numerator and denominator, rounded up once."""
-        num, den = rate_card_cost(
-            self.base_rate.amount, nodes, walltime_s, features, self.feature_multipliers
-        )
+        num, den = cost
         p, q = self.factor(load_ratio)
         return -(-num * p // (den * q))
 
     @classmethod
     def from_config(cls, config: Mapping[str, Any]) -> "PricingPolicy":
-        raw = config.get("feature_multipliers") or {}
-        if not isinstance(raw, Mapping):
-            raise ValidationError("feature_multipliers", "must be an object")
-        multipliers = {
-            feature: _parse_ratio(f"feature_multipliers[{feature}]", ratio)
-            for feature, ratio in raw.items()
-        }
         return cls(
             policy_id=config.get("policy", "load_proportional"),
-            base_rate=parse_money("base_rate", config.get("base_rate"), minimum=1),
             load_coefficient=_parse_ratio(
                 "load_coefficient", config.get("load_coefficient", 1)
             ),
-            feature_multipliers=multipliers,
         )
 
 
@@ -224,9 +212,7 @@ class SchedulerCore:
     """
 
     def __init__(self, capacity_nodes: int):
-        if type(capacity_nodes) is not int or capacity_nodes < 1:
-            raise ValidationError("capacity_nodes", "must be an integer >= 1")
-        self.capacity_nodes = capacity_nodes
+        self.capacity_nodes = check_int("capacity_nodes", capacity_nodes, minimum=1)
         self.clock = 0
         self.queue: deque[str] = deque()
         self.running: set[str] = set()
@@ -338,6 +324,11 @@ class SchedulerCore:
 class FrontendCore:
     """Quote, submission, and settlement logic for one cluster.
 
+    ``card`` is the descriptor the cluster registers, less its address: its
+    identity, capacity, capabilities and rate card. Every price is
+    ``policy.price(card.cost(spec), load_ratio)``, so the front-end charges
+    by the card the broker bounds it with.
+
     All state (scheduler, job records, quote counter) is guarded by one
     lock; calls out to the bank happen outside it. Payments of completed jobs
     and refunds of rejected submissions share one settlement queue, retried
@@ -347,32 +338,24 @@ class FrontendCore:
 
     def __init__(
         self,
-        cluster_id: str,
-        capacity_nodes: int,
-        capabilities: frozenset[str],
+        card: ClusterDescriptor,
         policy: PricingPolicy,
-        payee_account: str,
         cluster_secret: str,
         users: Mapping[str, str],
         bank: BankClient,
         quote_ttl_s: int = DEFAULT_QUOTE_TTL_S,
         horizon_s: int = DEFAULT_HORIZON_S,
     ):
-        for name, value in (("quote_ttl_s", quote_ttl_s), ("horizon_s", horizon_s)):
-            if type(value) is not int or value < 1:
-                raise ValidationError(name, "must be an integer >= 1")
+        self.quote_ttl_s = check_int("quote_ttl_s", quote_ttl_s, minimum=1)
+        self.horizon_s = check_int("horizon_s", horizon_s, minimum=1)
         if not isinstance(cluster_secret, str) or not cluster_secret:
             raise ValidationError("cluster_secret", "must be a non-empty string")
-        self.cluster_id = cluster_id
-        self.capabilities = frozenset(capabilities)
+        self.card = card
         self.policy = policy
-        self.payee_account = payee_account
         self.cluster_secret = cluster_secret
         self.users = check_secrets("users", users)
         self.bank = bank
-        self.quote_ttl_s = quote_ttl_s
-        self.horizon_s = horizon_s
-        self.scheduler = SchedulerCore(capacity_nodes)
+        self.scheduler = SchedulerCore(card.capacity_nodes)
         self._lock = threading.RLock()
         self._quote_key = secrets.token_bytes(32)
         self._quote_seq = 0  # tells apart two quotes for the same terms
@@ -401,15 +384,12 @@ class FrontendCore:
         applied and how fast that factor can drain, so the broker can bound
         this cluster's later prices without asking."""
         with self._lock:
-            refusal = refusal_reason(
-                spec, self.capabilities, self.scheduler.capacity_nodes
-            )
+            card = self.card
+            refusal = refusal_reason(spec, card.capabilities, card.capacity_nodes)
             if refusal is not None:
                 return NoBid(refusal)
             load_ratio = self.load_ratio()
-            price = self.policy.price(
-                spec.nodes, spec.walltime_s, spec.required_features, load_ratio
-            )
+            price = self.policy.price(card.cost(spec), load_ratio)
             if spec.max_price is not None and price > spec.max_price.amount:
                 return NoBid(NO_BID_PRICE_ABOVE_MAX)
             self._quote_seq += 1
@@ -417,11 +397,11 @@ class FrontendCore:
             signed = f"{self._quote_seq}.{expires_at}.{price}"
             drain_p, drain_q = self.policy.factor(self.drain_ratio())
             return Bid(
-                cluster_id=self.cluster_id,
+                cluster_id=card.cluster_id,
                 price=Money(price),
                 bid_token=f"{signed}.{self._quote_mac(spec, signed)}",
                 expires_at=expires_at,
-                payee_account=self.payee_account,
+                payee_account=card.payee_account,
                 load=self.policy.factor(load_ratio),
                 drain=(drain_p - drain_q, drain_q),
             )
@@ -470,7 +450,10 @@ class FrontendCore:
             # Bank round-trip happens unlocked; re-validate afterwards.
             try:
                 covered = self.bank.verify_escrow(
-                    escrow_id, payee=self.payee_account, job_id=spec.job_id, min_amount=price
+                    escrow_id,
+                    payee=self.card.payee_account,
+                    job_id=spec.job_id,
+                    min_amount=price,
                 )
             except wire.RpcError as exc:
                 log.warning("check of escrow %s failed: %s", escrow_id, exc)
@@ -536,15 +519,7 @@ class FrontendCore:
             return self.scheduler.status(job_id)
 
     def descriptor(self, address: str) -> ClusterDescriptor:
-        return ClusterDescriptor(
-            cluster_id=self.cluster_id,
-            address=address,
-            capacity_nodes=self.scheduler.capacity_nodes,
-            capabilities=self.capabilities,
-            base_rate=self.policy.base_rate,
-            payee_account=self.payee_account,
-            feature_multipliers=self.policy.feature_multipliers,
-        )
+        return dataclasses.replace(self.card, address=address)
 
 
 class FrontendService:
@@ -558,38 +533,23 @@ class FrontendService:
         self.config = dict(config)
         self.clock = clock if clock is not None else WallClock()
         self.boot_id = secrets.token_hex(8)  # tells the broker a renewal from a restart
-        self.announce_ttl_s = self.config.get("announce_ttl_s", DEFAULT_ANNOUNCE_TTL_S)
-        if type(self.announce_ttl_s) is not int or not (
-            MIN_TTL_S <= self.announce_ttl_s <= MAX_TTL_S
-        ):
-            raise ValidationError(
-                "announce_ttl_s", f"must be an integer in [{MIN_TTL_S}, {MAX_TTL_S}]"
-            )
+        self.announce_ttl_s = check_int(
+            "announce_ttl_s",
+            self.config.get("announce_ttl_s", DEFAULT_ANNOUNCE_TTL_S),
+            minimum=MIN_TTL_S,
+            maximum=MAX_TTL_S,
+        )
         for name in ("broker", "bank"):
-            try:
-                wire.parse_address(self.config.get(name))
-            except ValueError as exc:
-                raise ValidationError(name, str(exc)) from None
-        policy = PricingPolicy.from_config(self.config)
+            check_address(name, self.config.get(name))
         # The broker's own parser checks the identity and rate card this
         # front-end announces; only the address waits for the bound server.
         card = ClusterDescriptor.from_dict(
-            {key: self.config[key] for key in _IDENTITY if key in self.config}
-            | {
-                "address": "127.0.0.1:1",
-                "base_rate": policy.base_rate.to_dict(),
-                "feature_multipliers": {
-                    feature: [ratio.numerator, ratio.denominator]
-                    for feature, ratio in policy.feature_multipliers.items()
-                },
-            }
+            {key: self.config[key] for key in _CARD if key in self.config}
+            | {"address": "127.0.0.1:1"}
         )
         self.core = FrontendCore(
-            cluster_id=card.cluster_id,
-            capacity_nodes=card.capacity_nodes,
-            capabilities=card.capabilities,
-            policy=policy,
-            payee_account=card.payee_account,
+            card=card,
+            policy=PricingPolicy.from_config(self.config),
             cluster_secret=self.config.get("cluster_secret"),
             users=self.config.get("users", {}),
             bank=BankClient(self.config["bank"]),
@@ -701,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 1
     service.start_background()
-    log.info("front-end %s listening on %s", service.core.cluster_id, service.address)
+    log.info("front-end %s listening on %s", service.core.card.cluster_id, service.address)
     try:
         threading.Event().wait()
     except KeyboardInterrupt:

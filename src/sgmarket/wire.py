@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Callable, Mapping, Sequence
 
-from .domain import ServiceError, canonical_json_bytes
+from .domain import ServiceError, canonical_json_bytes, parse_address
 
 log = logging.getLogger(__name__)
 
@@ -176,13 +176,6 @@ def decode_message(line: bytes) -> RpcRequest | RpcResponse:
             return error_response(rid, err["code"], err["message"])
         return ok_response(rid, data["result"])
     raise FramingError("neither request nor response")
-
-
-def parse_address(address: str) -> tuple[str, int]:
-    host, sep, port = address.rpartition(":") if isinstance(address, str) else ("", "", "")
-    if not sep or not host or not port.isdigit() or int(port) > 65535:
-        raise ValueError(f"bad address {address!r}, expected host:port")
-    return host, int(port)
 
 
 _request_ids = itertools.count(1)

@@ -306,7 +306,7 @@ def test_criterion_9_feature_gating(market_factory):
             }
         )
         answers = {
-            service.core.cluster_id: wire.rpc_call(
+            service.core.card.cluster_id: wire.rpc_call(
                 service.address, "node.quote", {"spec": spec.to_dict()}, timeout_ms=5000
             )
             for service in runtime.frontends

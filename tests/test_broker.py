@@ -36,7 +36,7 @@ from sgmarket.frontend import FrontendCore, NoBid, PricingPolicy
 
 
 def _descriptor(cluster_id, address="127.0.0.1:9999", capacity=8, capabilities=(),
-                base_rate=1):
+                base_rate=1, multipliers=None):
     return ClusterDescriptor(
         cluster_id=cluster_id,
         address=address,
@@ -44,6 +44,7 @@ def _descriptor(cluster_id, address="127.0.0.1:9999", capacity=8, capabilities=(
         capabilities=frozenset(capabilities),
         base_rate=Money(base_rate),
         payee_account=f"cluster:{cluster_id}",
+        feature_multipliers=multipliers or {},
     )
 
 
@@ -376,19 +377,19 @@ def _frontend(draw, cluster_id):
         for feature in sorted(capabilities)
         if draw(st.booleans())
     }
+    policy_id = draw(st.sampled_from(["flat", "load_proportional"]))
+    card = _descriptor(
+        cluster_id, capacity=capacity, capabilities=capabilities,
+        base_rate=draw(st.integers(1, 4)), multipliers=multipliers,
+    )
     policy = PricingPolicy(
-        draw(st.sampled_from(["flat", "load_proportional"])),
-        Money(draw(st.integers(1, 4))),
+        policy_id,
         load_coefficient=Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3))),
-        feature_multipliers=multipliers,
     )
     horizon_s = draw(st.integers(50, 2000))
     frontend = FrontendCore(
-        cluster_id=cluster_id,
-        capacity_nodes=capacity,
-        capabilities=capabilities,
+        card=card,
         policy=policy,
-        payee_account=f"cluster:{cluster_id}",
         cluster_secret=f"cs-{cluster_id}",
         users={},
         bank=None,
@@ -422,7 +423,7 @@ def test_bounded_find_selects_what_a_full_fanout_would(
     answers = {}
     for frontend in fleet:
         answer = frontend.quote(spec)
-        answers[f"127.0.0.1:1#{frontend.cluster_id}"] = (
+        answers[f"127.0.0.1:1#{frontend.card.cluster_id}"] = (
             answer if isinstance(answer, Bid) else answer.reason
         )
     batches = []
@@ -433,7 +434,8 @@ def test_bounded_find_selects_what_a_full_fanout_would(
 
     core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
     for frontend in fleet:
-        core.register_cluster(frontend.descriptor(f"127.0.0.1:1#{frontend.cluster_id}"), 60)
+        address = f"127.0.0.1:1#{frontend.card.cluster_id}"
+        core.register_cluster(frontend.descriptor(address), 60)
     assert core.find_cluster(spec) == _full_fanout(core.list_clusters(), spec, answers)
     assert len(batches) <= 2
     asked = [address for batch in batches for address in batch]
@@ -635,16 +637,15 @@ def test_bound_allows_a_front_end_clock_one_second_ahead():
     """Two whole-second clocks can differ by a second: the ``+ 1`` in a
     bound covers a front-end whose clock ticked while the broker's did not."""
     policies = {
-        "A": PricingPolicy("load_proportional", Money(10)),
-        "B": PricingPolicy("flat", Money(17)),
+        "A": (10, PricingPolicy("load_proportional")),
+        "B": (17, PricingPolicy("flat")),
     }
     frontends = {
         f"127.0.0.1:1#{cid}": FrontendCore(
-            cluster_id=cid, capacity_nodes=1, capabilities=frozenset(), policy=policy,
-            payee_account=f"cluster:{cid}", cluster_secret=f"cs-{cid}", users={},
-            bank=None, horizon_s=2,
+            card=_descriptor(cid, capacity=1, base_rate=rate), policy=policy,
+            cluster_secret=f"cs-{cid}", users={}, bank=None, horizon_s=2,
         )
-        for cid, policy in policies.items()
+        for cid, (rate, policy) in policies.items()
     }
     batches = []
 
@@ -723,20 +724,17 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
         return [answers[address] for address in addresses]
 
     core = BrokerCore(clock=clock, quote_fn=quote_fn)
-    frontends = {f"127.0.0.1:1#{frontend.cluster_id}": frontend for frontend in fleet}
+    frontends = {f"127.0.0.1:1#{frontend.card.cluster_id}": frontend for frontend in fleet}
     for address, frontend in frontends.items():
         core.register_cluster(frontend.descriptor(address), 3600)
     for index, (nodes, walltime_s, features, place, dt, restart) in enumerate(steps):
         if restart is not None and restart < len(fleet):
             # A restarted front-end has lost its jobs, and registers again.
             old = fleet[restart]
-            address = f"127.0.0.1:1#{old.cluster_id}"
+            address = f"127.0.0.1:1#{old.card.cluster_id}"
             frontends[address] = FrontendCore(
-                cluster_id=old.cluster_id,
-                capacity_nodes=old.scheduler.capacity_nodes,
-                capabilities=old.capabilities,
+                card=old.card,
                 policy=old.policy,
-                payee_account=old.payee_account,
                 cluster_secret=old.cluster_secret,
                 users={},
                 bank=None,
@@ -842,11 +840,8 @@ def test_broker_refusal_matches_the_frontends(capacity, capabilities, nodes, fea
     """The broker refuses exactly where the registered front-end would, with
     the same reason."""
     frontend = FrontendCore(
-        cluster_id="A",
-        capacity_nodes=capacity,
-        capabilities=capabilities,
-        policy=PricingPolicy("flat", Money(1)),
-        payee_account="cluster:A",
+        card=_descriptor("A", capacity=capacity, capabilities=capabilities),
+        policy=PricingPolicy("flat"),
         cluster_secret="cs-A",
         users={"alice": "pw-alice"},
         bank=None,

@@ -327,6 +327,14 @@ def test_config_identity_and_addresses_must_be_strings(field, value):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("field", ["broker", "bank"])
+def test_config_peer_ports_must_be_at_least_1(field):
+    """Port 0 tells a server to bind any free port; no peer listens on it."""
+    with pytest.raises(ValidationError) as err:
+        ClientConfig.from_dict({**_CONFIG, field: "127.0.0.1:0"})
+    assert err.value.field == field
+
+
 @pytest.mark.parametrize("rng_seed", [[1], "7", 7.0, True])
 def test_rng_seed_must_be_an_integer_or_absent(rng_seed):
     with pytest.raises(ValidationError) as err:

@@ -13,7 +13,14 @@ from hypothesis import given, strategies as st
 
 from sgmarket import wire
 from sgmarket.bank import BankClient, BankCore, EscrowState, rpc_handlers as bank_handlers
-from sgmarket.domain import Bid, JobState, Money, ValidationError, validate_jobspec
+from sgmarket.domain import (
+    Bid,
+    ClusterDescriptor,
+    JobState,
+    Money,
+    ValidationError,
+    validate_jobspec,
+)
 from sgmarket.frontend import (
     AuthFailed,
     DuplicateJob,
@@ -102,20 +109,41 @@ def served_bank():
     server.shutdown()
 
 
-def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
-          quote_ttl_s=60, horizon_s=3600, base_rate=1, users=None, cluster_secret="cs-A"):
-    policy = PricingPolicy(
-        policy_id="load_proportional",
-        base_rate=Money(base_rate),
-        load_coefficient=Fraction(1),
-        feature_multipliers=multipliers or {},
-    )
-    return FrontendCore(
-        cluster_id="clusterA",
+def _card(capacity=8, capabilities=("deadline",), base_rate=1, multipliers=None,
+          cluster_id="clusterA"):
+    """A front-end's descriptor, less its address: its identity and rate card."""
+    return ClusterDescriptor(
+        cluster_id=cluster_id,
+        address="127.0.0.1:1",
         capacity_nodes=capacity,
         capabilities=frozenset(capabilities),
-        policy=policy,
-        payee_account="cluster:clusterA",
+        base_rate=Money(base_rate),
+        payee_account=f"cluster:{cluster_id}",
+        feature_multipliers=multipliers or {},
+    )
+
+
+def _config_card(base, multipliers):
+    """A rate card as a front-end's config gives it, parsed as the broker
+    parses a registration."""
+    return ClusterDescriptor.from_dict(
+        {
+            "cluster_id": "clusterA",
+            "address": "127.0.0.1:1",
+            "capacity_nodes": 128,
+            "capabilities": ["deadline", "gpu"],
+            "base_rate": base,
+            "payee_account": "cluster:clusterA",
+            "feature_multipliers": multipliers,
+        }
+    )
+
+
+def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
+          quote_ttl_s=60, horizon_s=3600, base_rate=1, users=None, cluster_secret="cs-A"):
+    return FrontendCore(
+        card=_card(capacity, capabilities, base_rate, multipliers),
+        policy=PricingPolicy("load_proportional"),
         cluster_secret=cluster_secret,
         users=users or {"alice": "pw"},
         bank=bank if bank is not None else FakeBank(),
@@ -126,32 +154,36 @@ def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
 
 # -- pricing -------------------------------------------------------------------
 
+_LOAD_PROPORTIONAL = PricingPolicy("load_proportional")
+
+
+def _price(card, policy, nodes, walltime_s, features, load_ratio):
+    """What ``policy`` charges under ``card`` for a job of these terms."""
+    spec = _spec(nodes=nodes, walltime_s=walltime_s, features=sorted(features))
+    return policy.price(card.cost(spec), load_ratio)
+
+
 def test_idle_cluster_prices_base_cost():
-    policy = PricingPolicy("load_proportional", Money(1))
-    assert policy.price(4, 100, frozenset(), Fraction(0)) == 400
+    assert _price(_card(), _LOAD_PROPORTIONAL, 4, 100, (), Fraction(0)) == 400
 
 
 def test_half_loaded_cluster_prices_150_percent():
-    policy = PricingPolicy("load_proportional", Money(1))
-    assert policy.price(4, 100, frozenset(), Fraction(1, 2)) == 600
+    assert _price(_card(), _LOAD_PROPORTIONAL, 4, 100, (), Fraction(1, 2)) == 600
 
 
 def test_feature_multiplier_applies():
-    policy = PricingPolicy(
-        "load_proportional", Money(1), feature_multipliers={"deadline": Fraction(5, 4)}
-    )
-    assert policy.price(2, 100, frozenset({"deadline"}), Fraction(0)) == 250
+    card = _card(multipliers={"deadline": Fraction(5, 4)})
+    assert _price(card, _LOAD_PROPORTIONAL, 2, 100, {"deadline"}, Fraction(0)) == 250
 
 
 def test_flat_policy_ignores_load():
-    policy = PricingPolicy("flat", Money(3))
-    assert policy.price(2, 10, frozenset(), Fraction(9, 1)) == 60
+    card = _card(base_rate=3)
+    assert _price(card, PricingPolicy("flat"), 2, 10, (), Fraction(9, 1)) == 60
 
 
 def test_price_rounds_up_to_whole_millicredits():
-    policy = PricingPolicy("load_proportional", Money(1))
     # 1 * 1 * (1 + 1/3) = 4/3 -> 2
-    assert policy.price(1, 1, frozenset(), Fraction(1, 3)) == 2
+    assert _price(_card(), _LOAD_PROPORTIONAL, 1, 1, (), Fraction(1, 3)) == 2
 
 
 def test_unsupported_feature_yields_no_bid():
@@ -192,24 +224,24 @@ def test_quote_reflects_committed_load():
 )
 def test_price_monotonicity(base, nodes, walltime, bump, r1, r2):
     lo, hi = sorted((r1, r2))
-    policy = PricingPolicy("load_proportional", Money(base))
+    card, policy = _card(base_rate=base), _LOAD_PROPORTIONAL
     features = frozenset()
-    assert policy.price(nodes, walltime, features, lo) <= policy.price(
-        nodes, walltime, features, hi
+    assert _price(card, policy, nodes, walltime, features, lo) <= _price(
+        card, policy, nodes, walltime, features, hi
     )
     # strictly increasing in nodes*walltime at fixed load
-    grown = policy.price(nodes, walltime + bump, features, lo)
-    assert grown > policy.price(nodes, walltime, features, lo)
+    grown = _price(card, policy, nodes, walltime + bump, features, lo)
+    assert grown > _price(card, policy, nodes, walltime, features, lo)
 
 
-def _fraction_price(policy, nodes, walltime_s, features, load_ratio):
+def _fraction_price(card, policy, nodes, walltime_s, features, load_ratio):
     """The price formula in Fraction arithmetic: the oracle for the integer
     implementation."""
-    amount = Fraction(policy.base_rate.amount) * nodes * walltime_s
+    amount = Fraction(card.base_rate.amount) * nodes * walltime_s
     if policy.policy_id == "load_proportional":
         amount *= 1 + policy.load_coefficient * load_ratio
     for feature in features:
-        amount *= policy.feature_multipliers.get(feature, Fraction(1))
+        amount *= card.feature_multipliers.get(feature, Fraction(1))
     return math.ceil(amount)
 
 
@@ -237,16 +269,12 @@ _multipliers = st.integers(1, 9).flatmap(
 def test_integer_price_equals_fraction_formula(
     policy_id, base, coefficient, multipliers, nodes, walltime, features, load
 ):
+    card = _config_card(base, multipliers)
     policy = PricingPolicy.from_config(
-        {
-            "policy": policy_id,
-            "base_rate": base,
-            "load_coefficient": coefficient,
-            "feature_multipliers": multipliers,
-        }
+        {"policy": policy_id, "load_coefficient": coefficient}
     )
-    assert policy.price(nodes, walltime, features, load) == _fraction_price(
-        policy, nodes, walltime, features, load
+    assert _price(card, policy, nodes, walltime, features, load) == _fraction_price(
+        card, policy, nodes, walltime, features, load
     )
 
 
@@ -264,15 +292,11 @@ def test_price_never_falls_below_the_base_rate_floor(
     policy_id, base, coefficient, multipliers, nodes, walltime, features, load
 ):
     """The broker skips clusters whose floor cannot beat the best bid."""
+    card = _config_card(base, multipliers)
     policy = PricingPolicy.from_config(
-        {
-            "policy": policy_id,
-            "base_rate": base,
-            "load_coefficient": coefficient,
-            "feature_multipliers": multipliers,
-        }
+        {"policy": policy_id, "load_coefficient": coefficient}
     )
-    assert policy.price(nodes, walltime, features, load) >= base * nodes * walltime
+    assert _price(card, policy, nodes, walltime, features, load) >= base * nodes * walltime
 
 
 @given(
@@ -290,33 +314,22 @@ def test_price_never_falls_below_the_published_rate_card_floor(
 ):
     """The floor the broker computes from a front-end's descriptor bounds
     every price it quotes, and is the price at zero load."""
+    card = _config_card(base, multipliers)
     policy = PricingPolicy.from_config(
-        {
-            "policy": policy_id,
-            "base_rate": base,
-            "load_coefficient": coefficient,
-            "feature_multipliers": multipliers,
-        }
+        {"policy": policy_id, "load_coefficient": coefficient}
     )
     core = FrontendCore(
-        cluster_id="clusterA",
-        capacity_nodes=128,
-        capabilities=frozenset(["gpu", "deadline"]),
-        policy=policy,
-        payee_account="cluster:clusterA",
-        cluster_secret="cs-A",
-        users={},
-        bank=FakeBank(),
+        card=card, policy=policy, cluster_secret="cs-A", users={}, bank=FakeBank()
     )
     num, den = core.descriptor("127.0.0.1:7710").cost(
         _spec(nodes=nodes, walltime_s=walltime, features=features)
     )
     floor = -(-num // den)
-    assert policy.price(nodes, walltime, features, load) >= floor
-    assert policy.price(nodes, walltime, features, Fraction(0)) == floor
+    assert _price(card, policy, nodes, walltime, features, load) >= floor
+    assert _price(card, policy, nodes, walltime, features, Fraction(0)) == floor
 
 
-def test_descriptor_publishes_the_policys_multipliers():
+def test_descriptor_publishes_the_cards_multipliers():
     core = _core(capabilities=("deadline", "gpu"), multipliers={"gpu": Fraction(3, 2)})
     assert core.descriptor("127.0.0.1:7710").to_dict()["feature_multipliers"] == {
         "gpu": [3, 2]
@@ -384,14 +397,10 @@ def test_a_bids_load_report_bounds_its_later_prices(
     """A bid's ``load`` reproduces its price from the rate card, and with
     its ``drain`` bounds every later price, for any job, while no new work
     arrives: ``price >= ceil(cost * (load - drain * elapsed))``."""
-    policy = PricingPolicy(
-        policy_id, Money(3), load_coefficient=coefficient,
-        feature_multipliers={"gpu": Fraction(5, 2)},
-    )
+    card = _card(capacity, {"gpu"}, 3, {"gpu": Fraction(5, 2)}, cluster_id="A")
     core = FrontendCore(
-        cluster_id="A", capacity_nodes=capacity, capabilities=frozenset({"gpu"}),
-        policy=policy, payee_account="cluster:A", cluster_secret="cs-A", users={},
-        bank=FakeBank(), horizon_s=horizon_s,
+        card=card, policy=PricingPolicy(policy_id, load_coefficient=coefficient),
+        cluster_secret="cs-A", users={}, bank=FakeBank(), horizon_s=horizon_s,
     )
     for index, step in enumerate(steps):
         if step[0] == "enqueue":

@@ -159,7 +159,8 @@ def test_in_process_registration_matches_an_announce(market_factory):
     assert {r.ttl_s for r in in_process.values()} == {560}
     for service in runtime.frontends:
         service.announce(runtime.broker_server.address, ttl_s=560)
-        assert registry[service.core.cluster_id] is not in_process[service.core.cluster_id]
+        cluster_id = service.core.card.cluster_id
+        assert registry[cluster_id] is not in_process[cluster_id]
     assert registry == in_process
 
 

@@ -1,6 +1,7 @@
 """Service-level behavior: announcements, the service clock, settings, and
 packaging."""
 
+import ast
 import gc
 import importlib
 import json
@@ -23,6 +24,7 @@ from sgmarket.frontend import TICK_INTERVAL_S, FrontendService
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.parent / "pyproject.toml"
+PACKAGE = README.parent / "src" / "sgmarket"
 
 
 def _frontend_config(**overrides):
@@ -322,16 +324,19 @@ def test_announce_ttl_s_must_be_a_ttl_the_broker_accepts(value):
         ("cluster_id", ""),
         ("cluster_id", 5),
         ("feature_multipliers", {"gpu": [2, 1]}),  # prices no advertised feature
+        ("feature_multipliers", {"deadline": 2}),  # an integer, not [p, q]
     ],
 )
 def test_identity_and_rate_card_are_checked_as_the_broker_would(field, value):
     """Otherwise the front-end starts, and the broker refuses every announce
     while the announcer retries forever. A refused config leaves nothing
-    listening or running."""
+    listening or running. A registration carries each multiplier as
+    ``[p, q]``, so the config takes that form only."""
     port = _reserved_port()
     threads = threading.active_count()
+    config = {"listen": f"127.0.0.1:{port}", "capabilities": ["deadline"], field: value}
     with pytest.raises(ValidationError) as err:
-        FrontendService(_frontend_config(listen=f"127.0.0.1:{port}", **{field: value}))
+        FrontendService(_frontend_config(**config))
     assert err.value.field.startswith(field)
     assert threading.active_count() == threads
     probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -342,10 +347,11 @@ def test_identity_and_rate_card_are_checked_as_the_broker_would(field, value):
 
 
 @pytest.mark.parametrize("field", ["broker", "bank"])
-@pytest.mark.parametrize("value", [None, 7701, "7701", "127.0.0.1:x"])
+@pytest.mark.parametrize("value", [None, 7701, "7701", "127.0.0.1:x", "127.0.0.1:0"])
 def test_peer_addresses_are_checked_at_start(field, value):
     """Without ``broker`` a front-end once started, and its announcer died
-    with a KeyError on its own thread."""
+    with a KeyError on its own thread; with a broker at port 0, which no
+    peer listens on, it retried its announce forever."""
     config = _frontend_config(**{field: value})
     if value is None:
         del config[field]
@@ -406,11 +412,16 @@ def test_services_answer_a_bad_config_with_an_error_line(tmp_path, capsys, servi
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def _readme_configs() -> dict[str, str]:
+    """The text of each config file the README writes, by file name."""
+    heredoc = re.compile(r"cat > (\w+\.json) <<'EOF'\n(.*?)\nEOF", re.S)
+    return dict(heredoc.findall(README.read_text()))
+
+
 def test_readme_configs_start(tmp_path):
     """Each service starts from the config the README shows for it, so the
     documented settings pass the services' own start-up checks."""
-    heredoc = re.compile(r"cat > (\w+\.json) <<'EOF'\n(.*?)\nEOF", re.S)
-    examples = dict(heredoc.findall(README.read_text()))
+    examples = _readme_configs()
     for name in ("bank.json", "broker.json", "node.json"):
         (tmp_path / name).write_text(examples[name])
     config = bank.load_config(tmp_path / "bank.json")
@@ -423,6 +434,32 @@ def test_readme_configs_start(tmp_path):
     server.shutdown()
     config = frontend.load_config(tmp_path / "node.json")
     FrontendService({**config, "listen": "127.0.0.1:0"}).shutdown()
+
+
+def test_readme_front_end_prices_an_idle_job_at_its_registered_cost():
+    """A front-end charges by the rate card it registers: idle, it quotes a
+    job at exactly ``ceil(cost)`` under the descriptor the broker holds."""
+    broker_core = BrokerCore(clock=VirtualClock())
+    server = wire.serve("127.0.0.1:0", broker_handlers(broker_core))
+    config = json.loads(_readme_configs()["node.json"])
+    service = FrontendService({**config, "listen": "127.0.0.1:0"})
+    try:
+        service.announce(server.address)
+        (descriptor,) = broker_core.list_clusters()
+        spec = validate_jobspec(
+            {"job_id": "a" * 32, "user": "alice", "secret": "pw-alice", "nodes": 3,
+             "walltime_s": 7, "required_features": ["deadline"], "command": "run",
+             "workdir": "/d"}
+        )
+        reply = wire.rpc_call(
+            service.address, "node.quote", {"spec": spec.to_dict()}, timeout_ms=2000
+        )
+        num, den = descriptor.cost(spec)
+        assert (num, den) == (105, 4)  # 1 * 3 * 7 * 5/4 under the README's card
+        assert reply["bid"]["price"] == {"amount": -(-num // den)} == {"amount": 27}
+    finally:
+        service.shutdown()
+        server.shutdown()
 
 
 def test_sim_console_script_end_to_end(tmp_path):
@@ -483,3 +520,25 @@ def test_every_console_script_answers_a_missing_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: "), (name, err)
         assert "Traceback" not in err
+
+
+def test_the_package_imports_only_the_standard_library():
+    """sgmarket declares no dependencies: each of its modules imports only
+    the standard library and sgmarket itself."""
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert len(modules) > 1
+    allowed = sys.stdlib_module_names | {"sgmarket"}
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # a relative import stays inside the package
+            outside += [
+                f"{path.name}: {name}" for name in names
+                if name.partition(".")[0] not in allowed
+            ]
+    assert outside == []
