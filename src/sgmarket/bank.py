@@ -8,16 +8,16 @@ observable instant.
 
 Settlement outcomes are reported by the executing cluster front-end,
 authenticated with a per-cluster shared secret registered at startup.
+``sg-bank`` is :func:`start_service` under :func:`wire.run_service`.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import logging
 import os
 import sys
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -29,12 +29,9 @@ from .domain import (
     ValidationError,
     canonical_json_bytes,
     check_secrets,
-    load_config,
     parse_money,
     secret_matches,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_LISTEN = "127.0.0.1:7702"
 
@@ -493,37 +490,19 @@ class BankClient:
         }
 
 
-def start_service(config: Mapping[str, Any]) -> tuple[wire.Server, BankCore]:
+def start_service(config: Mapping[str, Any], stack: ExitStack) -> str:
+    """Start ``sg-bank``, each step of its shutdown on ``stack``; its address."""
     core = BankCore(
         cluster_secrets=config.get("cluster_secrets"), log_path=config.get("log_path")
     )
-    try:
-        server = wire.serve(config.get("listen", DEFAULT_LISTEN), rpc_handlers(core))
-    except BaseException:
-        core.close()
-        raise
-    return server, core
+    stack.callback(core.close)
+    server = wire.serve(config.get("listen", DEFAULT_LISTEN), rpc_handlers(core))
+    stack.callback(server.shutdown)
+    return server.address
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="sg-bank", description="escrow bank service")
-    parser.add_argument("--config", required=True, help="path to bank config JSON")
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
-    try:
-        server, core = start_service(load_config(args.config))
-    except (ValidationError, OSError, ValueError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return 1
-    log.info("bank listening on %s", server.address)
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        core.close()
-    return 0
+    return wire.run_service("sg-bank", start_service, argv)
 
 
 if __name__ == "__main__":

@@ -41,14 +41,14 @@ placement record stays either way, and a find that straddles a
 registration loses what it learnt. A round's quotes go out at once from one
 thread and share one bid timeout, so a find waits at most two, and a
 hanging front-end never blocks selection among responsive ones.
+``sg-broker`` is :func:`start_service` under :func:`wire.run_service`.
 """
 
 from __future__ import annotations
 
-import argparse
-import logging
 import sys
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -62,12 +62,9 @@ from .domain import (
     ServiceError,
     ValidationError,
     check_int,
-    load_config,
     refusal_reason,
     validate_jobspec,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_LISTEN = "127.0.0.1:7701"
 DEFAULT_BID_TIMEOUT_MS = 2000
@@ -348,36 +345,19 @@ def rpc_handlers(core: BrokerCore) -> dict[str, wire.Handler]:
     }
 
 
-def start_service(
-    config: Mapping[str, Any], clock: VirtualClock | WallClock | None = None
-) -> tuple[wire.Server, BrokerCore]:
+def start_service(config: Mapping[str, Any], stack: ExitStack) -> str:
+    """Start ``sg-broker``, each step of its shutdown on ``stack``; its address."""
     core = BrokerCore(
         bid_timeout_ms=config.get("bid_timeout_ms", DEFAULT_BID_TIMEOUT_MS),
         default_ttl_s=config.get("default_ttl_s", DEFAULT_TTL_S),
-        clock=clock,
     )
     server = wire.serve(config.get("listen", DEFAULT_LISTEN), rpc_handlers(core))
-    return server, core
+    stack.callback(server.shutdown)
+    return server.address
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="sg-broker", description="bid broker service")
-    parser.add_argument("--config", required=True, help="path to broker config JSON")
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
-    try:
-        server, _ = start_service(load_config(args.config))
-    except (ValidationError, OSError, ValueError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return 1
-    log.info("broker listening on %s", server.address)
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-    return 0
+    return wire.run_service("sg-broker", start_service, argv)
 
 
 if __name__ == "__main__":

@@ -159,7 +159,7 @@ def parse_address(address: str) -> tuple[str, int]:
     """``(host, port)`` of a ``host:port`` string; port 0 is allowed, and
     means an ephemeral port to a server that binds it."""
     host, sep, port = address.rpartition(":") if isinstance(address, str) else ("", "", "")
-    if not sep or not host or not port.isdigit() or int(port) > 65535:
+    if not sep or not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ValueError(f"bad address {address!r}, expected host:port")
     return host, int(port)
 

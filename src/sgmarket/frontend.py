@@ -14,11 +14,11 @@ numerator and denominator and rounded up to whole millicredits once, at the
 end. A quote costs the same however many jobs a front-end holds and leaves
 nothing behind: like a SYN cookie, its bid token carries its terms under a
 MAC only this front-end can make. A tick costs only the completions it meets.
+``sg-node`` is :func:`start_service` under :func:`wire.run_service`.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import heapq
@@ -27,6 +27,7 @@ import secrets
 import sys
 import threading
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -48,7 +49,6 @@ from .domain import (
     check_int,
     check_secrets,
     is_legal_transition,
-    load_config,
     refusal_reason,
     secret_matches,
     validate_jobspec,
@@ -650,25 +650,16 @@ def _spec_param(params: Mapping[str, Any]) -> JobSpec:
     return validate_jobspec(raw)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="sg-node", description="cluster front-end service")
-    parser.add_argument("--config", required=True, help="path to node config JSON")
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
-    try:
-        service = FrontendService(load_config(args.config))
-    except (ValidationError, OSError, ValueError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return 1
+def start_service(config: Mapping[str, Any], stack: ExitStack) -> str:
+    """Start ``sg-node``, each step of its shutdown on ``stack``; its address."""
+    service = FrontendService(config)
+    stack.callback(service.shutdown)
     service.start_background()
-    log.info("front-end %s listening on %s", service.core.card.cluster_id, service.address)
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.shutdown()
-    return 0
+    return service.address
+
+
+def main(argv: list[str] | None = None) -> int:
+    return wire.run_service("sg-node", start_service, argv)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ every tenth second for a conservation audit, where a run longer than the
 broker's longest ttl renews the registrations. The COMPLETED events of those
 ticks count the finished jobs; with the bank's audit, that is all it reads.
 Given a fixed seed, two runs of a scenario produce byte-identical reports.
+Each service's shutdown goes on one ``ExitStack`` as it starts, so a failed
+boot and ``shutdown`` both stop the services last started first.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import logging
 import random
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -34,8 +37,6 @@ from .client import ClientConfig, ClientError, ClientSession
 from .clock import VirtualClock
 from .domain import ServiceError, ValidationError, canonical_encode
 from .frontend import FrontendService
-
-log = logging.getLogger(__name__)
 
 AUDIT_INTERVAL_S = 10
 
@@ -172,28 +173,26 @@ class MarketRuntime:
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.virtual_clock = VirtualClock()
-        self._started: list[Any] = []
-        try:
-            self._boot(bid_timeout_ms)
-        except Exception:
-            self.shutdown()
-            raise
+        with ExitStack() as stack:
+            self._boot(bid_timeout_ms, stack)
+            self._stack = stack.pop_all()
 
-    def _boot(self, bid_timeout_ms: int) -> None:
+    def _boot(self, bid_timeout_ms: int, stack: ExitStack) -> None:
+        """Start every service, each one's shutdown on ``stack``."""
         scenario = self.scenario
         secrets = {
             c["cluster_id"]: _cluster_secret(c["cluster_id"]) for c in scenario.clusters
         }
         self.bank_core = BankCore(cluster_secrets=secrets)
         self.bank_server = wire.serve("127.0.0.1:0", bank_handlers(self.bank_core))
-        self._started.append(self.bank_server)
+        stack.callback(self.bank_server.shutdown)
         bank_address = self.bank_server.address
 
         self.broker_core = BrokerCore(
             bid_timeout_ms=bid_timeout_ms, clock=self.virtual_clock
         )
         self.broker_server = wire.serve("127.0.0.1:0", broker_handlers(self.broker_core))
-        self._started.append(self.broker_server)
+        stack.callback(self.broker_server.shutdown)
         broker_address = self.broker_server.address
 
         self.user_accounts: dict[str, str] = {}
@@ -226,7 +225,7 @@ class MarketRuntime:
                 }
             )
             service = FrontendService(config, clock=self.virtual_clock)
-            self._started.append(service)
+            stack.callback(service.shutdown)
             self.frontends.append(service)
 
         self._register_all(0)
@@ -327,12 +326,9 @@ class MarketRuntime:
         )
 
     def shutdown(self) -> None:
-        for service in reversed(self._started):
-            try:
-                service.shutdown()
-            except Exception:  # pragma: no cover - teardown best effort
-                log.exception("shutdown trouble")
-        self._started.clear()
+        """Stop every service, the last started first. A step that raises
+        does not stop the later ones; its error surfaces once all have run."""
+        self._stack.close()
 
 
 def run_scenario(scenario: Scenario) -> MarketReport:

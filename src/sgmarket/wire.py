@@ -1,5 +1,5 @@
 """Line-delimited JSON RPC: framing, one pooled non-blocking client
-exchange, and a threaded server.
+exchange, a threaded server, and the service runner :func:`run_service`.
 
 Transport contract: raw TCP, one message per line, each line the canonical
 JSON of a request or response followed by a single LF. JSON string escaping
@@ -25,6 +25,8 @@ that connection's requests in order.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import errno
 import itertools
 import json
@@ -34,13 +36,20 @@ import re
 import select
 import selectors
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Callable, Mapping, Sequence
 
-from .domain import ServiceError, canonical_json_bytes, parse_address
+from .domain import (
+    ServiceError,
+    ValidationError,
+    canonical_json_bytes,
+    load_config,
+    parse_address,
+)
 
 log = logging.getLogger(__name__)
 
@@ -581,3 +590,30 @@ class Server:
 def serve(bind: str, handlers: Mapping[str, Handler]) -> Server:
     """Start a server on ``bind`` (``host:port``, port 0 for ephemeral)."""
     return Server(bind, handlers)
+
+
+def run_service(
+    prog: str,
+    start: Callable[[dict[str, Any], contextlib.ExitStack], str],
+    argv: list[str] | None = None,
+) -> int:
+    """Run one service from ``--config``: ``start(config, stack)`` builds it,
+    pushing each step of its shutdown onto ``stack``, and returns the address
+    it serves. That address goes to stdout as one line, so a service told to
+    listen on port 0 can be found. The service runs until SIGINT, then the
+    stack unwinds. A refused config unwinds what was already built and
+    exits 1 with one error line on stderr."""
+    parser = argparse.ArgumentParser(prog=prog)
+    parser.add_argument("--config", required=True, help="path to the config JSON")
+    args = parser.parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
+    with contextlib.ExitStack() as stack:
+        try:
+            address = start(load_config(args.config), stack)
+        except (ValidationError, OSError, ValueError) as exc:
+            print(f"error: bad config: {exc}", file=sys.stderr)
+            return 1
+        print(address, flush=True)
+        with contextlib.suppress(KeyboardInterrupt):
+            threading.Event().wait()
+    return 0

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import warnings
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,12 @@ import pytest
 from sgmarket import bank, broker, frontend, wire
 from sgmarket.broker import BrokerCore, rpc_handlers as broker_handlers
 from sgmarket.clock import VirtualClock
-from sgmarket.domain import ValidationError, canonical_encode, validate_jobspec
+from sgmarket.domain import (
+    ValidationError,
+    canonical_encode,
+    load_config,
+    validate_jobspec,
+)
 from sgmarket.frontend import TICK_INTERVAL_S, FrontendService
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -347,11 +353,14 @@ def test_identity_and_rate_card_are_checked_as_the_broker_would(field, value):
 
 
 @pytest.mark.parametrize("field", ["broker", "bank"])
-@pytest.mark.parametrize("value", [None, 7701, "7701", "127.0.0.1:x", "127.0.0.1:0"])
+@pytest.mark.parametrize(
+    "value", [None, 7701, "7701", "127.0.0.1:x", "127.0.0.1:0", "127.0.0.1:١٢٣"]
+)
 def test_peer_addresses_are_checked_at_start(field, value):
     """Without ``broker`` a front-end once started, and its announcer died
     with a KeyError on its own thread; with a broker at port 0, which no
-    peer listens on, it retried its announce forever."""
+    peer listens on, it retried its announce forever. A port in Arabic-Indic
+    digits was once read as port 123."""
     config = _frontend_config(**{field: value})
     if value is None:
         del config[field]
@@ -424,16 +433,15 @@ def test_readme_configs_start(tmp_path):
     examples = _readme_configs()
     for name in ("bank.json", "broker.json", "node.json"):
         (tmp_path / name).write_text(examples[name])
-    config = bank.load_config(tmp_path / "bank.json")
-    config.update(listen="127.0.0.1:0", log_path=str(tmp_path / "bank.log"))
-    server, core = bank.start_service(config)
-    server.shutdown()
-    core.close()
-    config = broker.load_config(tmp_path / "broker.json")
-    server, _ = broker.start_service({**config, "listen": "127.0.0.1:0"})
-    server.shutdown()
-    config = frontend.load_config(tmp_path / "node.json")
-    FrontendService({**config, "listen": "127.0.0.1:0"}).shutdown()
+    configs = {
+        name: {**load_config(tmp_path / f"{name}.json"), "listen": "127.0.0.1:0"}
+        for name in ("bank", "broker", "node")
+    }
+    configs["bank"]["log_path"] = str(tmp_path / "bank.log")
+    with ExitStack() as stack:
+        bank.start_service(configs["bank"], stack)
+        broker.start_service(configs["broker"], stack)
+    FrontendService(configs["node"]).shutdown()
 
 
 def test_readme_front_end_prices_an_idle_job_at_its_registered_cost():

@@ -229,7 +229,15 @@ def test_shutdown_closes_idle_connections_opened_by_host_name(bind):
 
 
 @pytest.mark.parametrize(
-    "address", ["127.0.0.1", ":80", "127.0.0.1:", "127.0.0.1:http", "127.0.0.1:65536"]
+    "address",
+    [
+        "127.0.0.1",
+        ":80",
+        "127.0.0.1:",
+        "127.0.0.1:http",
+        "127.0.0.1:65536",
+        "127.0.0.1:١٢٣",  # Arabic-Indic digits, once read as port 123
+    ],
 )
 def test_rpc_call_rejects_a_malformed_address(address):
     with pytest.raises(ValueError):
