@@ -75,8 +75,6 @@ class MissingRequiredField(ClientError):
 class ClientConfig:
     broker: str
     bank: str
-    user: str
-    secret: str
     account_id: str
     rng_seed: int | None = None
     timeout_ms: int = 5000
@@ -84,10 +82,8 @@ class ClientConfig:
     def __post_init__(self) -> None:
         for name in ("broker", "bank"):
             check_address(name, getattr(self, name))
-        for name in ("user", "secret", "account_id"):
-            value = getattr(self, name)
-            if not isinstance(value, str) or not value:
-                raise ValidationError(name, "must be a non-empty string")
+        if not isinstance(self.account_id, str) or not self.account_id:
+            raise ValidationError("account_id", "must be a non-empty string")
         if self.rng_seed is not None:
             check_int("rng_seed", self.rng_seed)
         check_int("timeout_ms", self.timeout_ms, minimum=1)
@@ -96,14 +92,12 @@ class ClientConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "ClientConfig":
         if not isinstance(data, Mapping):
             raise ValidationError("config", "must be a JSON object")
-        for name in ("broker", "bank", "user", "secret", "account_id"):
+        for name in ("broker", "bank", "account_id"):
             if name not in data:
                 raise ValidationError(name, "missing required field")
         return cls(
             broker=data["broker"],
             bank=data["bank"],
-            user=data["user"],
-            secret=data["secret"],
             account_id=data["account_id"],
             rng_seed=data.get("rng_seed"),
             timeout_ms=data.get("timeout_ms", 5000),
@@ -120,8 +114,8 @@ def parse_spec(
     overrides: Mapping[str, Any],
     identity: Mapping[str, str],
 ) -> JobSpec:
-    """Merge spec file fields, flag overrides (stronger), and the client's
-    identity (job_id/user/secret, strongest), then validate."""
+    """Merge spec file fields, flag overrides (stronger), and the job's
+    identity (its ``job_id``, strongest), then validate."""
     record: dict[str, Any] = {}
     if spec_path is not None:
         with open(spec_path, "r", encoding="utf-8") as fh:
@@ -173,11 +167,7 @@ class ClientSession:
         overrides: Mapping[str, Any] | None = None,
         job_id: str | None = None,
     ) -> JobSpec:
-        identity = {
-            "job_id": job_id or self.mint_job_id(),
-            "user": self.config.user,
-            "secret": self.config.secret,
-        }
+        identity = {"job_id": job_id or self.mint_job_id()}
         return parse_spec(spec_path, overrides or {}, identity)
 
     def submit_job(self, spec: JobSpec) -> dict[str, Any]:
@@ -243,7 +233,7 @@ class ClientSession:
         """The rejecting front-end refunds on its own; this asks the bank,
         read-only, whether the escrow is still held, and warns if it is or
         if the bank cannot say. Only the payee cluster may settle, so the
-        user's secret never goes to the bank."""
+        client sends the bank no secret."""
         try:
             if not self._bank.verify_escrow(escrow_id, payee_account, job_id, price):
                 return

@@ -299,8 +299,6 @@ class JobStatus:
 _JOBSPEC_FIELDS = frozenset(
     {
         "job_id",
-        "user",
-        "secret",
         "nodes",
         "walltime_s",
         "required_features",
@@ -316,8 +314,6 @@ class JobSpec:
     """Everything a cluster needs to price and run one job."""
 
     job_id: str
-    user: str
-    secret: str
     nodes: int
     walltime_s: int
     required_features: frozenset[str]
@@ -328,8 +324,6 @@ class JobSpec:
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "job_id": self.job_id,
-            "user": self.user,
-            "secret": self.secret,
             "nodes": self.nodes,
             "walltime_s": self.walltime_s,
             "required_features": sorted(self.required_features),
@@ -353,8 +347,6 @@ def validate_jobspec(raw: Mapping[str, Any]) -> JobSpec:
     job_id = _check_str("job_id", _require(raw, "job_id"))
     if not JOB_ID_RE.match(job_id):
         raise ValidationError("job_id", "must be 32 lowercase hex characters")
-    user = _check_str("user", _require(raw, "user"))
-    secret = _check_str("secret", _require(raw, "secret"))
     nodes = check_int("nodes", _require(raw, "nodes"), minimum=1)
     walltime_s = check_int("walltime_s", _require(raw, "walltime_s"), minimum=1)
     features = _check_features("required_features", raw.get("required_features", []))
@@ -364,8 +356,6 @@ def validate_jobspec(raw: Mapping[str, Any]) -> JobSpec:
     workdir = _check_str("workdir", _require(raw, "workdir"))
     return JobSpec(
         job_id=job_id,
-        user=user,
-        secret=secret,
         nodes=nodes,
         walltime_s=walltime_s,
         required_features=features,
@@ -392,7 +382,7 @@ def refusal_reason(
     return None
 
 
-def _check_ratio(field: str, value: Any, minimum: int) -> tuple[int, int]:
+def check_ratio(field: str, value: Any, minimum: int) -> tuple[int, int]:
     """A ``[p, q]`` integer pair with ``q >= 1`` and ``p / q >= minimum``
     (0 or 1)."""
     if not (
@@ -419,7 +409,7 @@ def _check_multipliers(
         where = f"feature_multipliers[{feature}]"
         if feature not in capabilities:
             raise ValidationError(where, "not an advertised capability")
-        multipliers[feature] = Fraction(*_check_ratio(where, ratio, 1))
+        multipliers[feature] = Fraction(*check_ratio(where, ratio, 1))
     return multipliers
 
 
@@ -546,6 +536,6 @@ class Bid:
             bid_token=_check_str("bid_token", _require(data, "bid_token")),
             expires_at=check_int("expires_at", _require(data, "expires_at")),
             payee_account=_check_str("payee_account", _require(data, "payee_account")),
-            load=_check_ratio("load", data.get("load", (1, 1)), 1),
-            drain=_check_ratio("drain", data.get("drain", (0, 1)), 0),
+            load=check_ratio("load", data.get("load", (1, 1)), 1),
+            drain=check_ratio("drain", data.get("drain", (0, 1)), 0),
         )

@@ -47,10 +47,9 @@ from .domain import (
     ValidationError,
     check_address,
     check_int,
-    check_secrets,
+    check_ratio,
     is_legal_transition,
     refusal_reason,
-    secret_matches,
     validate_jobspec,
 )
 
@@ -88,10 +87,6 @@ class EscrowInvalid(ServiceError):
     name = "EscrowInvalid"
 
 
-class AuthFailed(ServiceError):
-    name = "AuthFailed"
-
-
 class UnknownJob(ServiceError):
     name = "UnknownJob"
 
@@ -108,19 +103,6 @@ class NoBid:
 
     def to_dict(self) -> dict[str, Any]:
         return {"reason": self.reason}
-
-
-def _parse_ratio(field: str, value: Any) -> Fraction:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-        and value[1] > 0
-    ):
-        return Fraction(value[0], value[1])
-    raise ValidationError(field, "must be an integer or a [p, q] pair")
 
 
 @dataclass(frozen=True)
@@ -162,11 +144,16 @@ class PricingPolicy:
 
     @classmethod
     def from_config(cls, config: Mapping[str, Any]) -> "PricingPolicy":
+        """The policy a config names; ``load_coefficient`` is an integer or
+        a ``[p, q]`` pair, at least 0."""
+        coefficient = config.get("load_coefficient", 1)
+        if isinstance(coefficient, (list, tuple)):
+            ratio = check_ratio("load_coefficient", coefficient, 0)
+        else:
+            ratio = (check_int("load_coefficient", coefficient, minimum=0), 1)
         return cls(
             policy_id=config.get("policy", "load_proportional"),
-            load_coefficient=_parse_ratio(
-                "load_coefficient", config.get("load_coefficient", 1)
-            ),
+            load_coefficient=Fraction(*ratio),
         )
 
 
@@ -341,7 +328,6 @@ class FrontendCore:
         card: ClusterDescriptor,
         policy: PricingPolicy,
         cluster_secret: str,
-        users: Mapping[str, str],
         bank: BankClient,
         quote_ttl_s: int = DEFAULT_QUOTE_TTL_S,
         horizon_s: int = DEFAULT_HORIZON_S,
@@ -353,7 +339,6 @@ class FrontendCore:
         self.card = card
         self.policy = policy
         self.cluster_secret = cluster_secret
-        self.users = check_secrets("users", users)
         self.bank = bank
         self.scheduler = SchedulerCore(card.capacity_nodes)
         self._lock = threading.RLock()
@@ -438,15 +423,13 @@ class FrontendCore:
         return price
 
     def submit(self, spec: JobSpec, bid_token: str, escrow_id: str) -> JobStatus:
-        """Accept a job iff its quote is live, its escrow covers the quoted
-        price, and the user's credentials check out. Rejections leave the
-        scheduler untouched and queue a refund of the job's escrow, which
-        is tried before the rejection is answered."""
+        """Accept a job iff its quote is live and its escrow covers the
+        quoted price. Rejections leave the scheduler untouched and queue a
+        refund of the job's escrow, which is tried before the rejection is
+        answered."""
         try:
             with self._lock:
                 price = self._check_quote(spec, bid_token)
-                if not secret_matches(self.users.get(spec.user), spec.secret):
-                    raise AuthFailed(f"bad credentials for user {spec.user!r}")
             # Bank round-trip happens unlocked; re-validate afterwards.
             try:
                 covered = self.bank.verify_escrow(
@@ -551,7 +534,6 @@ class FrontendService:
             card=card,
             policy=PricingPolicy.from_config(self.config),
             cluster_secret=self.config.get("cluster_secret"),
-            users=self.config.get("users", {}),
             bank=BankClient(self.config["bank"]),
             quote_ttl_s=self.config.get("quote_ttl_s", DEFAULT_QUOTE_TTL_S),
             horizon_s=self.config.get("horizon_s", DEFAULT_HORIZON_S),

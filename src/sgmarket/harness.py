@@ -156,10 +156,6 @@ class MarketReport:
         }
 
 
-def _user_secret(login: str) -> str:
-    return f"pw-{login}"
-
-
 def _cluster_secret(cluster_id: str) -> str:
     return f"cs-{cluster_id}"
 
@@ -206,7 +202,6 @@ class MarketRuntime:
                 self.bank_core.deposit(account_id, amount)
                 self.deposited_total += amount
 
-        users_table = {login: _user_secret(login) for login in self.user_accounts}
         self.frontends: list[FrontendService] = []
         self.cluster_accounts: dict[str, str] = {}
         for fragment in scenario.clusters:
@@ -219,7 +214,6 @@ class MarketRuntime:
                     "listen": "127.0.0.1:0",
                     "broker": broker_address,
                     "bank": bank_address,
-                    "users": users_table,
                     "payee_account": payee_account,
                     "cluster_secret": secrets[cluster_id],
                 }
@@ -235,8 +229,6 @@ class MarketRuntime:
                 ClientConfig(
                     broker=broker_address,
                     bank=bank_address,
-                    user=login,
-                    secret=_user_secret(login),
                     account_id=self.user_accounts[login],
                 )
             )

@@ -149,7 +149,9 @@ def decode_message(line: bytes) -> RpcRequest | RpcResponse:
         # cannot encode; encode_message escapes nothing but control characters.
         if "\\u" in text:
             canonical_json_bytes(data)
-    except (UnicodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers UnicodeError, JSONDecodeError and an integer
+        # past CPython's digit limit; RecursionError, nesting too deep.
         raise FramingError(f"not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise FramingError("message must be a JSON object")
@@ -600,9 +602,10 @@ def run_service(
     """Run one service from ``--config``: ``start(config, stack)`` builds it,
     pushing each step of its shutdown onto ``stack``, and returns the address
     it serves. That address goes to stdout as one line, so a service told to
-    listen on port 0 can be found. The service runs until SIGINT, then the
-    stack unwinds. A refused config unwinds what was already built and
-    exits 1 with one error line on stderr."""
+    listen on port 0 can be found. The service runs until SIGINT, even if
+    it was started with SIGINT ignored, then the stack unwinds. A refused
+    config unwinds what was already built and exits 1 with one error line
+    on stderr."""
     parser = argparse.ArgumentParser(prog=prog)
     parser.add_argument("--config", required=True, help="path to the config JSON")
     args = parser.parse_args(argv)
@@ -613,7 +616,13 @@ def run_service(
         except (ValidationError, OSError, ValueError) as exc:
             print(f"error: bad config: {exc}", file=sys.stderr)
             return 1
-        print(address, flush=True)
+        # A shell starts a background job with SIGINT ignored, and Python
+        # keeps it so. Set before the address is out, so a caller that has
+        # read it may signal at once; importing this module loads no signal.
+        import signal
+
+        signal.signal(signal.SIGINT, signal.default_int_handler)
         with contextlib.suppress(KeyboardInterrupt):
+            print(address, flush=True)
             threading.Event().wait()
     return 0

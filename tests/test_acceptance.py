@@ -179,8 +179,6 @@ def test_criterion_5_broker_isolation():
             spec = validate_jobspec(
                 {
                     "job_id": "e" * 32,
-                    "user": "alice",
-                    "secret": "pw-alice",
                     "nodes": 4,
                     "walltime_s": 100,
                     "command": "run",
@@ -296,8 +294,6 @@ def test_criterion_9_feature_gating(market_factory):
         spec = validate_jobspec(
             {
                 "job_id": "f" * 32,
-                "user": "alice",
-                "secret": "pw-alice",
                 "nodes": 2,
                 "walltime_s": 100,
                 "required_features": ["deadline"],

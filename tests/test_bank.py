@@ -154,8 +154,10 @@ def test_settle_accepts_non_ascii_cluster_secret():
     core = BankCore(cluster_secrets={"clusterA": "sëkrit-密"})
     alice, cluster = _funded(core)
     escrow_id = core.hold_escrow(alice, cluster, 2000, "j" * 32)
-    with pytest.raises(BadReporter):
-        core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sekrit-密")
+    # A lone surrogate has no UTF-8 form; it is refused like any other.
+    for wrong in ("sekrit-密", "\ud800"):
+        with pytest.raises(BadReporter):
+            core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", wrong)
     record = core.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sëkrit-密")
     assert record.state is EscrowState.RELEASED
 

@@ -51,8 +51,6 @@ def _descriptor(cluster_id, address="127.0.0.1:9999", capacity=8, capabilities=(
 def _spec(job_id="c" * 32, **kw):
     record = {
         "job_id": job_id,
-        "user": "alice",
-        "secret": "pw-alice",
         "nodes": 4,
         "walltime_s": 100,
         "command": "run",
@@ -217,8 +215,7 @@ def test_registration_without_ttl_uses_the_default():
 def test_two_bid_rounds_fit_in_the_clients_timeout():
     """A find waits at most two bid timeouts; the client must outwait it."""
     config = ClientConfig.from_dict(
-        {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "user": "alice",
-         "secret": "pw", "account_id": "alice"}
+        {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "account_id": "alice"}
     )
     assert 2 * DEFAULT_BID_TIMEOUT_MS < config.timeout_ms
 
@@ -391,7 +388,6 @@ def _frontend(draw, cluster_id):
         card=card,
         policy=policy,
         cluster_secret=f"cs-{cluster_id}",
-        users={},
         bank=None,
         horizon_s=horizon_s,
     )
@@ -643,7 +639,7 @@ def test_bound_allows_a_front_end_clock_one_second_ahead():
     frontends = {
         f"127.0.0.1:1#{cid}": FrontendCore(
             card=_descriptor(cid, capacity=1, base_rate=rate), policy=policy,
-            cluster_secret=f"cs-{cid}", users={}, bank=None, horizon_s=2,
+            cluster_secret=f"cs-{cid}", bank=None, horizon_s=2,
         )
         for cid, (rate, policy) in policies.items()
     }
@@ -736,7 +732,6 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
                 card=old.card,
                 policy=old.policy,
                 cluster_secret=old.cluster_secret,
-                users={},
                 bank=None,
                 horizon_s=old.horizon_s,
             )
@@ -843,7 +838,6 @@ def test_broker_refusal_matches_the_frontends(capacity, capabilities, nodes, fea
         card=_descriptor("A", capacity=capacity, capabilities=capabilities),
         policy=PricingPolicy("flat"),
         cluster_secret="cs-A",
-        users={"alice": "pw-alice"},
         bank=None,
     )
     quote_fn, asked = _recording_quotes()
@@ -999,6 +993,58 @@ def test_malformed_no_bid_reads_bad_bid(market_factory, no_bid):
         assert alone.find_cluster(_spec()) == NoEligibleCluster(reasons={"bad": "bad_bid"})
     finally:
         bad.shutdown()
+
+
+@pytest.fixture()
+def huge_number_peer():
+    """The address of a peer that answers each request line with a bid of
+    5,000 digits, past the 4,300 that CPython parses by default."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+
+    def answer() -> None:
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(None)
+            with conn, conn.makefile("rb") as lines:
+                for line in lines:
+                    rid = json.dumps(json.loads(line)["id"]).encode()
+                    conn.sendall(b'{"id":%s,"result":{"bid":%s}}\n' % (rid, b"9" * 5000))
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    try:
+        yield "127.0.0.1:%d" % listener.getsockname()[1]
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+
+
+def test_unparsable_bid_loses_only_its_own(market_factory, huge_number_peer):
+    """A front-end whose reply json.loads refuses with ValueError once
+    broke the whole fan-out, and the find answered InternalError; now only
+    its own bid is lost, as a malformed frame."""
+    runtime = market_factory(
+        clusters=[{"cluster_id": "real", "capacity_nodes": 8, "base_rate": 1}],
+        users=[{"account": "alice", "initial_deposit": 0}],
+    )
+    descriptor = _descriptor("huge", address=huge_number_peer)
+    runtime.broker_core.register_cluster(descriptor, ttl_s=600)
+    result = wire.rpc_call(
+        runtime.broker_server.address,
+        "broker.find_cluster",
+        {"spec": _spec().to_dict()},
+        timeout_ms=5000,
+    )
+    assert result["selection"]["cluster_id"] == "real"
+    alone = BrokerCore(clock=VirtualClock())
+    alone.register_cluster(descriptor, ttl_s=600)
+    assert alone.find_cluster(_spec()) == NoEligibleCluster(reasons={"huge": "rpc_error"})
 
 
 def test_black_holed_cluster_without_the_feature_costs_nothing(market_factory, black_hole):

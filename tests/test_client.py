@@ -13,7 +13,7 @@ from sgmarket.client import (
 )
 from sgmarket.domain import JobState, ValidationError
 
-IDENTITY = {"job_id": "d" * 32, "user": "alice", "secret": "pw-alice"}
+IDENTITY = {"job_id": "d" * 32}
 
 
 def _spec_file(tmp_path, **fields):
@@ -24,12 +24,10 @@ def _spec_file(tmp_path, **fields):
     return path
 
 
-def _client_config_file(tmp_path, runtime, login="alice", secret=None, account_id=None):
+def _client_config_file(tmp_path, runtime, login="alice", account_id=None):
     config = {
         "broker": runtime.broker_server.address,
         "bank": runtime.bank_server.address,
-        "user": login,
-        "secret": secret if secret is not None else f"pw-{login}",
         "account_id": account_id or runtime.user_accounts[login],
         "rng_seed": 11,
     }
@@ -83,8 +81,6 @@ def test_seeded_sessions_mint_identical_job_ids():
     config = ClientConfig(
         broker="127.0.0.1:1",
         bank="127.0.0.1:2",
-        user="alice",
-        secret="pw",
         account_id="user:alice",
         rng_seed=42,
     )
@@ -177,39 +173,33 @@ def test_unknown_account_exits_4(tmp_path, market_factory):
     assert rc == client.EXIT_UNKNOWN_ENTITY
 
 
-def test_rejected_submission_exits_5_after_refund(tmp_path, market_factory):
+def test_rejected_submission_exits_5_after_refund(
+    tmp_path, capsys, market_factory, monkeypatch
+):
+    """A bid token altered in transit is no live quote: the front-end
+    answers ``UnknownQuote`` and refunds, and the client confirms the
+    refund without a warning."""
     runtime = market_factory(clusters=ONE_CLUSTER, users=FUNDED)
-    config = _client_config_file(tmp_path, runtime, secret="not-the-password")
+    config = _client_config_file(tmp_path, runtime)
     spec = _spec_file(tmp_path)
+    rpc_call = wire.rpc_call
+
+    def tampering(address, method, params=None, *args, **kwargs):
+        if method == "node.submit":
+            token = params["bid_token"]
+            params = {**params, "bid_token": token[:-1] + ("1" if token[-1] == "0" else "0")}
+        return rpc_call(address, method, params, *args, **kwargs)
+
+    monkeypatch.setattr(wire, "rpc_call", tampering)
     rc = client.main(["submit", "--config", str(config), "--spec", str(spec)])
     assert rc == client.EXIT_REJECTED
+    err = capsys.readouterr().err
+    assert "UnknownQuote" in err
+    assert "warning" not in err
     # the front-end refunded; no money stranded
     assert runtime.bank_core.audit() == {"total_balances": 10000, "total_held": 0}
     assert runtime.bank_core.balance(runtime.user_accounts["alice"]) == 10000
     assert runtime.frontends[0].core.scheduler.jobs == {}
-
-
-def test_rejected_submission_sends_no_user_secret_to_the_bank(
-    tmp_path, capsys, market_factory, monkeypatch
-):
-    runtime = market_factory(clusters=ONE_CLUSTER, users=FUNDED)
-    secret = "not-the-password"
-    config = _client_config_file(tmp_path, runtime, secret=secret)
-    spec = _spec_file(tmp_path)
-    bank_params: list = []
-    rpc_call = wire.rpc_call
-
-    def recording(address, method, params=None, *args, **kwargs):
-        if address == runtime.bank_server.address:
-            bank_params.append(json.dumps(params))
-        return rpc_call(address, method, params, *args, **kwargs)
-
-    monkeypatch.setattr(wire, "rpc_call", recording)
-    rc = client.main(["submit", "--config", str(config), "--spec", str(spec)])
-    assert rc == client.EXIT_REJECTED
-    assert bank_params and not any(secret in params for params in bank_params)
-    assert "warning" not in capsys.readouterr().err
-    assert runtime.bank_core.audit() == {"total_balances": 10000, "total_held": 0}
 
 
 def test_deposit_faucet_roundtrip(tmp_path, capsys, market_factory):
@@ -266,8 +256,6 @@ def test_identical_markets_produce_byte_identical_receipts(tmp_path, market_fact
             ClientConfig(
                 broker=runtime.broker_server.address,
                 bank=runtime.bank_server.address,
-                user="alice",
-                secret="pw-alice",
                 account_id=runtime.user_accounts["alice"],
                 rng_seed=77,
             )
@@ -283,8 +271,8 @@ def test_identical_markets_produce_byte_identical_receipts(tmp_path, market_fact
 def test_timeout_ms_must_be_a_positive_integer(timeout_ms):
     with pytest.raises(ValidationError) as err:
         ClientConfig.from_dict(
-            {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "user": "alice",
-             "secret": "pw", "account_id": "alice", "timeout_ms": timeout_ms}
+            {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "account_id": "alice",
+             "timeout_ms": timeout_ms}
         )
     assert err.value.field == "timeout_ms"
 
@@ -294,8 +282,8 @@ def test_zero_timeout_config_exits_1_without_a_traceback(tmp_path, capsys):
     a raw ValueError."""
     path = tmp_path / "client.json"
     path.write_text(json.dumps(
-        {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "user": "alice",
-         "secret": "pw", "account_id": "alice", "timeout_ms": 0}
+        {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "account_id": "alice",
+         "timeout_ms": 0}
     ))
     assert client.main(["balance", "--config", str(path)]) == client.EXIT_OTHER
     err = capsys.readouterr().err
@@ -303,8 +291,7 @@ def test_zero_timeout_config_exits_1_without_a_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-_CONFIG = {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "user": "alice",
-           "secret": "pw", "account_id": "alice"}
+_CONFIG = {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "account_id": "alice"}
 
 
 @pytest.mark.parametrize("field", sorted(_CONFIG))
@@ -317,14 +304,23 @@ def test_config_names_a_missing_field(field):
 
 @pytest.mark.parametrize(
     "field, value",
-    [(field, value) for field in ("user", "secret", "account_id")
-     for value in ("", 5, None, ["alice"])]
+    [("account_id", value) for value in ("", 5, None, ["alice"])]
     + [("broker", 5), ("bank", None)],
 )
 def test_config_identity_and_addresses_must_be_strings(field, value):
     with pytest.raises(ValidationError) as err:
         ClientConfig.from_dict({**_CONFIG, field: value})
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("field", ["user", "secret"])
+def test_config_ignores_the_removed_credentials(field):
+    """The client sends no name or password, so a config that still holds
+    one loads as any config with an unknown key does."""
+    for value in ("pw", 5, None):
+        assert ClientConfig.from_dict({**_CONFIG, field: value}) == ClientConfig.from_dict(
+            _CONFIG
+        )
 
 
 @pytest.mark.parametrize("field", ["broker", "bank"])
@@ -347,15 +343,16 @@ def test_rng_seed_must_be_an_integer_or_absent(rng_seed):
 @pytest.mark.parametrize(
     "config",
     [
-        {name: value for name, value in _CONFIG.items() if name != "user"},
+        {name: value for name, value in _CONFIG.items() if name != "account_id"},
         [_CONFIG],
         "alice",
         {**_CONFIG, "rng_seed": [1]},
     ],
 )
 def test_malformed_config_exits_1_without_a_traceback(tmp_path, capsys, config):
-    """A config without ``user`` once died with a KeyError, and one that is
-    a JSON list, or whose ``rng_seed`` is a list, with a TypeError."""
+    """A config without a required field once died with a KeyError, and
+    one that is a JSON list, or whose ``rng_seed`` is a list, with a
+    TypeError."""
     path = tmp_path / "client.json"
     path.write_text(json.dumps(config))
     assert client.main(["balance", "--config", str(path)]) == client.EXIT_OTHER

@@ -48,17 +48,11 @@ class _Fleet:
         and the address it prints once it serves."""
         path = self.tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
-        # A test run that a script started with ``&`` ignores SIGINT, and a
-        # child would inherit that.
-        previous = signal.signal(signal.SIGINT, signal.SIG_DFL)
-        try:
-            with open(self.tmp_path / f"{name}.err", "ab") as err:
-                proc = subprocess.Popen(
-                    [sys.executable, "-m", f"sgmarket.{module}", "--config", str(path)],
-                    stdout=subprocess.PIPE, stderr=err, env=ENV, text=True,
-                )
-        finally:
-            signal.signal(signal.SIGINT, previous)
+        with open(self.tmp_path / f"{name}.err", "ab") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", f"sgmarket.{module}", "--config", str(path)],
+                stdout=subprocess.PIPE, stderr=err, env=ENV, text=True,
+            )
         self.procs.append(proc)
         ready, _, _ = select.select([proc.stdout], [], [], 10)
         line = proc.stdout.readline() if ready else ""
@@ -102,7 +96,6 @@ def test_a_job_is_paid_for_across_a_bank_crash(tmp_path):
                 "cluster_id": cid, "listen": "127.0.0.1:0",
                 "broker": broker_address, "bank": bank_address,
                 "capacity_nodes": 4, "capabilities": [], "base_rate": 1,
-                "users": {"alice": "pw-alice"},
                 "payee_account": f"cluster:{cid}", "cluster_secret": secret,
             }
             nodes[cid] = fleet.start("frontend", f"node-{cid}", node_config)
@@ -111,8 +104,8 @@ def test_a_job_is_paid_for_across_a_bank_crash(tmp_path):
 
         _until(lambda: len(listed()) == 2)  # both nodes announced
 
-        client = {"broker": broker_address, "bank": bank_address, "user": "alice",
-                  "secret": "pw-alice", "account_id": "user:alice"}
+        client = {"broker": broker_address, "bank": bank_address,
+                  "account_id": "user:alice"}
         (tmp_path / "client.json").write_text(json.dumps(client))
         (tmp_path / "job.json").write_text(
             json.dumps({"nodes": 2, "walltime_s": 2, "command": "run", "workdir": "/d"})
@@ -153,3 +146,28 @@ def test_a_job_is_paid_for_across_a_bank_crash(tmp_path):
                 assert proc.wait(timeout=10) == 0
     finally:
         fleet.stop()
+
+
+def test_a_service_started_with_sigint_ignored_stops_on_it(tmp_path):
+    """A shell starts a background job (``cmd &``) with SIGINT ignored; the
+    service still stops on SIGINT with exit code 0."""
+    path = tmp_path / "broker.json"
+    path.write_text(json.dumps({"listen": "127.0.0.1:0"}))
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN)  # the child inherits it
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sgmarket.broker", "--config", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=ENV, text=True,
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready and proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=5) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()

@@ -26,8 +26,6 @@ from sgmarket.domain import (
 def _base_record(**overrides):
     record = {
         "job_id": "0" * 32,
-        "user": "alice",
-        "secret": "pw",
         "nodes": 4,
         "walltime_s": 100,
         "required_features": [],
@@ -69,6 +67,9 @@ def test_validate_jobspec_rejects_duplicate_features():
         ({"max_price": -5}, "max_price"),
         ({"user": ""}, "user"),
         ({"bogus": 1}, "bogus"),
+        # Unknown fields, as `user` is: a spec holds only the job.
+        ({"secret": "pw"}, "secret"),
+        ({"qos_class": "gold"}, "qos_class"),
     ],
 )
 def test_validate_jobspec_names_first_bad_field(overrides, field):
@@ -161,8 +162,6 @@ _money = st.integers(min_value=0, max_value=10**9).map(Money)
 _jobspecs = st.builds(
     JobSpec,
     job_id=_job_id,
-    user=_name,
-    secret=_name,
     nodes=st.integers(1, 64),
     walltime_s=st.integers(1, 10**6),
     required_features=_features,

@@ -22,7 +22,6 @@ from sgmarket.domain import (
     validate_jobspec,
 )
 from sgmarket.frontend import (
-    AuthFailed,
     DuplicateJob,
     EscrowInvalid,
     FrontendCore,
@@ -37,12 +36,9 @@ from sgmarket.frontend import (
 from scheduler_oracle import simulate
 
 
-def _spec(job_id="a" * 32, nodes=4, walltime_s=100, features=(), max_price=None,
-          user="alice", secret="pw"):
+def _spec(job_id="a" * 32, nodes=4, walltime_s=100, features=(), max_price=None):
     record = {
         "job_id": job_id,
-        "user": user,
-        "secret": secret,
         "nodes": nodes,
         "walltime_s": walltime_s,
         "required_features": list(features),
@@ -140,12 +136,11 @@ def _config_card(base, multipliers):
 
 
 def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
-          quote_ttl_s=60, horizon_s=3600, base_rate=1, users=None, cluster_secret="cs-A"):
+          quote_ttl_s=60, horizon_s=3600, base_rate=1, cluster_secret="cs-A"):
     return FrontendCore(
         card=_card(capacity, capabilities, base_rate, multipliers),
         policy=PricingPolicy("load_proportional"),
         cluster_secret=cluster_secret,
-        users=users or {"alice": "pw"},
         bank=bank if bank is not None else FakeBank(),
         quote_ttl_s=quote_ttl_s,
         horizon_s=horizon_s,
@@ -319,7 +314,7 @@ def test_price_never_falls_below_the_published_rate_card_floor(
         {"policy": policy_id, "load_coefficient": coefficient}
     )
     core = FrontendCore(
-        card=card, policy=policy, cluster_secret="cs-A", users={}, bank=FakeBank()
+        card=card, policy=policy, cluster_secret="cs-A", bank=FakeBank()
     )
     num, den = core.descriptor("127.0.0.1:7710").cost(
         _spec(nodes=nodes, walltime_s=walltime, features=features)
@@ -337,6 +332,13 @@ def test_descriptor_publishes_the_cards_multipliers():
     assert "feature_multipliers" not in _core().descriptor("127.0.0.1:7710").to_dict()
 
 
+@pytest.mark.parametrize("value", [True, 1.5, [1, 0], [-1, 2], -1, "1"])
+def test_load_coefficient_must_be_a_non_negative_integer_or_ratio(value):
+    with pytest.raises(ValidationError) as err:
+        PricingPolicy.from_config({"load_coefficient": value})
+    assert err.value.field == "load_coefficient"
+
+
 @pytest.mark.parametrize("name", ["quote_ttl_s", "horizon_s"])
 @pytest.mark.parametrize("value", [0, -5, True, "60", 1.5, None])
 def test_quote_ttl_and_horizon_must_be_positive_integers(name, value):
@@ -350,19 +352,13 @@ def test_quote_ttl_and_horizon_must_be_positive_integers(name, value):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("users", {"alice": 5}),
-        ("users", {"alice": ""}),
-        ("users", {5: "pw"}),
-        ("users", ["alice"]),
         ("cluster_secret", ""),
         ("cluster_secret", None),
         ("cluster_secret", 5),
     ],
 )
 def test_secrets_must_be_non_empty_strings(field, value):
-    """A non-string password once made ``submit`` raise AttributeError,
-    which is no ServiceError, so no refund of the job's escrow was queued;
-    a bad cluster secret makes the bank refuse every settlement."""
+    """A bad cluster secret makes the bank refuse every settlement."""
     with pytest.raises(ValidationError) as err:
         _core(**{field: value})
     assert err.value.field.startswith(field)
@@ -400,7 +396,7 @@ def test_a_bids_load_report_bounds_its_later_prices(
     card = _card(capacity, {"gpu"}, 3, {"gpu": Fraction(5, 2)}, cluster_id="A")
     core = FrontendCore(
         card=card, policy=PricingPolicy(policy_id, load_coefficient=coefficient),
-        cluster_secret="cs-A", users={}, bank=FakeBank(), horizon_s=horizon_s,
+        cluster_secret="cs-A", bank=FakeBank(), horizon_s=horizon_s,
     )
     for index, step in enumerate(steps):
         if step[0] == "enqueue":
@@ -746,32 +742,6 @@ def test_submit_bad_escrow_rejected():
     assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
 
 
-def test_submit_bad_credentials_rejected():
-    bank = FakeBank()
-    core = _core(bank=bank)
-    # A lone surrogate has no UTF-8 form; it is refused and refunded alike.
-    for job_id, secret in (("a" * 32, "wrong"), ("b" * 32, "\ud800")):
-        spec = _spec(job_id=job_id, secret=secret)
-        bid = core.quote(spec)
-        with pytest.raises(AuthFailed):
-            core.submit(spec, bid.bid_token, "esc-7")
-        assert bank.settlements[-1] == ("esc-7", job_id, "FAILED", "cs-A")
-    assert len(bank.settlements) == 2
-
-
-def test_non_ascii_secret_authenticates():
-    core = _core(users={"zoë": "pässwörd-密"})
-    for job_id, user, secret in (
-        ("b" * 32, "zoë", "passwörd-密"),
-        ("c" * 32, "nobody", "pässwörd-密"),
-    ):
-        spec = _spec(job_id=job_id, user=user, secret=secret)
-        with pytest.raises(AuthFailed):
-            core.submit(spec, core.quote(spec).bid_token, "esc-8")
-    spec = _spec(user="zoë", secret="pässwörd-密")
-    assert core.submit(spec, core.quote(spec).bid_token, "esc-7").state is JobState.QUEUED
-
-
 def test_stranger_cannot_void_a_running_jobs_escrow(served_bank):
     bank, client = served_bank
     alice = bank.create_account("alice", "USER")
@@ -785,7 +755,7 @@ def test_stranger_cannot_void_a_running_jobs_escrow(served_bank):
     core.tick(1)
     assert core.status(spec.job_id).state is JobState.RUNNING
     # Escrow ids are sequential, so a stranger can guess this one.
-    stranger = _spec(job_id="b" * 32, user="mallory", secret="bogus")
+    stranger = _spec(job_id="b" * 32)
     with pytest.raises(UnknownQuote):
         core.submit(stranger, "clusterA-q999999", escrow_id)
     assert bank.get_escrow(escrow_id).state is EscrowState.HELD

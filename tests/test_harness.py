@@ -116,6 +116,32 @@ def test_run_sends_only_market_traffic_over_rpc(rpc_methods):
     assert digest == "530f5145aa95ac60e347d5373416c4b498733a4e2e10aa61991f72a5fcfd8caf"
 
 
+JOB_TERMS = {
+    "job_id", "nodes", "walltime_s", "required_features", "max_price", "command", "workdir",
+}
+
+
+def test_job_requests_carry_only_the_job(monkeypatch):
+    """Every spec that a find, a quote or a submission sends holds the
+    job's terms and nothing of the user who sends it."""
+    specs = []
+    rpc_fanout = wire.rpc_fanout
+
+    def recording(addresses, method, params, *args, **kwargs):
+        if method in ("broker.find_cluster", "node.quote", "node.submit"):
+            specs.append((method, params["spec"]))
+        return rpc_fanout(addresses, method, params, *args, **kwargs)
+
+    monkeypatch.setattr(wire, "rpc_fanout", recording)
+    report = run_scenario(four_clusters_eight_jobs())
+    assert report.errors == []
+    assert {method for method, _ in specs} == {
+        "broker.find_cluster", "node.quote", "node.submit",
+    }
+    for method, spec in specs:
+        assert set(spec) <= JOB_TERMS, (method, sorted(spec))
+
+
 def test_registrations_outlive_the_brokers_longest_ttl(rpc_methods):
     """A run longer than the broker's 3,600 s ttl cap still finds its
     clusters: the harness renews them in-process before they lapse."""

@@ -2,6 +2,7 @@
 packaging."""
 
 import ast
+import dataclasses
 import gc
 import importlib
 import json
@@ -19,6 +20,7 @@ import pytest
 
 from sgmarket import bank, broker, frontend, wire
 from sgmarket.broker import BrokerCore, rpc_handlers as broker_handlers
+from sgmarket.client import ClientConfig, parse_spec
 from sgmarket.clock import VirtualClock
 from sgmarket.domain import (
     ValidationError,
@@ -27,6 +29,7 @@ from sgmarket.domain import (
     validate_jobspec,
 )
 from sgmarket.frontend import TICK_INTERVAL_S, FrontendService
+from sgmarket.harness import Scenario, replay_check
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.parent / "pyproject.toml"
@@ -42,7 +45,6 @@ def _frontend_config(**overrides):
         "capacity_nodes": 8,
         "capabilities": [],
         "base_rate": 1,
-        "users": {"alice": "pw-alice"},
         "payee_account": "cluster:solo",
         "cluster_secret": "cs-solo",
     }
@@ -265,8 +267,8 @@ def _priced_fleet(clock, broker_address):
 
 def _one_node_job(job_id):
     return validate_jobspec(
-        {"job_id": job_id, "user": "alice", "secret": "pw-alice", "nodes": 1,
-         "walltime_s": 100, "command": "run", "workdir": "/d"}
+        {"job_id": job_id, "nodes": 1, "walltime_s": 100, "command": "run",
+         "workdir": "/d"}
     )
 
 
@@ -429,10 +431,18 @@ def _readme_configs() -> dict[str, str]:
 
 def test_readme_configs_start(tmp_path):
     """Each service starts from the config the README shows for it, so the
-    documented settings pass the services' own start-up checks."""
+    documented settings pass the services' own start-up checks; the
+    client's config loads with no key it does not read, its job parses,
+    and its scenario replays."""
     examples = _readme_configs()
-    for name in ("bank.json", "broker.json", "node.json"):
+    for name in examples:
         (tmp_path / name).write_text(examples[name])
+    client_config = ClientConfig.from_file(tmp_path / "client.json")
+    fields = {field.name for field in dataclasses.fields(ClientConfig)}
+    assert set(json.loads(examples["client.json"])) <= fields
+    spec = parse_spec(tmp_path / "job.json", {}, {"job_id": "a" * 32})
+    assert (client_config.account_id, spec.nodes) == ("user:alice", 4)
+    assert replay_check(Scenario.from_file(tmp_path / "scenario.json"))
     configs = {
         name: {**load_config(tmp_path / f"{name}.json"), "listen": "127.0.0.1:0"}
         for name in ("bank", "broker", "node")
@@ -442,6 +452,12 @@ def test_readme_configs_start(tmp_path):
         bank.start_service(configs["bank"], stack)
         broker.start_service(configs["broker"], stack)
     FrontendService(configs["node"]).shutdown()
+
+
+def test_a_node_config_that_still_lists_users_starts():
+    """A front-end reads no users table: a config that still holds one,
+    even a malformed one, starts as one with any other unread key does."""
+    FrontendService(_frontend_config(users={"alice": 5})).shutdown()
 
 
 def test_readme_front_end_prices_an_idle_job_at_its_registered_cost():
@@ -455,9 +471,8 @@ def test_readme_front_end_prices_an_idle_job_at_its_registered_cost():
         service.announce(server.address)
         (descriptor,) = broker_core.list_clusters()
         spec = validate_jobspec(
-            {"job_id": "a" * 32, "user": "alice", "secret": "pw-alice", "nodes": 3,
-             "walltime_s": 7, "required_features": ["deadline"], "command": "run",
-             "workdir": "/d"}
+            {"job_id": "a" * 32, "nodes": 3, "walltime_s": 7,
+             "required_features": ["deadline"], "command": "run", "workdir": "/d"}
         )
         reply = wire.rpc_call(
             service.address, "node.quote", {"spec": spec.to_dict()}, timeout_ms=2000

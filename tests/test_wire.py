@@ -77,6 +77,18 @@ def test_round_trip_of_golden_request():
         b'{"id":"1","error":{"code":"1","message":"x"}}',
         b'{"id":1,"method":"ping","params":{}}',
         b"\xff\xfe",
+        # Past CPython's default limit of 4,300 digits, and nested past its
+        # recursion limit: json.loads raises ValueError and RecursionError.
+        pytest.param(
+            b'{"id":"1","method":"ping","params":{"n":' + b"9" * 5000 + b"}}",
+            id="huge-int-request",
+        ),
+        pytest.param(b'{"id":"1","result":' + b"9" * 5000 + b"}", id="huge-int-response"),
+        pytest.param(
+            b'{"id":"1","method":"ping","params":{"n":' + b"[" * 100_000 + b"}}",
+            id="deep-request",
+        ),
+        pytest.param(b'{"id":"1","result":' + b"[" * 100_000 + b"}", id="deep-response"),
     ],
 )
 def test_decode_rejects_malformed(line):
