@@ -202,6 +202,38 @@ def test_rejected_submission_exits_5_after_refund(
     assert runtime.frontends[0].core.scheduler.jobs == {}
 
 
+def test_rejected_submission_sends_no_user_secret_to_the_bank(
+    tmp_path, capsys, market_factory, monkeypatch
+):
+    """A config that still holds an old user name and password loads, but
+    neither reaches the bank or any other service, not even on the refund
+    path of a rejected submission."""
+    runtime = market_factory(clusters=ONE_CLUSTER, users=FUNDED)
+    config = _client_config_file(tmp_path, runtime)
+    secret = "not-the-password"
+    config.write_text(json.dumps(
+        {**json.loads(config.read_text()), "user": "alice", "secret": secret}
+    ))
+    spec = _spec_file(tmp_path)
+    sent: dict[str, list[str]] = {}
+    rpc_call = wire.rpc_call
+
+    def recording(address, method, params=None, *args, **kwargs):
+        if method == "node.submit":
+            token = params["bid_token"]
+            params = {**params, "bid_token": token[:-1] + ("1" if token[-1] == "0" else "0")}
+        sent.setdefault(address, []).append(json.dumps(params))
+        return rpc_call(address, method, params, *args, **kwargs)
+
+    monkeypatch.setattr(wire, "rpc_call", recording)
+    rc = client.main(["submit", "--config", str(config), "--spec", str(spec)])
+    assert rc == client.EXIT_REJECTED
+    assert sent.get(runtime.bank_server.address)
+    assert not any(secret in params for calls in sent.values() for params in calls)
+    assert "warning" not in capsys.readouterr().err
+    assert runtime.bank_core.audit() == {"total_balances": 10000, "total_held": 0}
+
+
 def test_deposit_faucet_roundtrip(tmp_path, capsys, market_factory):
     runtime = market_factory(
         clusters=[], users=[{"account": "alice", "initial_deposit": 0}]
