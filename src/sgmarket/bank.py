@@ -30,6 +30,7 @@ from .domain import (
     canonical_json_bytes,
     check_secrets,
     parse_money,
+    reject_unknown,
     secret_matches,
 )
 
@@ -492,6 +493,8 @@ class BankClient:
 
 def start_service(config: Mapping[str, Any], stack: ExitStack) -> str:
     """Start ``sg-bank``, each step of its shutdown on ``stack``; its address."""
+    known = frozenset({"listen", "cluster_secrets", "log_path"})
+    reject_unknown(config, known, "bank config")
     core = BankCore(
         cluster_secrets=config.get("cluster_secrets"), log_path=config.get("log_path")
     )

@@ -63,12 +63,12 @@ from .domain import (
     ValidationError,
     check_int,
     refusal_reason,
+    reject_unknown,
     validate_jobspec,
 )
 
 DEFAULT_LISTEN = "127.0.0.1:7701"
 DEFAULT_BID_TIMEOUT_MS = 2000
-DEFAULT_TTL_S = 60
 MIN_TTL_S = 5
 MAX_TTL_S = 3600
 
@@ -172,14 +172,10 @@ class BrokerCore:
     def __init__(
         self,
         bid_timeout_ms: int = DEFAULT_BID_TIMEOUT_MS,
-        default_ttl_s: int = DEFAULT_TTL_S,
         clock: VirtualClock | WallClock | None = None,
         quote_fn: QuoteFn = _rpc_quotes,
     ):
         self.bid_timeout_ms = check_int("bid_timeout_ms", bid_timeout_ms, minimum=1)
-        self.default_ttl_s = check_int(
-            "default_ttl_s", default_ttl_s, minimum=MIN_TTL_S, maximum=MAX_TTL_S
-        )
         self.clock = clock if clock is not None else WallClock()
         self._quote_fn = quote_fn
         self._lock = threading.Lock()
@@ -317,7 +313,7 @@ def rpc_handlers(core: BrokerCore) -> dict[str, wire.Handler]:
             descriptor = ClusterDescriptor.from_dict(raw)
         except ValidationError as exc:
             raise InvalidDescriptor(exc.detail) from None
-        ttl_s = params.get("ttl_s", core.default_ttl_s)
+        ttl_s = params.get("ttl_s")
         if not isinstance(ttl_s, int) or isinstance(ttl_s, bool):
             raise wire.InvalidParams("ttl_s must be an integer")
         boot_id = params.get("boot_id")
@@ -347,10 +343,8 @@ def rpc_handlers(core: BrokerCore) -> dict[str, wire.Handler]:
 
 def start_service(config: Mapping[str, Any], stack: ExitStack) -> str:
     """Start ``sg-broker``, each step of its shutdown on ``stack``; its address."""
-    core = BrokerCore(
-        bid_timeout_ms=config.get("bid_timeout_ms", DEFAULT_BID_TIMEOUT_MS),
-        default_ttl_s=config.get("default_ttl_s", DEFAULT_TTL_S),
-    )
+    reject_unknown(config, frozenset({"listen", "bid_timeout_ms"}), "broker config")
+    core = BrokerCore(bid_timeout_ms=config.get("bid_timeout_ms", DEFAULT_BID_TIMEOUT_MS))
     server = wire.serve(config.get("listen", DEFAULT_LISTEN), rpc_handlers(core))
     stack.callback(server.shutdown)
     return server.address

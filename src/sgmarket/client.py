@@ -30,6 +30,7 @@ from .domain import (
     check_address,
     check_int,
     parse_money,
+    reject_unknown,
     validate_jobspec,
 )
 
@@ -92,6 +93,8 @@ class ClientConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "ClientConfig":
         if not isinstance(data, Mapping):
             raise ValidationError("config", "must be a JSON object")
+        known = frozenset({"broker", "bank", "account_id", "rng_seed", "timeout_ms"})
+        reject_unknown(data, known, "client config")
         for name in ("broker", "bank", "account_id"):
             if name not in data:
                 raise ValidationError(name, "missing required field")

@@ -21,8 +21,6 @@ from typing import Any
 FEATURE_RE = re.compile(r"^[a-z_]+$")
 JOB_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 
-MILLICREDITS_PER_CREDIT = 1000
-
 
 class ServiceError(Exception):
     """Base for every domain-level failure a service can report.
@@ -176,7 +174,7 @@ def check_address(field: str, value: Any) -> str:
     return value
 
 
-def _reject_unknown(data: Mapping[str, Any], known: frozenset[str], where: str) -> None:
+def reject_unknown(data: Mapping[str, Any], known: frozenset[str], where: str) -> None:
     for key in data:
         if key not in known:
             raise ValidationError(key, f"unknown field for {where}")
@@ -199,7 +197,7 @@ class Money:
     def from_dict(cls, data: Mapping[str, Any]) -> "Money":
         if not isinstance(data, Mapping):
             raise ValidationError("amount", "Money must be an object")
-        _reject_unknown(data, frozenset({"amount"}), "Money")
+        reject_unknown(data, frozenset({"amount"}), "Money")
         return cls(amount=check_int("amount", _require(data, "amount"), minimum=0))
 
 
@@ -227,23 +225,6 @@ class JobState(str, Enum):
     QUEUED = "QUEUED"
     RUNNING = "RUNNING"
     COMPLETED = "COMPLETED"
-    FAILED = "FAILED"
-    REJECTED = "REJECTED"
-
-
-#: The only state changes a job may undergo. REJECTED is initial-terminal:
-#: nothing leads to it and nothing leaves it.
-LEGAL_TRANSITIONS = frozenset(
-    {
-        (JobState.QUEUED, JobState.RUNNING),
-        (JobState.RUNNING, JobState.COMPLETED),
-        (JobState.RUNNING, JobState.FAILED),
-    }
-)
-
-
-def is_legal_transition(current: JobState, target: JobState) -> bool:
-    return (current, target) in LEGAL_TRANSITIONS
 
 
 @dataclass(frozen=True)
@@ -281,7 +262,7 @@ class JobStatus:
         known = frozenset(
             {"state", "submitted_at", "started_at", "finished_at", "exit_code"}
         )
-        _reject_unknown(data, known, "JobStatus")
+        reject_unknown(data, known, "JobStatus")
         state_raw = _check_str("state", _require(data, "state"))
         try:
             state = JobState(state_raw)
@@ -343,7 +324,7 @@ def validate_jobspec(raw: Mapping[str, Any]) -> JobSpec:
     """Validate a JobSpec-shaped record, reporting the first violated field."""
     if not isinstance(raw, Mapping):
         raise ValidationError("jobspec", "must be an object")
-    _reject_unknown(raw, _JOBSPEC_FIELDS, "JobSpec")
+    reject_unknown(raw, _JOBSPEC_FIELDS, "JobSpec")
     job_id = _check_str("job_id", _require(raw, "job_id"))
     if not JOB_ID_RE.match(job_id):
         raise ValidationError("job_id", "must be 32 lowercase hex characters")
@@ -471,7 +452,7 @@ class ClusterDescriptor:
                 "feature_multipliers",
             }
         )
-        _reject_unknown(data, known, "ClusterDescriptor")
+        reject_unknown(data, known, "ClusterDescriptor")
         capabilities = _check_features("capabilities", data.get("capabilities", []))
         return cls(
             cluster_id=_check_str("cluster_id", _require(data, "cluster_id")),
@@ -529,7 +510,7 @@ class Bid:
     def from_dict(cls, data: Mapping[str, Any]) -> "Bid":
         if not isinstance(data, Mapping):
             raise ValidationError("bid", "must be an object")
-        _reject_unknown(data, _BID_FIELDS, "Bid")
+        reject_unknown(data, _BID_FIELDS, "Bid")
         return cls(
             cluster_id=_check_str("cluster_id", _require(data, "cluster_id")),
             price=parse_money("price", _require(data, "price")),

@@ -7,18 +7,21 @@ A job's price is its cost under the rate card the front-end registers with
 the broker, times the policy's load factor; the card is the one the broker
 bounds the cluster's bids with.
 The scheduler is strict FIFO with head-of-line blocking; if the queue head
-does not fit in the free nodes, nothing behind it starts.
+does not fit in the free nodes, nothing behind it starts. So it fixes each
+job's start when the job arrives, and reads a job's state from its times.
 
 Pricing is exact: the rational price formula is carried as one integer
 numerator and denominator and rounded up to whole millicredits once, at the
 end. A quote costs the same however many jobs a front-end holds and leaves
 nothing behind: like a SYN cookie, its bid token carries its terms under a
-MAC only this front-end can make. A tick costs only the completions it meets.
+MAC only this front-end can make. A tick costs only the starts and
+completions it pops.
 ``sg-node`` is :func:`start_service` under :func:`wire.run_service`.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import heapq
@@ -48,8 +51,8 @@ from .domain import (
     check_address,
     check_int,
     check_ratio,
-    is_legal_transition,
     refusal_reason,
+    reject_unknown,
     validate_jobspec,
 )
 
@@ -162,36 +165,33 @@ class _JobRecord:
     job_id: str
     nodes: int
     walltime_s: int
-    state: JobState
     submitted_at: int
-    started_at: int | None = None
-    finished_at: int | None = None
-    end_time: int | None = None  # running jobs only
+    start: int | None  # None: never, behind a job wider than the cluster
     escrow_id: str | None = None
 
-    def status(self) -> JobStatus:
+    def status(self, clock: int) -> JobStatus:
+        """The job's state at ``clock``: it has started once the clock has
+        passed its start, and finished once the clock has reached its end."""
+        if self.start is None or clock <= self.start:
+            return JobStatus(JobState.QUEUED, self.submitted_at)
+        end = self.start + self.walltime_s
+        if clock < end:
+            return JobStatus(JobState.RUNNING, self.submitted_at, self.start)
         return JobStatus(
-            state=self.state,
-            submitted_at=self.submitted_at,
-            started_at=self.started_at,
-            finished_at=self.finished_at,
-            exit_code=0 if self.state is JobState.COMPLETED else None,
+            JobState.COMPLETED, self.submitted_at, self.start, end, exit_code=0
         )
-
-    def _transition(self, target: JobState) -> None:
-        assert is_legal_transition(self.state, target), (self.state, target)
-        self.state = target
 
 
 class SchedulerCore:
     """Event-driven FIFO batch scheduler over a fixed node pool.
 
-    Time is whole virtual seconds. At each time point, jobs whose end time
-    arrived complete first (ties in start order), then queued jobs start in
-    strict FIFO order while the head fits. ``tick`` visits only the times
-    where that can change anything: now, each completion time, and the end
-    of the step. Jobs never execute anything; the command is recorded and
-    the job occupies its nodes for exactly its walltime.
+    Time is whole virtual seconds. Strict FIFO knows every start when the
+    job arrives: ``enqueue`` fixes it at the earliest time, no earlier than
+    now or the previous job's start, at which the earlier jobs still running
+    then leave room. ``tick`` pops the starts and completions that fall
+    due, completions first at each time point, and a job's state is read
+    from its times. Jobs never execute anything; the command is recorded
+    and the job occupies its nodes for exactly its walltime.
 
     Running totals of used nodes, nodes x end time over running jobs, and
     queued nodes and node-seconds make the load O(1); ``recount`` is the
@@ -204,8 +204,13 @@ class SchedulerCore:
         self.queue: deque[str] = deque()
         self.running: set[str] = set()
         self.jobs: dict[str, _JobRecord] = {}
-        self._ends: list[tuple[int, int, str]] = []  # heap of (end_time, start_seq, job_id)
-        self._started = 0
+        # heap of (time, 0 = end | 1 = start, enqueue order, job_id)
+        self._due: list[tuple[int, int, int, str]] = []
+        # Sorted (end, nodes) of reserved jobs that end after the last
+        # start, and the sum of their nodes: all that can delay the next.
+        self._ends: list[tuple[int, int]] = []
+        self._ends_nodes = 0
+        self._last_start: int | None = 0
         self._used = 0
         self._running_end_sum = 0
         self._queued_nodes = 0
@@ -230,7 +235,7 @@ class SchedulerCore:
         for job_id in self.running:
             record = self.jobs[job_id]
             used += record.nodes
-            committed += record.nodes * max(0, record.end_time - self.clock)
+            committed += record.nodes * (record.start + record.walltime_s - self.clock)
         for job_id in self.queue:
             record = self.jobs[job_id]
             committed += record.nodes * record.walltime_s
@@ -241,71 +246,74 @@ class SchedulerCore:
             raise DuplicateJob(f"job {job_id!r} already submitted here")
         if walltime_s < 1:
             raise ValidationError("walltime_s", "must be >= 1")
-        record = _JobRecord(
-            job_id=job_id,
-            nodes=nodes,
-            walltime_s=walltime_s,
-            state=JobState.QUEUED,
-            submitted_at=self.clock,
-        )
+        start = self._reserve(nodes, walltime_s)
+        if start is not None:
+            order = len(self.jobs)
+            heapq.heappush(self._due, (start, 1, order, job_id))
+            heapq.heappush(self._due, (start + walltime_s, 0, order, job_id))
+        record = _JobRecord(job_id, nodes, walltime_s, self.clock, start)
         self.jobs[job_id] = record
         self.queue.append(job_id)
         self._queued_nodes += nodes
         self._queued_node_seconds += nodes * walltime_s
-        return record.status()
+        return record.status(self.clock)
+
+    def _reserve(self, nodes: int, walltime_s: int) -> int | None:
+        """The next job's start, or None if it never starts: a job wider
+        than the cluster never does, nor does any job behind it. Every
+        earlier job starts by the last start, so past it their usage only
+        falls: a job that fits at its start fits for its whole walltime.
+        Each end is walked once, then dropped."""
+        if nodes > self.capacity_nodes:
+            self._last_start = None
+        if self._last_start is None:
+            return None
+        start = max(self.clock, self._last_start)
+        ends, free = self._ends, self.capacity_nodes - self._ends_nodes
+        passed = 0
+        while passed < len(ends) and (ends[passed][0] <= start or free < nodes):
+            start = max(start, ends[passed][0])
+            free += ends[passed][1]
+            passed += 1
+        del ends[:passed]
+        bisect.insort(ends, (start + walltime_s, nodes))
+        self._ends_nodes = self.capacity_nodes - free + nodes
+        self._last_start = start
+        return start
 
     def status(self, job_id: str) -> JobStatus:
         record = self.jobs.get(job_id)
         if record is None:
             raise UnknownJob(f"no job {job_id!r}")
-        return record.status()
+        return record.status(self.clock)
 
     def tick(self, dt: int) -> list[dict[str, Any]]:
-        """Advance ``dt`` virtual seconds, returning lifecycle events."""
+        """Advance ``dt`` virtual seconds, returning lifecycle events: the
+        completions up to the new time and the starts before it."""
         if dt < 0:
             raise ValidationError("dt", "must be >= 0")
         events: list[dict[str, Any]] = []
-        target = self.clock + dt
-        while True:
-            self._complete_due(events)
-            if self.clock == target:
-                return events
-            self._start_fifo(events)
-            # Started jobs end at least one second from now.
-            self.clock = min(self._ends[0][0], target) if self._ends else target
-
-    def _complete_due(self, events: list[dict[str, Any]]) -> None:
-        ends = self._ends
-        while ends and ends[0][0] <= self.clock:
-            end_time, _, job_id = heapq.heappop(ends)
+        self.clock += dt
+        due = self._due
+        # (time, kind, ...) < (clock, 1): ends at or before clock, starts before it
+        while due and due[0] < (self.clock, 1):
+            time, is_start, _, job_id = heapq.heappop(due)
             record = self.jobs[job_id]
-            self.running.remove(job_id)
-            self._used -= record.nodes
-            self._running_end_sum -= record.nodes * end_time
-            record._transition(JobState.COMPLETED)
-            record.finished_at = self.clock
-            events.append({"type": "COMPLETED", "job_id": job_id, "time": self.clock})
-
-    def _start_fifo(self, events: list[dict[str, Any]]) -> None:
-        while self.queue:
-            record = self.jobs[self.queue[0]]
-            if record.nodes > self.capacity_nodes - self._used:
-                break  # head of line blocks everything behind it
-            self.queue.popleft()
-            record._transition(JobState.RUNNING)
-            record.started_at = self.clock
-            record.end_time = self.clock + record.walltime_s
-            self._started += 1
-            heapq.heappush(self._ends, (record.end_time, self._started, record.job_id))
-            self.running.add(record.job_id)
-            self._used += record.nodes
-            self._running_end_sum += record.nodes * record.end_time
-            self._queued_nodes -= record.nodes
-            self._queued_node_seconds -= record.nodes * record.walltime_s
-            events.append(
-                {"type": "STARTED", "job_id": record.job_id, "time": self.clock}
-            )
+            if is_start:
+                self.queue.popleft()
+                self.running.add(job_id)
+                self._used += record.nodes
+                self._running_end_sum += record.nodes * (time + record.walltime_s)
+                self._queued_nodes -= record.nodes
+                self._queued_node_seconds -= record.nodes * record.walltime_s
+            else:
+                self.running.remove(job_id)
+                self._used -= record.nodes
+                self._running_end_sum -= record.nodes * time
+            kind = "STARTED" if is_start else "COMPLETED"
+            events.append({"type": kind, "job_id": job_id, "time": time})
         assert self._used <= self.capacity_nodes
+        return events
 
 
 class FrontendCore:
@@ -513,6 +521,11 @@ class FrontendService:
     def __init__(
         self, config: Mapping[str, Any], clock: VirtualClock | WallClock | None = None
     ):
+        settings = _CARD + (
+            "listen", "broker", "bank", "cluster_secret", "policy",
+            "load_coefficient", "quote_ttl_s", "horizon_s", "announce_ttl_s",
+        )
+        reject_unknown(config, frozenset(settings), "node config")
         self.config = dict(config)
         self.clock = clock if clock is not None else WallClock()
         self.boot_id = secrets.token_hex(8)  # tells the broker a renewal from a restart

@@ -191,24 +191,13 @@ def test_bid_timeout_must_be_a_positive_integer(bid_timeout_ms):
         BrokerCore(bid_timeout_ms=bid_timeout_ms, clock=VirtualClock())
 
 
-@pytest.mark.parametrize("default_ttl_s", [0, 4, 3601, -60, True, "60", 60.0, None])
-def test_default_ttl_must_be_a_registrable_ttl(default_ttl_s):
-    """A default outside the registrable range would fail every
-    ``broker.register_cluster`` that leaves ``ttl_s`` out, so the broker
-    refuses it at start."""
-    with pytest.raises(ValidationError) as err:
-        BrokerCore(default_ttl_s=default_ttl_s, clock=VirtualClock())
-    assert err.value.field == "default_ttl_s"
-
-
-def test_registration_without_ttl_uses_the_default():
-    clock = VirtualClock()
-    core = BrokerCore(default_ttl_s=5, clock=clock)
+def test_registration_without_ttl_is_refused():
+    """Every registrant sends its ttl; one that leaves it out is refused as
+    one with a non-integer ttl is."""
+    core = BrokerCore(clock=VirtualClock())
     handlers = rpc_handlers(core)
-    handlers["broker.register_cluster"]({"descriptor": _descriptor("A").to_dict()})
-    clock.advance(5)
-    assert [d.cluster_id for d in core.list_clusters()] == ["A"]
-    clock.advance(1)
+    with pytest.raises(wire.InvalidParams):
+        handlers["broker.register_cluster"]({"descriptor": _descriptor("A").to_dict()})
     assert core.list_clusters() == []
 
 

@@ -205,15 +205,14 @@ def test_rejected_submission_exits_5_after_refund(
 def test_rejected_submission_sends_no_user_secret_to_the_bank(
     tmp_path, capsys, market_factory, monkeypatch
 ):
-    """A config that still holds an old user name and password loads, but
-    neither reaches the bank or any other service, not even on the refund
-    path of a rejected submission."""
+    """A config that still holds an old user name and password is refused
+    before any service is called, and the refund path of a rejected
+    submission sends no secret either."""
     runtime = market_factory(clusters=ONE_CLUSTER, users=FUNDED)
     config = _client_config_file(tmp_path, runtime)
+    clean = config.read_text()
     secret = "not-the-password"
-    config.write_text(json.dumps(
-        {**json.loads(config.read_text()), "user": "alice", "secret": secret}
-    ))
+    config.write_text(json.dumps({**json.loads(clean), "user": "alice", "secret": secret}))
     spec = _spec_file(tmp_path)
     sent: dict[str, list[str]] = {}
     rpc_call = wire.rpc_call
@@ -226,6 +225,10 @@ def test_rejected_submission_sends_no_user_secret_to_the_bank(
         return rpc_call(address, method, params, *args, **kwargs)
 
     monkeypatch.setattr(wire, "rpc_call", recording)
+    assert client.main(["submit", "--config", str(config), "--spec", str(spec)]) == 1
+    assert sent == {}
+    assert "user: unknown field" in capsys.readouterr().err
+    config.write_text(clean)
     rc = client.main(["submit", "--config", str(config), "--spec", str(spec)])
     assert rc == client.EXIT_REJECTED
     assert sent.get(runtime.bank_server.address)
@@ -346,13 +349,20 @@ def test_config_identity_and_addresses_must_be_strings(field, value):
 
 
 @pytest.mark.parametrize("field", ["user", "secret"])
-def test_config_ignores_the_removed_credentials(field):
+def test_config_refuses_the_removed_credentials(field):
     """The client sends no name or password, so a config that still holds
-    one loads as any config with an unknown key does."""
+    one is refused as any config with an unknown key is."""
     for value in ("pw", 5, None):
-        assert ClientConfig.from_dict({**_CONFIG, field: value}) == ClientConfig.from_dict(
-            _CONFIG
-        )
+        with pytest.raises(ValidationError) as err:
+            ClientConfig.from_dict({**_CONFIG, field: value})
+        assert err.value.field == field
+
+
+def test_config_refuses_a_misspelt_setting():
+    """``timeout`` for ``timeout_ms`` once loaded on the default timeout."""
+    with pytest.raises(ValidationError) as err:
+        ClientConfig.from_dict({**_CONFIG, "timeout": 100})
+    assert err.value.field == "timeout"
 
 
 @pytest.mark.parametrize("field", ["broker", "bank"])

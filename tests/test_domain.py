@@ -1,7 +1,6 @@
-"""Domain validation, canonical encoding, and the job state machine."""
+"""Domain validation, canonical encoding, and job statuses."""
 
 import dataclasses
-import itertools
 import json
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from sgmarket.domain import (
     ValidationError,
     canonical_encode,
     canonical_json_bytes,
-    is_legal_transition,
     validate_jobspec,
 )
 
@@ -358,17 +356,7 @@ def test_malformed_load_report_is_rejected(field, value):
     assert err.value.field == field
 
 
-# -- state machine ------------------------------------------------------------
-
-def test_transition_table_exhaustive():
-    legal = {
-        (JobState.QUEUED, JobState.RUNNING),
-        (JobState.RUNNING, JobState.COMPLETED),
-        (JobState.RUNNING, JobState.FAILED),
-    }
-    for pair in itertools.product(JobState, repeat=2):
-        assert is_legal_transition(*pair) == (pair in legal), pair
-
+# -- job status ---------------------------------------------------------------
 
 def test_job_status_timestamp_ordering_enforced():
     with pytest.raises(ValidationError):

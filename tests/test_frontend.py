@@ -493,7 +493,7 @@ def test_event_driven_tick_matches_per_second_stepper(script):
     for i, step in enumerate(steps):
         if step[0] == "enqueue":
             _, nodes, walltime = step
-            core.enqueue(f"job{i}", nodes, walltime)
+            assert core.enqueue(f"job{i}", nodes, walltime).state is JobState.QUEUED
             reference.enqueue(f"job{i}", nodes, walltime)
         else:
             assert core.tick(step[1]) == reference.tick(step[1])
@@ -501,6 +501,13 @@ def test_event_driven_tick_matches_per_second_stepper(script):
         assert len(core.running) == len(reference.running)
         assert len(core.queue) == len(reference.queue)
         assert core.recount() == (core.used_nodes(), core.committed_node_seconds())
+        for job_id in reference.jobs:
+            expected = (
+                JobState.QUEUED if job_id in reference.queue
+                else JobState.RUNNING if job_id in reference.running
+                else JobState.COMPLETED
+            )
+            assert core.status(job_id).state is expected
 
 
 def test_idle_tick_over_a_million_seconds_is_cheap():
@@ -510,6 +517,17 @@ def test_idle_tick_over_a_million_seconds_is_cheap():
     elapsed = time.perf_counter() - started
     assert core.clock == 10**6
     assert elapsed < 0.05
+
+
+def test_enqueuing_twenty_thousand_jobs_at_once_is_cheap():
+    """Each end is walked once in all, so a burst of arrivals costs no more
+    than a list insert each, however many reservations are outstanding."""
+    core = SchedulerCore(20_000)
+    started = time.perf_counter()
+    for index in range(20_000):
+        core.enqueue(f"job{index}", 1, 10)
+    assert time.perf_counter() - started < 2.0
+    assert core.status("job19999").state is JobState.QUEUED
 
 
 def test_zero_walltime_rejected():
@@ -596,8 +614,8 @@ def _drive_and_compare(seed: int) -> None:
 
     assert not pending
     actual = {
-        job_id: (record.started_at, record.finished_at)
-        for job_id, record in core.jobs.items()
+        job_id: (core.status(job_id).started_at, core.status(job_id).finished_at)
+        for job_id in core.jobs
     }
     assert actual == expected
 
@@ -896,5 +914,5 @@ def test_capacity_never_exceeded_randomized():
         core.tick(rng.randint(0, 3))  # asserts capacity inside every step
     core.tick(400)
     assert all(
-        record.state is JobState.COMPLETED for record in core.scheduler.jobs.values()
+        core.status(job_id).state is JobState.COMPLETED for job_id in core.scheduler.jobs
     )

@@ -395,6 +395,8 @@ _NODE = _frontend_config(listen="127.0.0.1:0")
         (bank, {"listen": "127.0.0.1:0", "cluster_secrets": [1]}),
         (bank, {"listen": "127.0.0.1:0", "log_path": ["bank.log"]}),
         (bank, {"listen": "{busy}", "log_path": "{tmp}/bank.log"}),
+        (bank, {"listen": "127.0.0.1:0", "cluster_secret": {"A": "cs-A"}}),
+        (broker, {"listen": "127.0.0.1:0", "default_ttl_s": 60}),
     ],
 )
 def test_services_answer_a_bad_config_with_an_error_line(tmp_path, capsys, service, config):
@@ -454,10 +456,20 @@ def test_readme_configs_start(tmp_path):
     FrontendService(configs["node"]).shutdown()
 
 
-def test_a_node_config_that_still_lists_users_starts():
-    """A front-end reads no users table: a config that still holds one,
-    even a malformed one, starts as one with any other unread key does."""
-    FrontendService(_frontend_config(users={"alice": 5})).shutdown()
+def test_a_node_config_with_a_misspelt_setting_is_refused():
+    """``quote_ttl`` for ``quote_ttl_s`` once started on the default ttl,
+    and nothing reported it."""
+    with pytest.raises(ValidationError) as err:
+        FrontendService(_frontend_config(quote_ttl=30))
+    assert err.value.field == "quote_ttl"
+
+
+def test_a_node_config_that_still_lists_users_is_refused():
+    """A front-end reads no users table, so a config that still holds one
+    is refused like one with any other unknown key."""
+    with pytest.raises(ValidationError) as err:
+        FrontendService(_frontend_config(users={"alice": 5}))
+    assert err.value.field == "users"
 
 
 def test_readme_front_end_prices_an_idle_job_at_its_registered_cost():
