@@ -2,13 +2,15 @@
 exchange, a threaded server, and the service runner :func:`run_service`.
 
 Transport contract: raw TCP, one message per line, each line the canonical
-JSON of a request or response followed by a single LF. JSON string escaping
-guarantees no raw LF/CR ever appears inside a payload, so LF is an
-unambiguous frame boundary. One request is in flight per connection at a
-time, and a connection carries any number of requests in sequence. Both
-sides read lines with one reader, which gives up on a line longer than
-``_MAX_LINE_BYTES``: the client answers MALFORMED, the server closes that
-connection.
+JSON of a request or response followed by a single LF. A message is that
+JSON object, a plain dict: :func:`encode_message` writes one, and
+:func:`decode_message` returns one once it has checked its shape. JSON
+string escaping guarantees no raw LF/CR ever appears inside a payload, so
+LF is an unambiguous frame boundary. One request is in flight per
+connection at a time, and a connection carries any number of requests in
+sequence. Both sides read lines with one reader, which gives up on a line
+longer than ``_MAX_LINE_BYTES``: the client answers MALFORMED, the server
+closes that connection.
 
 Client side, every call goes through :func:`rpc_fanout`, which sends one
 request to many addresses from the calling thread and collects the replies
@@ -55,10 +57,10 @@ log = logging.getLogger(__name__)
 
 _METHOD_RE = re.compile(r"^[a-z_.]+$")
 
-_RECV_CHUNK = 65536
-# A serving thread spends most of its life parked in recv on an idle pooled
-# connection, and CPython allocates the whole recv buffer before it blocks.
-_SERVE_RECV_CHUNK = 4096
+# Far above any line the market sends. A serving thread spends most of its
+# life parked in recv on an idle pooled connection, and CPython allocates the
+# whole recv buffer before it blocks.
+_RECV_CHUNK = 4096
 _MAX_LINE_BYTES = 4 * 1024 * 1024
 _MAX_IDLE_PER_ADDRESS = 4
 
@@ -99,49 +101,17 @@ class InvalidParams(ServiceError):
     name = "InvalidParams"
 
 
-@dataclass(frozen=True)
-class RpcRequest:
-    id: str
-    method: str
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"id": self.id, "method": self.method, "params": self.params}
-
-
-@dataclass(frozen=True)
-class RpcResponse:
-    """Carries ``result`` when ``error`` is None, the error otherwise;
-    a null result is still a result."""
-
-    id: str
-    result: Any = None
-    error: dict[str, Any] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        if self.error is not None:
-            return {"id": self.id, "error": self.error}
-        return {"id": self.id, "result": self.result}
-
-
-def ok_response(request_id: str, result: Any) -> RpcResponse:
-    return RpcResponse(id=request_id, result=result, error=None)
-
-
-def error_response(request_id: str, code: int, message: str) -> RpcResponse:
-    return RpcResponse(
-        id=request_id, result=None, error={"code": int(code), "message": message}
-    )
-
-
-def encode_message(msg: RpcRequest | RpcResponse) -> bytes:
+def encode_message(message: dict[str, Any]) -> bytes:
     """One canonical-JSON line terminated by a single LF."""
-    return canonical_json_bytes(msg.to_dict()) + b"\n"
+    return canonical_json_bytes(message) + b"\n"
 
 
-def decode_message(line: bytes) -> RpcRequest | RpcResponse:
-    """Inverse of :func:`encode_message`; raises :class:`FramingError` on
-    anything that is not a well-formed request or response."""
+def decode_message(line: bytes) -> dict[str, Any]:
+    """Inverse of :func:`encode_message`: the request or response object on
+    ``line``, once it has been checked to be exactly one of
+    ``{"id", "method", "params"}``, ``{"id", "result"}`` or
+    ``{"id", "error": {"code", "message"}}``; raises :class:`FramingError`
+    on anything else. A null result is still a result."""
     try:
         text = line.decode("utf-8")
         data = json.loads(text)
@@ -165,14 +135,13 @@ def decode_message(line: bytes) -> RpcRequest | RpcResponse:
             raise FramingError(f"bad method name {method!r}")
         if not isinstance(params, dict):
             raise FramingError("params must be a JSON object")
-        return RpcRequest(id=rid, method=method, params=params)
+        return data
     if "result" in data or "error" in data:
         if "result" in data and "error" in data:
             raise FramingError("response has both result and error")
         if set(data) - {"id", "result", "error"}:
             raise FramingError("response has unknown fields")
-        rid = data.get("id")
-        if not isinstance(rid, str):
+        if not isinstance(data.get("id"), str):
             raise FramingError("response id must be a string")
         if "error" in data:
             err = data["error"]
@@ -184,16 +153,11 @@ def decode_message(line: bytes) -> RpcRequest | RpcResponse:
                 or not isinstance(err["message"], str)
             ):
                 raise FramingError("error must be {code: int, message: str}")
-            return error_response(rid, err["code"], err["message"])
-        return ok_response(rid, data["result"])
+        return data
     raise FramingError("neither request nor response")
 
 
 _request_ids = itertools.count(1)
-
-
-def _new_request(method: str, params: Mapping[str, Any] | None) -> RpcRequest:
-    return RpcRequest(id=str(next(_request_ids)), method=method, params=dict(params or {}))
 
 
 def _take_line(buf: bytearray) -> bytes | None:
@@ -210,12 +174,12 @@ def _take_line(buf: bytearray) -> bytes | None:
     return line
 
 
-def _decode_reply(line: bytes, request_id: str) -> RpcResponse:
+def _decode_reply(line: bytes, request_id: str) -> dict[str, Any]:
     try:
         response = decode_message(line)
     except FramingError as exc:
         raise RpcError(RpcErrorCode.MALFORMED, f"bad response frame: {exc}") from None
-    if not isinstance(response, RpcResponse) or response.id != request_id:
+    if "method" in response or response["id"] != request_id:
         raise RpcError(RpcErrorCode.MALFORMED, "response does not match request")
     return response
 
@@ -347,8 +311,8 @@ def rpc_fanout(
     if timeout_ms <= 0:
         raise ValueError("timeout_ms must be > 0")
     deadline = time.monotonic() + timeout_ms / 1000.0
-    request = _new_request(method, params)
-    payload = encode_message(request)
+    request_id = str(next(_request_ids))
+    payload = encode_message({"id": request_id, "method": method, "params": dict(params or {})})
     results: list[Any] = [None] * len(addresses)
     poller = select.poll()
     in_flight: dict[int, _Exchange] = {}
@@ -385,7 +349,7 @@ def rpc_fanout(
                     line = exchange.receive()
                     if line is None:
                         continue
-                    response = _decode_reply(line, request.id)
+                    response = _decode_reply(line, request_id)
                 except RpcError as exc:
                     results[exchange.index] = exc
                     poller.unregister(fd)
@@ -398,9 +362,9 @@ def rpc_fanout(
                     exchange.sock.close()
                 else:
                     _pool.put(exchange.address, exchange.sock)
-                error = response.error
+                error = response.get("error")
                 results[exchange.index] = (
-                    response.result
+                    response["result"]
                     if error is None
                     else RpcError(error["code"], error["message"])
                 )
@@ -473,6 +437,10 @@ class _Acceptor:
 _acceptor = _Acceptor()
 
 
+def _error_reply(request_id: str, code: RpcErrorCode, message: str) -> dict[str, Any]:
+    return {"id": request_id, "error": {"code": int(code), "message": message}}
+
+
 class Server:
     """Threaded RPC server: one thread per connection, sequential requests
     per connection, orderly shutdown that completes in-flight requests."""
@@ -524,7 +492,7 @@ class Server:
                 if line is not None:
                     conn.sendall(encode_message(self._handle_line(line)))
                     continue
-                chunk = conn.recv(_SERVE_RECV_CHUNK)
+                chunk = conn.recv(_RECV_CHUNK)
                 if not chunk:
                     break
                 buf.extend(chunk)
@@ -536,38 +504,27 @@ class Server:
                 self._conns.discard(conn)
                 self._conn_threads.discard(threading.current_thread())
 
-    def _handle_line(self, line: bytes) -> RpcResponse:
+    def _handle_line(self, line: bytes) -> dict[str, Any]:
         try:
             message = decode_message(line)
         except FramingError as exc:
-            return error_response("", RpcErrorCode.MALFORMED, str(exc))
-        if not isinstance(message, RpcRequest):
-            return error_response(
-                message.id, RpcErrorCode.MALFORMED, "expected a request"
-            )
-        handler = self._handlers.get(message.method)
+            return _error_reply("", RpcErrorCode.MALFORMED, str(exc))
+        rid, method = message["id"], message.get("method")
+        if method is None:
+            return _error_reply(rid, RpcErrorCode.MALFORMED, "expected a request")
+        handler = self._handlers.get(method)
         if handler is None:
-            return error_response(
-                message.id,
-                RpcErrorCode.UNKNOWN_METHOD,
-                f"unknown method {message.method!r}",
-            )
+            return _error_reply(rid, RpcErrorCode.UNKNOWN_METHOD, f"unknown method {method!r}")
         try:
-            result = handler(message.params)
+            result = handler(message["params"])
         except InvalidParams as exc:
-            return error_response(
-                message.id, RpcErrorCode.INVALID_PARAMS, f"{exc.name}: {exc.detail}"
-            )
+            return _error_reply(rid, RpcErrorCode.INVALID_PARAMS, f"{exc.name}: {exc.detail}")
         except ServiceError as exc:
-            return error_response(
-                message.id, RpcErrorCode.APPLICATION_ERROR, f"{exc.name}: {exc.detail}"
-            )
+            return _error_reply(rid, RpcErrorCode.APPLICATION_ERROR, f"{exc.name}: {exc.detail}")
         except Exception as exc:  # pragma: no cover - defensive
-            log.exception("handler %s crashed", message.method)
-            return error_response(
-                message.id, RpcErrorCode.APPLICATION_ERROR, f"InternalError: {exc!r}"
-            )
-        return ok_response(message.id, result)
+            log.exception("handler %s crashed", method)
+            return _error_reply(rid, RpcErrorCode.APPLICATION_ERROR, f"InternalError: {exc!r}")
+        return {"id": rid, "result": result}
 
     def shutdown(self) -> None:
         """Stop accepting, finish in-flight requests, close all connections."""

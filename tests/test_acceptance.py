@@ -12,7 +12,7 @@ from sgmarket.bank import BankCore, InsufficientFunds
 from sgmarket.broker import Selection, select_lowest
 from sgmarket.domain import ClusterDescriptor, Money, canonical_encode, validate_jobspec
 from sgmarket.harness import MarketRuntime, Scenario, replay_check
-from sgmarket.wire import RpcRequest, decode_message, encode_message, ok_response, error_response
+from sgmarket.wire import decode_message, encode_message
 
 import test_frontend
 import test_harness
@@ -237,17 +237,18 @@ def _random_message(rng: random.Random):
         params = {
             _random_text(rng): _random_json(rng) for _ in range(rng.randrange(0, 4))
         }
-        return RpcRequest(id=str(rng.randint(1, 10**9)), method=method, params=params)
+        return {"id": str(rng.randint(1, 10**9)), "method": method, "params": params}
     if roll < 0.8:
-        return ok_response(_random_text(rng), _random_json(rng))
-    return error_response(
-        _random_text(rng), rng.randint(-(10**6), 10**6), _random_text(rng)
-    )
+        return {"id": _random_text(rng), "result": _random_json(rng)}
+    return {
+        "id": _random_text(rng),
+        "error": {"code": rng.randint(-(10**6), 10**6), "message": _random_text(rng)},
+    }
 
 
 def test_criterion_7_wire_round_trip_and_golden():
     with criterion(7, "wire round-trip and golden bytes", 10.0):
-        golden = RpcRequest(id="1", method="ping", params={})
+        golden = {"id": "1", "method": "ping", "params": {}}
         assert encode_message(golden) == b'{"id":"1","method":"ping","params":{}}\n'
 
         rng = random.Random(7777)

@@ -177,7 +177,7 @@ def test_lone_surrogate_registration_is_refused_at_the_wire():
         request = {"id": "1", "method": "broker.register_cluster", "params": params}
         sock.sendall(json.dumps(request).encode("ascii") + b"\n")
         response = wire.decode_message(sock.makefile("rb").readline().rstrip(b"\n"))
-        assert response.error["code"] == wire.RpcErrorCode.MALFORMED
+        assert response["error"]["code"] == wire.RpcErrorCode.MALFORMED
         listed = wire.rpc_call(broker.address, "broker.list_clusters", {}, timeout_ms=2000)
         assert listed == {"clusters": []}
     finally:

@@ -7,6 +7,7 @@ import gc
 import importlib
 import json
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -414,7 +415,16 @@ def test_services_answer_a_bad_config_with_an_error_line(tmp_path, capsys, servi
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = service.main(["--config", str(path)])
+            # A service that accepts its config serves until SIGINT: send one
+            # after a few seconds, so the test fails instead of hanging.
+            interrupt = threading.Timer(
+                5.0, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT)
+            )
+            interrupt.start()
+            try:
+                rc = service.main(["--config", str(path)])
+            finally:
+                interrupt.cancel()
             gc.collect()
     finally:
         busy.close()

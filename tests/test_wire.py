@@ -1,8 +1,12 @@
 """Framing golden bytes, round-trips, fuzz totality, and server behavior."""
 
+import itertools
+import json
 import socket
 import threading
 import time
+from dataclasses import dataclass, field
+from typing import Any
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +17,6 @@ from sgmarket.wire import (
     FramingError,
     RpcError,
     RpcErrorCode,
-    RpcRequest,
-    RpcResponse,
     decode_message,
     encode_message,
     rpc_call,
@@ -42,23 +44,23 @@ def server():
 # -- framing -------------------------------------------------------------------
 
 def test_request_golden_bytes():
-    msg = RpcRequest(id="1", method="ping", params={})
+    msg = {"id": "1", "method": "ping", "params": {}}
     assert encode_message(msg) == b'{"id":"1","method":"ping","params":{}}\n'
 
 
 def test_response_golden_bytes():
-    assert encode_message(RpcResponse(id="1", result=True)) == b'{"id":"1","result":true}\n'
+    assert encode_message({"id": "1", "result": True}) == b'{"id":"1","result":true}\n'
 
 
 def test_embedded_newline_is_escaped():
-    payload = encode_message(RpcRequest(id="1", method="echo", params={"s": "a\nb"}))
+    payload = encode_message({"id": "1", "method": "echo", "params": {"s": "a\nb"}})
     assert payload.count(b"\n") == 1 and payload.endswith(b"\n")
     assert b"\\n" in payload
     assert b"\r" not in payload
 
 
 def test_round_trip_of_golden_request():
-    msg = RpcRequest(id="1", method="ping", params={})
+    msg = {"id": "1", "method": "ping", "params": {}}
     assert decode_message(encode_message(msg)[:-1]) == msg
 
 
@@ -119,7 +121,7 @@ def test_decode_rejects_lone_surrogates(line):
     ],
 )
 def test_decode_keeps_what_only_looks_like_a_surrogate(line, text):
-    assert decode_message(line) == wire.ok_response("1", text)
+    assert decode_message(line) == {"id": "1", "result": text}
 
 
 _json_values = st.recursive(
@@ -133,20 +135,23 @@ _json_values = st.recursive(
     max_leaves=12,
 )
 
-_requests = st.builds(
-    RpcRequest,
-    id=st.text(min_size=1, max_size=12),
-    method=st.text(alphabet="abcdefghijklmnopqrstuvwxyz_.", min_size=1, max_size=16),
-    params=st.dictionaries(st.text(max_size=8), _json_values, max_size=4),
+_requests = st.fixed_dictionaries(
+    {
+        "id": st.text(min_size=1, max_size=12),
+        "method": st.text(alphabet="abcdefghijklmnopqrstuvwxyz_.", min_size=1, max_size=16),
+        "params": st.dictionaries(st.text(max_size=8), _json_values, max_size=4),
+    }
 )
 
 _responses = st.one_of(
-    st.builds(wire.ok_response, st.text(max_size=12), _json_values),
-    st.builds(
-        wire.error_response,
-        st.text(max_size=12),
-        st.integers(-(10**6), 10**6),
-        st.text(max_size=30),
+    st.fixed_dictionaries({"id": st.text(max_size=12), "result": _json_values}),
+    st.fixed_dictionaries(
+        {
+            "id": st.text(max_size=12),
+            "error": st.fixed_dictionaries(
+                {"code": st.integers(-(10**6), 10**6), "message": st.text(max_size=30)}
+            ),
+        }
     ),
 )
 
@@ -164,6 +169,164 @@ def test_decode_is_total(line):
         decode_message(line)
     except FramingError:
         pass
+
+
+# The decoder that built a frozen request or response object from each line,
+# kept as the reference: the dict decoder must accept exactly the lines it
+# accepted, return that object's to_dict(), and refuse the rest with the
+# same FramingError text.
+
+
+@dataclass(frozen=True)
+class _Request:
+    id: str
+    method: str
+    params: dict[str, Any] = field(default_factory=dict)
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"id": self.id, "method": self.method, "params": self.params}
+
+
+@dataclass(frozen=True)
+class _Response:
+    id: str
+    result: Any = None
+    error: dict[str, Any] | None = None
+
+    def to_dict(self) -> dict[str, Any]:
+        if self.error is not None:
+            return {"id": self.id, "error": self.error}
+        return {"id": self.id, "result": self.result}
+
+
+def _reference_decode(line: bytes) -> _Request | _Response:
+    try:
+        text = line.decode("utf-8")
+        data = json.loads(text)
+        if "\\u" in text:
+            wire.canonical_json_bytes(data)
+    except (ValueError, RecursionError) as exc:
+        raise FramingError(f"not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise FramingError("message must be a JSON object")
+    if "method" in data:
+        if set(data) != {"id", "method", "params"}:
+            raise FramingError("request must have exactly id, method, params")
+        rid, method, params = data["id"], data["method"], data["params"]
+        if not isinstance(rid, str) or not rid:
+            raise FramingError("request id must be a non-empty string")
+        if not isinstance(method, str) or not wire._METHOD_RE.match(method):
+            raise FramingError(f"bad method name {method!r}")
+        if not isinstance(params, dict):
+            raise FramingError("params must be a JSON object")
+        return _Request(id=rid, method=method, params=params)
+    if "result" in data or "error" in data:
+        if "result" in data and "error" in data:
+            raise FramingError("response has both result and error")
+        if set(data) - {"id", "result", "error"}:
+            raise FramingError("response has unknown fields")
+        rid = data.get("id")
+        if not isinstance(rid, str):
+            raise FramingError("response id must be a string")
+        if "error" in data:
+            err = data["error"]
+            if (
+                not isinstance(err, dict)
+                or set(err) != {"code", "message"}
+                or not isinstance(err["code"], int)
+                or isinstance(err["code"], bool)
+                or not isinstance(err["message"], str)
+            ):
+                raise FramingError("error must be {code: int, message: str}")
+            error = {"code": int(err["code"]), "message": err["message"]}
+            return _Response(id=rid, result=None, error=error)
+        return _Response(id=rid, result=data["result"], error=None)
+    raise FramingError("neither request nor response")
+
+
+# Strings that pass or fail each check, lone surrogates among them.
+_texts = (
+    st.sampled_from(["", "1", "ping", "node.quote", "Ping!", "a b"])
+    | st.text(max_size=6)
+    | st.text(
+        st.characters(min_codepoint=0xD7FF, max_codepoint=0xE000, categories=None), max_size=3
+    )
+)
+_anything = _texts | _json_values
+_codes = st.integers(-5, 5) | st.booleans() | st.floats(-5, 5) | _texts | st.none()
+_params = st.dictionaries(_texts, _json_values, max_size=3) | _anything
+_errors = (
+    st.fixed_dictionaries({}, optional={"code": _codes, "message": _anything, "extra": _anything})
+    | _anything
+)
+# Request and response shapes with values of the right type or not, and any
+# subset of their keys plus a stray one: missing and extra keys, wrong types,
+# result together with error, ids that are not strings.
+_objects = st.one_of(
+    st.fixed_dictionaries({"id": _anything, "method": _anything, "params": _params}),
+    st.fixed_dictionaries({"id": _anything}, optional={"result": _anything, "error": _errors}),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "id": _anything,
+            "method": _anything,
+            "params": _params,
+            "result": _anything,
+            "error": _errors,
+            "extra": _anything,
+        },
+    ),
+)
+
+
+def _assert_decodes_as_the_reference(line: bytes) -> None:
+    def outcome(decode) -> Any:
+        try:
+            return decode(line)
+        except FramingError as exc:
+            return f"FramingError: {exc}"
+
+    expected = outcome(lambda line: _reference_decode(line).to_dict())
+    assert outcome(decode_message) == expected, line
+
+
+@given(_requests | _responses | _objects | _anything, st.booleans())
+def test_decode_matches_the_reference_decoder(obj, ensure_ascii):
+    line = json.dumps(obj, ensure_ascii=ensure_ascii).encode("utf-8", "surrogatepass")
+    _assert_decodes_as_the_reference(line)
+
+
+# For each key, values that pass and fail its checks; every combination of
+# them, each key possibly missing, is one object.
+_FIELD_VALUES = {
+    "id": ["1", "", 1, None, ["1"]],
+    "method": ["ping", "node.quote", "Ping!", "", 1],
+    "params": [{}, {"a": [1]}, [], None],
+    "result": [None, True, "x", {"id": "1"}],
+    "error": [
+        {"code": 4, "message": "x"},
+        {"code": -1, "message": ""},
+        {"code": True, "message": "x"},
+        {"code": 1.0, "message": "x"},
+        {"code": "1", "message": "x"},
+        {"code": 1},
+        {"message": "x"},
+        {"code": 1, "message": 1},
+        {"code": 1, "message": "x", "extra": 1},
+        None,
+        "x",
+    ],
+    "extra": [0],
+}
+_MISSING = object()
+
+
+def test_decode_matches_the_reference_decoder_on_every_combination():
+    keys = list(_FIELD_VALUES)
+    choices = [[_MISSING, *values] for values in _FIELD_VALUES.values()]
+    for values in itertools.product(*choices):
+        obj = {key: value for key, value in zip(keys, values) if value is not _MISSING}
+        _assert_decodes_as_the_reference(json.dumps(obj).encode("ascii"))
 
 
 # -- client/server behavior ----------------------------------------------------
@@ -298,9 +461,9 @@ def test_sequential_requests_share_a_connection(server):
     try:
         reader = sock.makefile("rb")
         for rid in ("a", "b"):
-            sock.sendall(encode_message(RpcRequest(id=rid, method="ping", params={})))
+            sock.sendall(encode_message({"id": rid, "method": "ping", "params": {}}))
             response = decode_message(reader.readline().rstrip(b"\n"))
-            assert response == wire.ok_response(rid, True)
+            assert response == {"id": rid, "result": True}
     finally:
         sock.close()
 
@@ -311,9 +474,9 @@ def test_malformed_line_gets_error_response(server):
         sock.sendall(b"this is not json\n")
         reader = sock.makefile("rb")
         response = decode_message(reader.readline().rstrip(b"\n"))
-        assert isinstance(response, RpcResponse)
-        assert response.error is not None
-        assert response.error["code"] == RpcErrorCode.MALFORMED
+        assert "method" not in response
+        assert response.get("error") is not None
+        assert response["error"]["code"] == RpcErrorCode.MALFORMED
     finally:
         sock.close()
 
@@ -444,7 +607,7 @@ def test_connection_its_peer_closed_is_not_reused(connects):
             conn, _ = listener.accept()
             with conn, conn.makefile("rb") as reader:
                 request = decode_message(reader.readline().rstrip(b"\n"))
-                conn.sendall(encode_message(wire.ok_response(request.id, True)))
+                conn.sendall(encode_message({"id": request["id"], "result": True}))
             closed.set()
 
     peer = threading.Thread(target=answer_once_per_connection)
