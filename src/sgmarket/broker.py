@@ -62,6 +62,7 @@ from .domain import (
     ServiceError,
     ValidationError,
     check_int,
+    price_at,
     refusal_reason,
     reject_unknown,
     validate_jobspec,
@@ -231,12 +232,12 @@ class BrokerCore:
                 reasons[cid] = refusal
                 continue
             eligible[cid] = registration
-            num, den = descriptor.cost(spec)
-            floor = bounds[cid] = -(-num // den)
+            cost = descriptor.cost(spec)
+            floor = bounds[cid] = price_at(cost)
             if report is not None:
                 (load_p, load_q), (drain_p, drain_q), at = report
                 factor = load_p * drain_q - drain_p * (now - at + 1) * load_q
-                bounds[cid] = max(floor, -(-num * factor // (den * load_q * drain_q)))
+                bounds[cid] = max(floor, price_at(cost, (factor, load_q * drain_q)))
             if bounds[cid] > floor or (placed_until is not None and placed_until <= now):
                 stops.add(cid)
         if not eligible:

@@ -348,6 +348,7 @@ def validate_jobspec(raw: Mapping[str, Any]) -> JobSpec:
 
 NO_BID_UNSUPPORTED_FEATURE = "unsupported_feature"
 NO_BID_INSUFFICIENT_CAPACITY = "insufficient_capacity"
+NO_BID_PRICE_ABOVE_MAX = "price_above_max"
 
 
 def refusal_reason(
@@ -469,35 +470,39 @@ class ClusterDescriptor:
         )
 
 
-_BID_FIELDS = frozenset(
-    {"cluster_id", "price", "bid_token", "expires_at", "payee_account", "load", "drain"}
-)
+def price_at(cost: tuple[int, int], factor: tuple[int, int] = (1, 1)) -> int:
+    """How every price rounds: ``ceil(cost * p / q)`` in whole millicredits,
+    for a rate-card ``cost`` and a load ``factor``, each as ``(num, den)``.
+    A front-end's price, the broker's floor and its bound all call it."""
+    num, den = cost
+    p, q = factor
+    return -(-num * p // (den * q))
+
+
+_BID_FIELDS = frozenset({"price", "bid_token", "payee_account", "load", "drain"})
 
 
 @dataclass(frozen=True)
 class Bid:
-    """A cluster's priced offer for one job, honored until ``expires_at``.
+    """A cluster's priced offer for one job, honored until the expiry its
+    token carries.
 
     ``load`` is the exact factor, as ``(p, q)``, that the price applied to
-    the job's rate-card cost: ``price == ceil(cost * p / q)``. ``drain`` is
-    the most that factor can fall per virtual second while no new work
+    the job's rate-card cost: ``price == price_at(cost, load)``. ``drain``
+    is the most that factor can fall per virtual second while no new work
     arrives. Both are left off the wire at their idle values, 1 and 0.
     """
 
-    cluster_id: str
     price: Money
     bid_token: str
-    expires_at: int
     payee_account: str
     load: tuple[int, int] = (1, 1)
     drain: tuple[int, int] = (0, 1)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
-            "cluster_id": self.cluster_id,
             "price": self.price.to_dict(),
             "bid_token": self.bid_token,
-            "expires_at": self.expires_at,
             "payee_account": self.payee_account,
         }
         if self.load[0] != self.load[1]:
@@ -512,10 +517,8 @@ class Bid:
             raise ValidationError("bid", "must be an object")
         reject_unknown(data, _BID_FIELDS, "Bid")
         return cls(
-            cluster_id=_check_str("cluster_id", _require(data, "cluster_id")),
             price=parse_money("price", _require(data, "price")),
             bid_token=_check_str("bid_token", _require(data, "bid_token")),
-            expires_at=check_int("expires_at", _require(data, "expires_at")),
             payee_account=_check_str("payee_account", _require(data, "payee_account")),
             load=check_ratio("load", data.get("load", (1, 1)), 1),
             drain=check_ratio("drain", data.get("drain", (0, 1)), 0),

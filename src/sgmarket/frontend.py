@@ -4,8 +4,9 @@ and runs them on a simulated batch scheduler.
 Pricing is load-sensitive: the committed node-seconds of running and queued
 work raise the offered price, so lightly loaded clusters underbid busy ones.
 A job's price is its cost under the rate card the front-end registers with
-the broker, times the policy's load factor; the card is the one the broker
-bounds the cluster's bids with.
+the broker, times the load factor ``1 + load_coefficient * committed /
+(capacity_nodes * HORIZON_S)``; the card is the one the broker bounds the
+cluster's bids with. A coefficient of 0 prices flat, whatever the load.
 The scheduler is strict FIFO with head-of-line blocking; if the queue head
 does not fit in the free nodes, nothing behind it starts. So it fixes each
 job's start when the job arrives, and reads a job's state from its times.
@@ -46,11 +47,13 @@ from .domain import (
     JobState,
     JobStatus,
     Money,
+    NO_BID_PRICE_ABOVE_MAX,
     ServiceError,
     ValidationError,
     check_address,
     check_int,
     check_ratio,
+    price_at,
     refusal_reason,
     reject_unknown,
     validate_jobspec,
@@ -60,11 +63,9 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LISTEN = "127.0.0.1:7710"
 DEFAULT_QUOTE_TTL_S = 60
-DEFAULT_HORIZON_S = 3600
 DEFAULT_ANNOUNCE_TTL_S = 60
+HORIZON_S = 3600  # seconds of work on every node that make a load ratio of 1
 TICK_INTERVAL_S = 0.1  # how often ``sg-node``'s ticker catches up with its clock
-
-NO_BID_PRICE_ABOVE_MAX = "price_above_max"
 
 # The descriptor fields a front-end's config gives as they are announced:
 # its identity and its rate card.
@@ -98,66 +99,19 @@ class DuplicateJob(ServiceError):
     name = "DuplicateJob"
 
 
-@dataclass(frozen=True)
-class NoBid:
-    """A refusal to price a job, with a machine-readable reason."""
-
-    reason: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"reason": self.reason}
+def load_factor(coefficient: Fraction, load_ratio: Fraction) -> tuple[int, int]:
+    """``1 + coefficient * load_ratio`` as an exact ``(p, q)``: the factor a
+    price applies to the rate-card cost at this load ratio."""
+    q = coefficient.denominator * load_ratio.denominator
+    return q + coefficient.numerator * load_ratio.numerator, q
 
 
-@dataclass(frozen=True)
-class PricingPolicy:
-    """How a cluster turns a job's rate-card cost and its current load into
-    a price.
-
-    ``load_proportional`` charges the cost times (1 + coefficient * load
-    ratio); a flat policy charges the cost whatever the load. The cost
-    comes from the rate card the cluster registers, ``ClusterDescriptor.cost``.
-    """
-
-    policy_id: str
-    load_coefficient: Fraction = Fraction(1)
-
-    def __post_init__(self) -> None:
-        if self.policy_id not in ("load_proportional", "flat"):
-            raise ValidationError("policy_id", f"unknown policy {self.policy_id!r}")
-        if self.load_coefficient < 0:
-            raise ValidationError("load_coefficient", "must be >= 0")
-
-    def factor(self, load_ratio: Fraction) -> tuple[int, int]:
-        """The factor a price applies to the rate-card cost at this load
-        ratio, as ``(p, q)``: ``1 + load_coefficient * load_ratio`` under
-        ``load_proportional``, 1 under ``flat``."""
-        if self.policy_id != "load_proportional":
-            return 1, 1
-        coefficient = self.load_coefficient
-        q = coefficient.denominator * load_ratio.denominator
-        return q + coefficient.numerator * load_ratio.numerator, q
-
-    def price(self, cost: tuple[int, int], load_ratio: Fraction) -> int:
-        """Price in millicredits of a job whose rate-card cost is ``cost``,
-        as ``(num, den)``: the exact rational formula as one integer
-        numerator and denominator, rounded up once."""
-        num, den = cost
-        p, q = self.factor(load_ratio)
-        return -(-num * p // (den * q))
-
-    @classmethod
-    def from_config(cls, config: Mapping[str, Any]) -> "PricingPolicy":
-        """The policy a config names; ``load_coefficient`` is an integer or
-        a ``[p, q]`` pair, at least 0."""
-        coefficient = config.get("load_coefficient", 1)
-        if isinstance(coefficient, (list, tuple)):
-            ratio = check_ratio("load_coefficient", coefficient, 0)
-        else:
-            ratio = (check_int("load_coefficient", coefficient, minimum=0), 1)
-        return cls(
-            policy_id=config.get("policy", "load_proportional"),
-            load_coefficient=Fraction(*ratio),
-        )
+def parse_load_coefficient(value: Any) -> Fraction:
+    """A config's ``load_coefficient``: an integer or a ``[p, q]`` pair, at
+    least 0."""
+    if isinstance(value, (list, tuple)):
+        return Fraction(*check_ratio("load_coefficient", value, 0))
+    return Fraction(check_int("load_coefficient", value, minimum=0))
 
 
 @dataclass
@@ -321,8 +275,8 @@ class FrontendCore:
 
     ``card`` is the descriptor the cluster registers, less its address: its
     identity, capacity, capabilities and rate card. Every price is
-    ``policy.price(card.cost(spec), load_ratio)``, so the front-end charges
-    by the card the broker bounds it with.
+    ``price_at(card.cost(spec), load_factor(load_coefficient, load_ratio))``,
+    so the front-end charges by the card the broker bounds it with.
 
     All state (scheduler, job records, quote counter) is guarded by one
     lock; calls out to the bank happen outside it. Payments of completed jobs
@@ -334,18 +288,18 @@ class FrontendCore:
     def __init__(
         self,
         card: ClusterDescriptor,
-        policy: PricingPolicy,
         cluster_secret: str,
         bank: BankClient,
         quote_ttl_s: int = DEFAULT_QUOTE_TTL_S,
-        horizon_s: int = DEFAULT_HORIZON_S,
+        load_coefficient: Fraction = Fraction(1),
     ):
         self.quote_ttl_s = check_int("quote_ttl_s", quote_ttl_s, minimum=1)
-        self.horizon_s = check_int("horizon_s", horizon_s, minimum=1)
+        if load_coefficient < 0:
+            raise ValidationError("load_coefficient", "must be >= 0")
         if not isinstance(cluster_secret, str) or not cluster_secret:
             raise ValidationError("cluster_secret", "must be a non-empty string")
         self.card = card
-        self.policy = policy
+        self.load_coefficient = load_coefficient
         self.cluster_secret = cluster_secret
         self.bank = bank
         self.scheduler = SchedulerCore(card.capacity_nodes)
@@ -360,7 +314,7 @@ class FrontendCore:
     def load_ratio(self) -> Fraction:
         return Fraction(
             self.scheduler.committed_node_seconds(),
-            self.scheduler.capacity_nodes * self.horizon_s,
+            self.scheduler.capacity_nodes * HORIZON_S,
         )
 
     def drain_ratio(self) -> Fraction:
@@ -369,33 +323,31 @@ class FrontendCore:
         second, and no more than every held node, or every node, can run."""
         capacity = self.scheduler.capacity_nodes
         return Fraction(
-            min(capacity, self.scheduler.held_nodes()), capacity * self.horizon_s
+            min(capacity, self.scheduler.held_nodes()), capacity * HORIZON_S
         )
 
-    def quote(self, spec: JobSpec) -> Bid | NoBid:
-        """A bid, or why not. The bid reports the load factor its price
-        applied and how fast that factor can drain, so the broker can bound
-        this cluster's later prices without asking."""
+    def quote(self, spec: JobSpec) -> Bid | str:
+        """A bid, or the reason there is none. The bid reports the load
+        factor its price applied and how fast that factor can drain, so the
+        broker can bound this cluster's later prices without asking."""
         with self._lock:
             card = self.card
             refusal = refusal_reason(spec, card.capabilities, card.capacity_nodes)
             if refusal is not None:
-                return NoBid(refusal)
-            load_ratio = self.load_ratio()
-            price = self.policy.price(card.cost(spec), load_ratio)
+                return refusal
+            load = load_factor(self.load_coefficient, self.load_ratio())
+            price = price_at(card.cost(spec), load)
             if spec.max_price is not None and price > spec.max_price.amount:
-                return NoBid(NO_BID_PRICE_ABOVE_MAX)
+                return NO_BID_PRICE_ABOVE_MAX
             self._quote_seq += 1
             expires_at = self.scheduler.clock + self.quote_ttl_s
             signed = f"{self._quote_seq}.{expires_at}.{price}"
-            drain_p, drain_q = self.policy.factor(self.drain_ratio())
+            drain_p, drain_q = load_factor(self.load_coefficient, self.drain_ratio())
             return Bid(
-                cluster_id=card.cluster_id,
                 price=Money(price),
                 bid_token=f"{signed}.{self._quote_mac(spec, signed)}",
-                expires_at=expires_at,
                 payee_account=card.payee_account,
-                load=self.policy.factor(load_ratio),
+                load=load,
                 drain=(drain_p - drain_q, drain_q),
             )
 
@@ -522,8 +474,8 @@ class FrontendService:
         self, config: Mapping[str, Any], clock: VirtualClock | WallClock | None = None
     ):
         settings = _CARD + (
-            "listen", "broker", "bank", "cluster_secret", "policy",
-            "load_coefficient", "quote_ttl_s", "horizon_s", "announce_ttl_s",
+            "listen", "broker", "bank", "cluster_secret", "load_coefficient",
+            "quote_ttl_s", "announce_ttl_s",
         )
         reject_unknown(config, frozenset(settings), "node config")
         self.config = dict(config)
@@ -545,11 +497,12 @@ class FrontendService:
         )
         self.core = FrontendCore(
             card=card,
-            policy=PricingPolicy.from_config(self.config),
             cluster_secret=self.config.get("cluster_secret"),
             bank=BankClient(self.config["bank"]),
             quote_ttl_s=self.config.get("quote_ttl_s", DEFAULT_QUOTE_TTL_S),
-            horizon_s=self.config.get("horizon_s", DEFAULT_HORIZON_S),
+            load_coefficient=parse_load_coefficient(
+                self.config.get("load_coefficient", 1)
+            ),
         )
         self.server = wire.serve(self.config.get("listen", DEFAULT_LISTEN), self._handlers())
         self._stop = threading.Event()
@@ -563,8 +516,8 @@ class FrontendService:
         def quote(params: Mapping[str, Any]) -> dict[str, Any]:
             spec = _spec_param(params)
             outcome = self.core.quote(spec)
-            if isinstance(outcome, NoBid):
-                return {"no_bid": outcome.to_dict()}
+            if isinstance(outcome, str):
+                return {"no_bid": {"reason": outcome}}
             return {"bid": outcome.to_dict()}
 
         def submit(params: Mapping[str, Any]) -> dict[str, Any]:

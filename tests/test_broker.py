@@ -32,7 +32,7 @@ from sgmarket.domain import (
     refusal_reason,
     validate_jobspec,
 )
-from sgmarket.frontend import FrontendCore, NoBid, PricingPolicy
+from sgmarket.frontend import FrontendCore, HORIZON_S
 
 
 def _descriptor(cluster_id, address="127.0.0.1:9999", capacity=8, capabilities=(),
@@ -89,10 +89,8 @@ def _quotes_from(table):
         if isinstance(answer, tuple):
             price, load, drain = answer
             return Bid(
-                cluster_id=address.split("#", 1)[1],
                 price=Money(price),
                 bid_token=f"tok-{address}",
-                expires_at=10**9,
                 payee_account=f"cluster:{address}",
                 load=load,
                 drain=drain,
@@ -363,22 +361,19 @@ def _frontend(draw, cluster_id):
         for feature in sorted(capabilities)
         if draw(st.booleans())
     }
-    policy_id = draw(st.sampled_from(["flat", "load_proportional"]))
     card = _descriptor(
         cluster_id, capacity=capacity, capabilities=capabilities,
         base_rate=draw(st.integers(1, 4)), multipliers=multipliers,
     )
-    policy = PricingPolicy(
-        policy_id,
-        load_coefficient=Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3))),
-    )
+    # The coefficient is drawn per ``horizon_s`` seconds of whole-cluster
+    # work; half the front-ends price flat.
+    coefficient = Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3)))
     horizon_s = draw(st.integers(50, 2000))
     frontend = FrontendCore(
         card=card,
-        policy=policy,
         cluster_secret=f"cs-{cluster_id}",
         bank=None,
-        horizon_s=horizon_s,
+        load_coefficient=0 if draw(st.booleans()) else coefficient * HORIZON_S / horizon_s,
     )
     # A whole horizon of queued work (load ratio 1) makes prices land on
     # other clusters' floors, where only the cluster_id breaks the tie.
@@ -407,10 +402,7 @@ def test_bounded_find_selects_what_a_full_fanout_would(
     # Each front-end quotes once, so the oracle and the find see the same bids.
     answers = {}
     for frontend in fleet:
-        answer = frontend.quote(spec)
-        answers[f"127.0.0.1:1#{frontend.card.cluster_id}"] = (
-            answer if isinstance(answer, Bid) else answer.reason
-        )
+        answers[f"127.0.0.1:1#{frontend.card.cluster_id}"] = frontend.quote(spec)
     batches = []
 
     def quote_fn(addresses, spec, timeout_ms):
@@ -621,16 +613,13 @@ def test_bid_below_its_own_bound_sends_round_two_to_everyone():
 def test_bound_allows_a_front_end_clock_one_second_ahead():
     """Two whole-second clocks can differ by a second: the ``+ 1`` in a
     bound covers a front-end whose clock ticked while the broker's did not."""
-    policies = {
-        "A": (10, PricingPolicy("load_proportional")),
-        "B": (17, PricingPolicy("flat")),
-    }
+    coefficients = {"A": (10, 1800), "B": (17, 0)}
     frontends = {
         f"127.0.0.1:1#{cid}": FrontendCore(
-            card=_descriptor(cid, capacity=1, base_rate=rate), policy=policy,
-            cluster_secret=f"cs-{cid}", bank=None, horizon_s=2,
+            card=_descriptor(cid, capacity=1, base_rate=rate),
+            cluster_secret=f"cs-{cid}", bank=None, load_coefficient=coefficient,
         )
-        for cid, (rate, policy) in policies.items()
+        for cid, (rate, coefficient) in coefficients.items()
     }
     batches = []
 
@@ -719,10 +708,9 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
             address = f"127.0.0.1:1#{old.card.cluster_id}"
             frontends[address] = FrontendCore(
                 card=old.card,
-                policy=old.policy,
                 cluster_secret=old.cluster_secret,
                 bank=None,
-                horizon_s=old.horizon_s,
+                load_coefficient=old.load_coefficient,
             )
             core.register_cluster(frontends[address].descriptor(address), 3600)
         spec = _spec(job_id=f"{index + 100:032x}", nodes=nodes, walltime_s=walltime_s,
@@ -730,8 +718,7 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
         # Each front-end quotes once, so the oracle and the find see the same bids.
         answers.clear()
         for address, frontend in frontends.items():
-            answer = frontend.quote(spec)
-            answers[address] = answer if isinstance(answer, Bid) else answer.reason
+            answers[address] = frontend.quote(spec)
         batches.clear()
         outcome = core.find_cluster(spec)
         assert outcome == _full_fanout(core.list_clusters(), spec, answers)
@@ -756,10 +743,8 @@ def _recording_quotes():
         asked.extend(addresses)
         return [
             Bid(
-                cluster_id=address.split("#", 1)[1],
                 price=Money(100),
                 bid_token=f"tok-{address}",
-                expires_at=10**9,
                 payee_account=f"cluster:{address}",
             )
             for address in addresses
@@ -825,8 +810,8 @@ def test_broker_refusal_matches_the_frontends(capacity, capabilities, nodes, fea
     the same reason."""
     frontend = FrontendCore(
         card=_descriptor("A", capacity=capacity, capabilities=capabilities),
-        policy=PricingPolicy("flat"),
         cluster_secret="cs-A",
+        load_coefficient=0,
         bank=None,
     )
     quote_fn, asked = _recording_quotes()
@@ -835,9 +820,9 @@ def test_broker_refusal_matches_the_frontends(capacity, capabilities, nodes, fea
     spec = _spec(nodes=nodes, required_features=sorted(features))
     outcome = core.find_cluster(spec)
     answer = frontend.quote(spec)
-    if isinstance(answer, NoBid):
+    if isinstance(answer, str):
         assert asked == []
-        assert outcome == NoEligibleCluster(reasons={"A": answer.reason})
+        assert outcome == NoEligibleCluster(reasons={"A": answer})
     else:
         assert asked == ["127.0.0.1:1#A"]
         assert isinstance(outcome, Selection)

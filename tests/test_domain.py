@@ -183,10 +183,8 @@ _descriptors = st.builds(
 
 _bids = st.builds(
     Bid,
-    cluster_id=_name,
     price=_money,
     bid_token=_name,
-    expires_at=st.integers(0, 10**9),
     payee_account=_name,
     load=st.just((1, 1))
     | st.integers(1, 10**6).flatmap(lambda q: st.tuples(st.integers(q + 1, 9 * q), st.just(q))),
@@ -317,10 +315,8 @@ def test_malformed_rate_card_is_rejected(multipliers):
 
 def _bid_record(**overrides):
     record = {
-        "cluster_id": "A",
         "price": {"amount": 800},
         "bid_token": "t",
-        "expires_at": 60,
         "payee_account": "cluster:A",
     }
     record.update(overrides)
@@ -328,13 +324,22 @@ def _bid_record(**overrides):
 
 
 def test_bid_at_idle_load_keeps_its_bytes():
-    """A bid at load 1 with nothing to drain, as every ``flat`` cluster
-    sends, encodes as bids did before they reported load."""
+    """A bid at load 1 with nothing to drain, as every cluster at load
+    coefficient 0 sends, encodes as bids did before they reported load."""
     bid = Bid.from_dict(_bid_record(load=[1, 1], drain=[0, 1]))
     assert (bid.load, bid.drain) == ((1, 1), (0, 1))
     assert canonical_encode(bid) == canonical_encode(_bid_record())
     busy = Bid.from_dict(_bid_record(load=[2, 1], drain=[1, 360]))
     assert (busy.load, busy.drain) == ((2, 1), (1, 360))
+
+
+@pytest.mark.parametrize("field, value", [("cluster_id", "A"), ("expires_at", 60)])
+def test_a_bid_carries_only_what_the_broker_reads(field, value):
+    """The broker knows which cluster it asked, and the expiry sits in the
+    signed token, so a bid that still names either is refused."""
+    with pytest.raises(ValidationError) as err:
+        Bid.from_dict(_bid_record(**{field: value}))
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize(

@@ -19,18 +19,20 @@ from sgmarket.domain import (
     JobState,
     Money,
     ValidationError,
+    price_at,
     validate_jobspec,
 )
 from sgmarket.frontend import (
     DuplicateJob,
     EscrowInvalid,
     FrontendCore,
-    NoBid,
-    PricingPolicy,
+    HORIZON_S,
     QuoteExpired,
     SchedulerCore,
     UnknownJob,
     UnknownQuote,
+    load_factor,
+    parse_load_coefficient,
 )
 
 from scheduler_oracle import simulate
@@ -136,71 +138,68 @@ def _config_card(base, multipliers):
 
 
 def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
-          quote_ttl_s=60, horizon_s=3600, base_rate=1, cluster_secret="cs-A"):
+          quote_ttl_s=60, base_rate=1, cluster_secret="cs-A"):
     return FrontendCore(
         card=_card(capacity, capabilities, base_rate, multipliers),
-        policy=PricingPolicy("load_proportional"),
         cluster_secret=cluster_secret,
         bank=bank if bank is not None else FakeBank(),
         quote_ttl_s=quote_ttl_s,
-        horizon_s=horizon_s,
     )
 
 
 # -- pricing -------------------------------------------------------------------
 
-_LOAD_PROPORTIONAL = PricingPolicy("load_proportional")
-
-
-def _price(card, policy, nodes, walltime_s, features, load_ratio):
-    """What ``policy`` charges under ``card`` for a job of these terms."""
+def _price(card, coefficient, nodes, walltime_s, features, load_ratio):
+    """What a front-end with this load coefficient charges under ``card``
+    for a job of these terms."""
     spec = _spec(nodes=nodes, walltime_s=walltime_s, features=sorted(features))
-    return policy.price(card.cost(spec), load_ratio)
+    return price_at(card.cost(spec), load_factor(coefficient, load_ratio))
 
 
 def test_idle_cluster_prices_base_cost():
-    assert _price(_card(), _LOAD_PROPORTIONAL, 4, 100, (), Fraction(0)) == 400
+    assert _price(_card(), Fraction(1), 4, 100, (), Fraction(0)) == 400
 
 
 def test_half_loaded_cluster_prices_150_percent():
-    assert _price(_card(), _LOAD_PROPORTIONAL, 4, 100, (), Fraction(1, 2)) == 600
+    assert _price(_card(), Fraction(1), 4, 100, (), Fraction(1, 2)) == 600
 
 
 def test_feature_multiplier_applies():
     card = _card(multipliers={"deadline": Fraction(5, 4)})
-    assert _price(card, _LOAD_PROPORTIONAL, 2, 100, {"deadline"}, Fraction(0)) == 250
+    assert _price(card, Fraction(1), 2, 100, {"deadline"}, Fraction(0)) == 250
 
 
 def test_flat_policy_ignores_load():
+    """A load coefficient of 0 prices flat."""
     card = _card(base_rate=3)
-    assert _price(card, PricingPolicy("flat"), 2, 10, (), Fraction(9, 1)) == 60
+    assert _price(card, Fraction(0), 2, 10, (), Fraction(9, 1)) == 60
 
 
 def test_price_rounds_up_to_whole_millicredits():
     # 1 * 1 * (1 + 1/3) = 4/3 -> 2
-    assert _price(_card(), _LOAD_PROPORTIONAL, 1, 1, (), Fraction(1, 3)) == 2
+    assert _price(_card(), Fraction(1), 1, 1, (), Fraction(1, 3)) == 2
 
 
 def test_unsupported_feature_yields_no_bid():
     core = _core(capabilities=())
     outcome = core.quote(_spec(features=("deadline",)))
-    assert outcome == NoBid("unsupported_feature")
+    assert outcome == "unsupported_feature"
 
 
 def test_oversized_job_yields_no_bid():
     core = _core(capacity=4)
-    assert core.quote(_spec(nodes=8)) == NoBid("insufficient_capacity")
+    assert core.quote(_spec(nodes=8)) == "insufficient_capacity"
 
 
 def test_price_cap_yields_no_bid():
     core = _core()
-    assert core.quote(_spec(max_price=399)) == NoBid("price_above_max")
+    assert core.quote(_spec(max_price=399)) == "price_above_max"
     assert isinstance(core.quote(_spec(max_price=400)), Bid)
 
 
 def test_quote_reflects_committed_load():
     bank = FakeBank()
-    core = _core(bank=bank, capacity=8, horizon_s=3600)
+    core = _core(bank=bank, capacity=8)
     first = core.quote(_spec(job_id="a" * 32))
     assert first.price == Money(400)
     core.submit(_spec(job_id="a" * 32), first.bid_token, "esc-1")
@@ -219,22 +218,21 @@ def test_quote_reflects_committed_load():
 )
 def test_price_monotonicity(base, nodes, walltime, bump, r1, r2):
     lo, hi = sorted((r1, r2))
-    card, policy = _card(base_rate=base), _LOAD_PROPORTIONAL
+    card, coefficient = _card(base_rate=base), Fraction(1)
     features = frozenset()
-    assert _price(card, policy, nodes, walltime, features, lo) <= _price(
-        card, policy, nodes, walltime, features, hi
+    assert _price(card, coefficient, nodes, walltime, features, lo) <= _price(
+        card, coefficient, nodes, walltime, features, hi
     )
     # strictly increasing in nodes*walltime at fixed load
-    grown = _price(card, policy, nodes, walltime + bump, features, lo)
-    assert grown > _price(card, policy, nodes, walltime, features, lo)
+    grown = _price(card, coefficient, nodes, walltime + bump, features, lo)
+    assert grown > _price(card, coefficient, nodes, walltime, features, lo)
 
 
-def _fraction_price(card, policy, nodes, walltime_s, features, load_ratio):
+def _fraction_price(card, coefficient, nodes, walltime_s, features, load_ratio):
     """The price formula in Fraction arithmetic: the oracle for the integer
     implementation."""
     amount = Fraction(card.base_rate.amount) * nodes * walltime_s
-    if policy.policy_id == "load_proportional":
-        amount *= 1 + policy.load_coefficient * load_ratio
+    amount *= 1 + coefficient * load_ratio
     for feature in features:
         amount *= card.feature_multipliers.get(feature, Fraction(1))
     return math.ceil(amount)
@@ -247,7 +245,6 @@ _multipliers = st.integers(1, 9).flatmap(
 
 
 @given(
-    policy_id=st.sampled_from(["flat", "load_proportional"]),
     base=st.integers(1, 10**6),
     coefficient=st.one_of(st.integers(0, 5), _ratios),
     multipliers=st.dictionaries(st.sampled_from(["gpu", "deadline"]), _multipliers),
@@ -262,19 +259,16 @@ _multipliers = st.integers(1, 9).flatmap(
     ),
 )
 def test_integer_price_equals_fraction_formula(
-    policy_id, base, coefficient, multipliers, nodes, walltime, features, load
+    base, coefficient, multipliers, nodes, walltime, features, load
 ):
     card = _config_card(base, multipliers)
-    policy = PricingPolicy.from_config(
-        {"policy": policy_id, "load_coefficient": coefficient}
-    )
-    assert _price(card, policy, nodes, walltime, features, load) == _fraction_price(
-        card, policy, nodes, walltime, features, load
+    coefficient = parse_load_coefficient(coefficient)
+    assert _price(card, coefficient, nodes, walltime, features, load) == _fraction_price(
+        card, coefficient, nodes, walltime, features, load
     )
 
 
 @given(
-    policy_id=st.sampled_from(["flat", "load_proportional"]),
     base=st.integers(1, 10**6),
     coefficient=st.one_of(st.integers(0, 5), _ratios),
     multipliers=st.dictionaries(st.sampled_from(["gpu", "deadline"]), _multipliers),
@@ -284,18 +278,15 @@ def test_integer_price_equals_fraction_formula(
     load=st.fractions(min_value=0, max_value=50),
 )
 def test_price_never_falls_below_the_base_rate_floor(
-    policy_id, base, coefficient, multipliers, nodes, walltime, features, load
+    base, coefficient, multipliers, nodes, walltime, features, load
 ):
     """The broker skips clusters whose floor cannot beat the best bid."""
     card = _config_card(base, multipliers)
-    policy = PricingPolicy.from_config(
-        {"policy": policy_id, "load_coefficient": coefficient}
-    )
-    assert _price(card, policy, nodes, walltime, features, load) >= base * nodes * walltime
+    coefficient = parse_load_coefficient(coefficient)
+    assert _price(card, coefficient, nodes, walltime, features, load) >= base * nodes * walltime
 
 
 @given(
-    policy_id=st.sampled_from(["flat", "load_proportional"]),
     base=st.integers(1, 10**6),
     coefficient=st.one_of(st.integers(0, 5), _ratios),
     multipliers=st.dictionaries(st.sampled_from(["gpu", "deadline"]), _multipliers),
@@ -305,23 +296,21 @@ def test_price_never_falls_below_the_base_rate_floor(
     load=st.fractions(min_value=0, max_value=50),
 )
 def test_price_never_falls_below_the_published_rate_card_floor(
-    policy_id, base, coefficient, multipliers, nodes, walltime, features, load
+    base, coefficient, multipliers, nodes, walltime, features, load
 ):
     """The floor the broker computes from a front-end's descriptor bounds
     every price it quotes, and is the price at zero load."""
     card = _config_card(base, multipliers)
-    policy = PricingPolicy.from_config(
-        {"policy": policy_id, "load_coefficient": coefficient}
-    )
+    coefficient = parse_load_coefficient(coefficient)
     core = FrontendCore(
-        card=card, policy=policy, cluster_secret="cs-A", bank=FakeBank()
+        card=card, cluster_secret="cs-A", bank=FakeBank(), load_coefficient=coefficient
     )
     num, den = core.descriptor("127.0.0.1:7710").cost(
         _spec(nodes=nodes, walltime_s=walltime, features=features)
     )
     floor = -(-num // den)
-    assert _price(card, policy, nodes, walltime, features, load) >= floor
-    assert _price(card, policy, nodes, walltime, features, Fraction(0)) == floor
+    assert _price(card, coefficient, nodes, walltime, features, load) >= floor
+    assert _price(card, coefficient, nodes, walltime, features, Fraction(0)) == floor
 
 
 def test_descriptor_publishes_the_cards_multipliers():
@@ -335,15 +324,22 @@ def test_descriptor_publishes_the_cards_multipliers():
 @pytest.mark.parametrize("value", [True, 1.5, [1, 0], [-1, 2], -1, "1"])
 def test_load_coefficient_must_be_a_non_negative_integer_or_ratio(value):
     with pytest.raises(ValidationError) as err:
-        PricingPolicy.from_config({"load_coefficient": value})
+        parse_load_coefficient(value)
     assert err.value.field == "load_coefficient"
 
 
-@pytest.mark.parametrize("name", ["quote_ttl_s", "horizon_s"])
+def test_a_negative_load_coefficient_is_refused():
+    """It would price below the floor the broker bounds the cluster by."""
+    with pytest.raises(ValidationError) as err:
+        FrontendCore(card=_card(), cluster_secret="cs-A", bank=FakeBank(),
+                     load_coefficient=Fraction(-1, 2))
+    assert err.value.field == "load_coefficient"
+
+
+@pytest.mark.parametrize("name", ["quote_ttl_s"])
 @pytest.mark.parametrize("value", [0, -5, True, "60", 1.5, None])
 def test_quote_ttl_and_horizon_must_be_positive_integers(name, value):
-    """A zero horizon divided every quote by zero; a negative ttl made
-    every token expire as it was issued."""
+    """A negative ttl made every token expire as it was issued."""
     with pytest.raises(ValidationError) as err:
         _core(**{name: value})
     assert err.value.field == name
@@ -375,8 +371,8 @@ _jobs = st.tuples(st.integers(1, 8), st.integers(1, 100), st.frozensets(st.sampl
 
 
 @given(
-    policy_id=st.sampled_from(["flat", "load_proportional"]),
-    coefficient=st.fractions(min_value=0, max_value=6, max_denominator=4),
+    coefficient=st.just(Fraction(0))
+    | st.fractions(min_value=0, max_value=6, max_denominator=4),
     capacity=st.integers(1, 8),
     horizon_s=st.integers(1, 300),
     steps=st.lists(
@@ -388,15 +384,16 @@ _jobs = st.tuples(st.integers(1, 8), st.integers(1, 100), st.frozensets(st.sampl
     later=st.lists(st.tuples(st.integers(0, 30), _jobs), min_size=1, max_size=6),
 )
 def test_a_bids_load_report_bounds_its_later_prices(
-    policy_id, coefficient, capacity, horizon_s, steps, quoted, later
+    coefficient, capacity, horizon_s, steps, quoted, later
 ):
     """A bid's ``load`` reproduces its price from the rate card, and with
     its ``drain`` bounds every later price, for any job, while no new work
-    arrives: ``price >= ceil(cost * (load - drain * elapsed))``."""
+    arrives: ``price >= ceil(cost * (load - drain * elapsed))``. Load is
+    drawn as ``coefficient`` over a ``horizon_s`` of whole-cluster work."""
     card = _card(capacity, {"gpu"}, 3, {"gpu": Fraction(5, 2)}, cluster_id="A")
     core = FrontendCore(
-        card=card, policy=PricingPolicy(policy_id, load_coefficient=coefficient),
-        cluster_secret="cs-A", bank=FakeBank(), horizon_s=horizon_s,
+        card=card, cluster_secret="cs-A", bank=FakeBank(),
+        load_coefficient=coefficient * HORIZON_S / horizon_s,
     )
     for index, step in enumerate(steps):
         if step[0] == "enqueue":
@@ -417,7 +414,7 @@ def test_a_bids_load_report_bounds_its_later_prices(
     (num, den), bid = cost_and_bid(quoted, "e" * 32)
     (load_p, load_q), (drain_p, drain_q) = bid.load, bid.drain
     assert bid.price.amount == -(-num * load_p // (den * load_q))
-    if policy_id == "flat":
+    if coefficient == 0:
         assert "load" not in bid.to_dict() and "drain" not in bid.to_dict()
     elapsed = 0
     for index, (dt, job) in enumerate(later):

@@ -387,6 +387,9 @@ def test_scenario_times_must_be_integers(mutation, message):
         # A cluster the broker would refuse to register.
         lambda d: d["clusters"][0].update(capabilities="gpu"),
         lambda d: d["clusters"][0].update(capabilities=["GPU!"]),
+        # Settings the load coefficient replaced.
+        lambda d: d["clusters"][0].update(horizon_s=3600),
+        lambda d: d["clusters"][0].update(policy="flat"),
     ],
 )
 def test_sim_cli_answers_a_malformed_scenario_without_a_traceback(

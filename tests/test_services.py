@@ -248,13 +248,13 @@ def test_a_stalled_ticker_ticks_the_whole_gap_at_once():
 
 
 def _priced_fleet(clock, broker_address):
-    """A: 10 nodes at base rate 10 over a 100 s horizon, holding a 10-node
-    x 100 s job, so load factor 2; C: 10 idle nodes at base rate 17."""
+    """A: 10 nodes at base rate 10 and load coefficient 36, holding a
+    10-node x 100 s job, so load factor 2; C: 10 idle nodes at base rate 17."""
     fleet = {
         cid: FrontendService(
             _frontend_config(
                 cluster_id=cid, broker=broker_address, capacity_nodes=10,
-                base_rate=rate, horizon_s=100, payee_account=f"cluster:{cid}",
+                base_rate=rate, load_coefficient=36, payee_account=f"cluster:{cid}",
             ),
             clock=clock,
         )
@@ -398,6 +398,8 @@ _NODE = _frontend_config(listen="127.0.0.1:0")
         (bank, {"listen": "{busy}", "log_path": "{tmp}/bank.log"}),
         (bank, {"listen": "127.0.0.1:0", "cluster_secret": {"A": "cs-A"}}),
         (broker, {"listen": "127.0.0.1:0", "default_ttl_s": 60}),
+        (frontend, {**_NODE, "horizon_s": 3600}),  # the load coefficient sets it
+        (frontend, {**_NODE, "policy": "flat"}),  # load coefficient 0
     ],
 )
 def test_services_answer_a_bad_config_with_an_error_line(tmp_path, capsys, service, config):
