@@ -435,62 +435,6 @@ def rpc_handlers(core: BankCore) -> dict[str, wire.Handler]:
     }
 
 
-class BankClient:
-    """Thin typed wrapper over the bank's RPC methods."""
-
-    def __init__(self, address: str, timeout_ms: int = 5000):
-        self.address = address
-        self.timeout_ms = timeout_ms
-
-    def _call(self, method: str, **params: Any) -> Any:
-        return wire.rpc_call(self.address, method, params, timeout_ms=self.timeout_ms)
-
-    def create_account(self, owner: str, kind: str) -> str:
-        return self._call("bank.create_account", owner=owner, kind=kind)["account_id"]
-
-    def deposit(self, account_id: str, amount: int) -> int:
-        result = self._call("bank.deposit", account_id=account_id, amount=amount)
-        return result["balance"]["amount"]
-
-    def balance(self, account_id: str) -> int:
-        return self._call("bank.balance", account_id=account_id)["balance"]["amount"]
-
-    def hold_escrow(self, payer: str, payee: str, amount: int, job_id: str) -> str:
-        result = self._call(
-            "bank.hold_escrow", payer=payer, payee=payee, amount=amount, job_id=job_id
-        )
-        return result["escrow_id"]
-
-    def settle_escrow(
-        self, escrow_id: str, job_id: str, outcome: str, reporter_secret: str
-    ) -> dict[str, Any]:
-        return self._call(
-            "bank.settle_escrow",
-            escrow_id=escrow_id,
-            job_id=job_id,
-            outcome=outcome,
-            reporter_secret=reporter_secret,
-        )
-
-    def verify_escrow(
-        self, escrow_id: str, payee: str, job_id: str, min_amount: int
-    ) -> bool:
-        return self._call(
-            "bank.verify_escrow",
-            escrow_id=escrow_id,
-            payee=payee,
-            job_id=job_id,
-            min_amount=min_amount,
-        )["ok"]
-
-    def audit(self) -> dict[str, int]:
-        result = self._call("bank.audit")
-        return {
-            "total_balances": result["total_balances"]["amount"],
-            "total_held": result["total_held"]["amount"],
-        }
-
-
 def start_service(config: Mapping[str, Any], stack: ExitStack) -> str:
     """Start ``sg-bank``, each step of its shutdown on ``stack``; its address."""
     known = frozenset({"listen", "cluster_secrets", "log_path"})

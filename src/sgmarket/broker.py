@@ -39,8 +39,9 @@ under the live record's id keeps the cluster's report; under a new id, or
 none, the front-end may have restarted empty, so the report goes. The
 placement record stays either way, and a find that straddles a
 registration loses what it learnt. A round's quotes go out at once from one
-thread and share one bid timeout, so a find waits at most two, and a
-hanging front-end never blocks selection among responsive ones.
+thread, as one ``wire.rpc_fanout``, and share one bid timeout, so a find
+waits at most two, and a hanging front-end never blocks selection among
+responsive ones.
 ``sg-broker`` is :func:`start_service` under :func:`wire.run_service`.
 """
 
@@ -50,7 +51,7 @@ import sys
 import threading
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from . import wire
 from .clock import VirtualClock, WallClock
@@ -136,9 +137,6 @@ def select_lowest(bids: list[tuple[str, int]]) -> tuple[str, int] | None:
     return best
 
 
-QuoteFn = Callable[[list[str], JobSpec, int], "list[Bid | str]"]
-
-
 def _parse_quote(result: Any) -> Bid | str:
     """A front-end's node.quote result, or the RpcError of a call that
     failed, as a Bid or the reason there is none."""
@@ -156,13 +154,6 @@ def _parse_quote(result: Any) -> Bid | str:
         return "bad_bid"
 
 
-def _rpc_quotes(addresses: list[str], spec: JobSpec, timeout_ms: int) -> list[Bid | str]:
-    """Ask the given front-ends for a bid at once; per address, a Bid or
-    the reason there is none."""
-    replies = wire.rpc_fanout(addresses, "node.quote", {"spec": spec.to_dict()}, timeout_ms)
-    return [_parse_quote(r) for r in replies]
-
-
 class BrokerCore:
     """Registry plus selection. The registry holds one ``Registration`` per
     cluster, and a find writes what it learns onto it: each bidder's load
@@ -174,11 +165,9 @@ class BrokerCore:
         self,
         bid_timeout_ms: int = DEFAULT_BID_TIMEOUT_MS,
         clock: VirtualClock | WallClock | None = None,
-        quote_fn: QuoteFn = _rpc_quotes,
     ):
         self.bid_timeout_ms = check_int("bid_timeout_ms", bid_timeout_ms, minimum=1)
         self.clock = clock if clock is not None else WallClock()
-        self._quote_fn = quote_fn
         self._lock = threading.Lock()
         self._registry: dict[str, Registration] = {}
 
@@ -246,12 +235,14 @@ class BrokerCore:
 
         def ask(cluster_ids: list[str]) -> tuple[str, int] | None:
             """One quote round; the best (cluster_id, price) bid so far."""
-            answers = self._quote_fn(
+            replies = wire.rpc_fanout(
                 [eligible[cid].descriptor.address for cid in cluster_ids],
-                spec,
+                "node.quote",
+                {"spec": spec.to_dict()},
                 self.bid_timeout_ms,
             )
-            for cluster_id, answer in zip(cluster_ids, answers):
+            for cluster_id, reply in zip(cluster_ids, replies):
+                answer = _parse_quote(reply)
                 if isinstance(answer, Bid):
                     bids[cluster_id] = answer
                 else:

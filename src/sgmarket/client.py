@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import wire
-from .bank import BankClient
 from .domain import (
     JobSpec,
     JobStatus,
@@ -146,12 +145,12 @@ def _map_rpc_error(exc: wire.RpcError) -> ClientError:
 
 
 class ClientSession:
-    """One configured user's view of the market."""
+    """One configured user's view of the market. Each call to the broker,
+    the bank or a front-end is one ``wire.rpc_call``."""
 
     def __init__(self, config: ClientConfig):
         self.config = config
         self._rng = random.Random(config.rng_seed)
-        self._bank = BankClient(config.bank, timeout_ms=config.timeout_ms)
 
     def mint_job_id(self) -> str:
         return f"{self._rng.getrandbits(128):032x}"
@@ -185,15 +184,10 @@ class ClientSession:
         price = parse_money("price", selection["price"]).amount
         payee_account = selection["payee_account"]
 
-        try:
-            escrow_id = self._bank.hold_escrow(
-                payer=self.config.account_id,
-                payee=payee_account,
-                amount=price,
-                job_id=spec.job_id,
-            )
-        except wire.RpcError as exc:
-            raise _map_rpc_error(exc) from None
+        escrow_id = self._call(self.config.bank, "bank.hold_escrow", {
+            "payer": self.config.account_id, "payee": payee_account, "amount": price,
+            "job_id": spec.job_id,
+        })["escrow_id"]
 
         try:
             wire.rpc_call(
@@ -237,12 +231,15 @@ class ClientSession:
         read-only, whether the escrow is still held, and warns if it is or
         if the bank cannot say. Only the payee cluster may settle, so the
         client sends the bank no secret."""
+        params = {
+            "escrow_id": escrow_id, "payee": payee_account, "job_id": job_id, "min_amount": price
+        }
         try:
-            if not self._bank.verify_escrow(escrow_id, payee_account, job_id, price):
+            if not self._call(self.config.bank, "bank.verify_escrow", params)["ok"]:
                 return
             problem = "is still held"
-        except wire.RpcError as exc:
-            problem = f"refund unconfirmed: {exc.message}"
+        except ClientError as exc:
+            problem = f"refund unconfirmed: {exc}"
         print(f"warning: escrow {escrow_id} {problem}", file=sys.stderr)
 
     def job_status(self, job_id: str, node_address: str) -> JobStatus:
@@ -250,16 +247,12 @@ class ClientSession:
         return JobStatus.from_dict(result["status"])
 
     def balance(self) -> int:
-        try:
-            return self._bank.balance(self.config.account_id)
-        except wire.RpcError as exc:
-            raise _map_rpc_error(exc) from None
+        params = {"account_id": self.config.account_id}
+        return self._call(self.config.bank, "bank.balance", params)["balance"]["amount"]
 
     def deposit(self, amount: int) -> int:
-        try:
-            return self._bank.deposit(self.config.account_id, amount)
-        except wire.RpcError as exc:
-            raise _map_rpc_error(exc) from None
+        params = {"account_id": self.config.account_id, "amount": amount}
+        return self._call(self.config.bank, "bank.deposit", params)["balance"]["amount"]
 
 
 def _print_json(payload: Any) -> None:

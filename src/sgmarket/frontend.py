@@ -37,7 +37,6 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from . import wire
-from .bank import BankClient
 from .broker import MAX_TTL_S, MIN_TTL_S
 from .clock import VirtualClock, WallClock
 from .domain import (
@@ -66,6 +65,7 @@ DEFAULT_QUOTE_TTL_S = 60
 DEFAULT_ANNOUNCE_TTL_S = 60
 HORIZON_S = 3600  # seconds of work on every node that make a load ratio of 1
 TICK_INTERVAL_S = 0.1  # how often ``sg-node``'s ticker catches up with its clock
+BANK_TIMEOUT_MS = 5000  # how long a front-end waits on each call to its bank
 
 # The descriptor fields a front-end's config gives as they are announced:
 # its identity and its rate card.
@@ -276,7 +276,9 @@ class FrontendCore:
     ``card`` is the descriptor the cluster registers, less its address: its
     identity, capacity, capabilities and rate card. Every price is
     ``price_at(card.cost(spec), load_factor(load_coefficient, load_ratio))``,
-    so the front-end charges by the card the broker bounds it with.
+    so the front-end charges by the card the broker bounds it with. ``bank``
+    is the bank's address, which each escrow check and settlement calls with
+    ``wire.rpc_call``.
 
     All state (scheduler, job records, quote counter) is guarded by one
     lock; calls out to the bank happen outside it. Payments of completed jobs
@@ -289,7 +291,7 @@ class FrontendCore:
         self,
         card: ClusterDescriptor,
         cluster_secret: str,
-        bank: BankClient,
+        bank: str,
         quote_ttl_s: int = DEFAULT_QUOTE_TTL_S,
         load_coefficient: Fraction = Fraction(1),
     ):
@@ -392,12 +394,10 @@ class FrontendCore:
                 price = self._check_quote(spec, bid_token)
             # Bank round-trip happens unlocked; re-validate afterwards.
             try:
-                covered = self.bank.verify_escrow(
-                    escrow_id,
-                    payee=self.card.payee_account,
-                    job_id=spec.job_id,
-                    min_amount=price,
-                )
+                covered = wire.rpc_call(self.bank, "bank.verify_escrow", {
+                    "escrow_id": escrow_id, "payee": self.card.payee_account,
+                    "job_id": spec.job_id, "min_amount": price,
+                }, BANK_TIMEOUT_MS)["ok"]
             except wire.RpcError as exc:
                 log.warning("check of escrow %s failed: %s", escrow_id, exc)
                 raise EscrowInvalid(f"escrow {escrow_id!r} could not be checked") from None
@@ -445,7 +445,10 @@ class FrontendCore:
         for entry in pending:
             escrow_id, job_id, outcome = entry
             try:
-                self.bank.settle_escrow(escrow_id, job_id, outcome, self.cluster_secret)
+                wire.rpc_call(self.bank, "bank.settle_escrow", {
+                    "escrow_id": escrow_id, "job_id": job_id, "outcome": outcome,
+                    "reporter_secret": self.cluster_secret,
+                }, BANK_TIMEOUT_MS)
             except wire.RpcError as exc:
                 if exc.code == wire.RpcErrorCode.TIMEOUT:
                     retry.append(entry)
@@ -498,48 +501,19 @@ class FrontendService:
         self.core = FrontendCore(
             card=card,
             cluster_secret=self.config.get("cluster_secret"),
-            bank=BankClient(self.config["bank"]),
+            bank=self.config["bank"],
             quote_ttl_s=self.config.get("quote_ttl_s", DEFAULT_QUOTE_TTL_S),
             load_coefficient=parse_load_coefficient(
                 self.config.get("load_coefficient", 1)
             ),
         )
-        self.server = wire.serve(self.config.get("listen", DEFAULT_LISTEN), self._handlers())
+        self.server = wire.serve(self.config.get("listen", DEFAULT_LISTEN), rpc_handlers(self.core))
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
 
     @property
     def address(self) -> str:
         return self.server.address
-
-    def _handlers(self) -> dict[str, wire.Handler]:
-        def quote(params: Mapping[str, Any]) -> dict[str, Any]:
-            spec = _spec_param(params)
-            outcome = self.core.quote(spec)
-            if isinstance(outcome, str):
-                return {"no_bid": {"reason": outcome}}
-            return {"bid": outcome.to_dict()}
-
-        def submit(params: Mapping[str, Any]) -> dict[str, Any]:
-            spec = _spec_param(params)
-            bid_token = params.get("bid_token")
-            escrow_id = params.get("escrow_id")
-            if not isinstance(bid_token, str) or not isinstance(escrow_id, str):
-                raise wire.InvalidParams("bid_token and escrow_id must be strings")
-            status = self.core.submit(spec, bid_token, escrow_id)
-            return {"job_id": spec.job_id, "status": status.to_dict()}
-
-        def status(params: Mapping[str, Any]) -> dict[str, Any]:
-            job_id = params.get("job_id")
-            if not isinstance(job_id, str):
-                raise wire.InvalidParams("job_id must be a string")
-            return {"status": self.core.status(job_id).to_dict()}
-
-        return {
-            "node.quote": quote,
-            "node.submit": submit,
-            "node.status": status,
-        }
 
     def announce(self, broker_address: str | None = None, ttl_s: int | None = None) -> None:
         """Register this cluster with the broker once."""
@@ -596,6 +570,38 @@ def _spec_param(params: Mapping[str, Any]) -> JobSpec:
     if not isinstance(raw, dict):
         raise wire.InvalidParams("spec must be a JSON object")
     return validate_jobspec(raw)
+
+
+def rpc_handlers(core: FrontendCore) -> dict[str, wire.Handler]:
+    """The front-end's RPC surface."""
+
+    def quote(params: Mapping[str, Any]) -> dict[str, Any]:
+        spec = _spec_param(params)
+        outcome = core.quote(spec)
+        if isinstance(outcome, str):
+            return {"no_bid": {"reason": outcome}}
+        return {"bid": outcome.to_dict()}
+
+    def submit(params: Mapping[str, Any]) -> dict[str, Any]:
+        spec = _spec_param(params)
+        bid_token = params.get("bid_token")
+        escrow_id = params.get("escrow_id")
+        if not isinstance(bid_token, str) or not isinstance(escrow_id, str):
+            raise wire.InvalidParams("bid_token and escrow_id must be strings")
+        status = core.submit(spec, bid_token, escrow_id)
+        return {"job_id": spec.job_id, "status": status.to_dict()}
+
+    def status(params: Mapping[str, Any]) -> dict[str, Any]:
+        job_id = params.get("job_id")
+        if not isinstance(job_id, str):
+            raise wire.InvalidParams("job_id must be a string")
+        return {"status": core.status(job_id).to_dict()}
+
+    return {
+        "node.quote": quote,
+        "node.submit": submit,
+        "node.status": status,
+    }
 
 
 def start_service(config: Mapping[str, Any], stack: ExitStack) -> str:

@@ -18,11 +18,12 @@ under one shared deadline; :func:`rpc_call` is the fan-out to one address.
 Both draw on one process-wide pool of idle connections keyed by address. A
 call takes an idle connection whose peer has not closed it, or opens a new
 non-blocking one, and hands it back only after a clean reply; any error or
-timeout closes it. A request is never sent twice.
+timeout closes it. A request is never sent twice. Services call each
+other only through ``wire.rpc_fanout``, the one seam a test replaces.
 
 Server side, one process-wide acceptor thread accepts for every
 :class:`Server` and gives each connection a thread of its own, which serves
-that connection's requests in order.
+that connection's requests in order, each through :func:`handle_line`.
 """
 
 from __future__ import annotations
@@ -441,6 +442,31 @@ def _error_reply(request_id: str, code: RpcErrorCode, message: str) -> dict[str,
     return {"id": request_id, "error": {"code": int(code), "message": message}}
 
 
+def handle_line(handlers: Mapping[str, Handler], line: bytes) -> dict[str, Any]:
+    """The reply to one request line, through ``handlers``: the one
+    dispatch every server answers with."""
+    try:
+        message = decode_message(line)
+    except FramingError as exc:
+        return _error_reply("", RpcErrorCode.MALFORMED, str(exc))
+    rid, method = message["id"], message.get("method")
+    if method is None:
+        return _error_reply(rid, RpcErrorCode.MALFORMED, "expected a request")
+    handler = handlers.get(method)
+    if handler is None:
+        return _error_reply(rid, RpcErrorCode.UNKNOWN_METHOD, f"unknown method {method!r}")
+    try:
+        result = handler(message["params"])
+    except InvalidParams as exc:
+        return _error_reply(rid, RpcErrorCode.INVALID_PARAMS, f"{exc.name}: {exc.detail}")
+    except ServiceError as exc:
+        return _error_reply(rid, RpcErrorCode.APPLICATION_ERROR, f"{exc.name}: {exc.detail}")
+    except Exception as exc:  # pragma: no cover - defensive
+        log.exception("handler %s crashed", method)
+        return _error_reply(rid, RpcErrorCode.APPLICATION_ERROR, f"InternalError: {exc!r}")
+    return {"id": rid, "result": result}
+
+
 class Server:
     """Threaded RPC server: one thread per connection, sequential requests
     per connection, orderly shutdown that completes in-flight requests."""
@@ -490,7 +516,7 @@ class Server:
             while not self._shutdown.is_set():
                 line = _take_line(buf)
                 if line is not None:
-                    conn.sendall(encode_message(self._handle_line(line)))
+                    conn.sendall(encode_message(handle_line(self._handlers, line)))
                     continue
                 chunk = conn.recv(_RECV_CHUNK)
                 if not chunk:
@@ -503,28 +529,6 @@ class Server:
             with self._conn_lock:
                 self._conns.discard(conn)
                 self._conn_threads.discard(threading.current_thread())
-
-    def _handle_line(self, line: bytes) -> dict[str, Any]:
-        try:
-            message = decode_message(line)
-        except FramingError as exc:
-            return _error_reply("", RpcErrorCode.MALFORMED, str(exc))
-        rid, method = message["id"], message.get("method")
-        if method is None:
-            return _error_reply(rid, RpcErrorCode.MALFORMED, "expected a request")
-        handler = self._handlers.get(method)
-        if handler is None:
-            return _error_reply(rid, RpcErrorCode.UNKNOWN_METHOD, f"unknown method {method!r}")
-        try:
-            result = handler(message["params"])
-        except InvalidParams as exc:
-            return _error_reply(rid, RpcErrorCode.INVALID_PARAMS, f"{exc.name}: {exc.detail}")
-        except ServiceError as exc:
-            return _error_reply(rid, RpcErrorCode.APPLICATION_ERROR, f"{exc.name}: {exc.detail}")
-        except Exception as exc:  # pragma: no cover - defensive
-            log.exception("handler %s crashed", method)
-            return _error_reply(rid, RpcErrorCode.APPLICATION_ERROR, f"InternalError: {exc!r}")
-        return {"id": rid, "result": result}
 
     def shutdown(self) -> None:
         """Stop accepting, finish in-flight requests, close all connections."""

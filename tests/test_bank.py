@@ -11,7 +11,6 @@ from sgmarket.bank import (
     AccountKind,
     AlreadySettled,
     BadReporter,
-    BankClient,
     BankCore,
     DuplicateAccount,
     DuplicateEscrow,
@@ -290,19 +289,16 @@ def test_randomized_operations_match_mirror(seed):
 
 def test_concurrent_deposits_serialize():
     core = BankCore()
+    alice = core.create_account("alice", "USER")
     server = wire.serve("127.0.0.1:0", rpc_handlers(core))
     try:
-        client = BankClient(server.address)
-        alice = client.create_account("alice", "USER")
-        threads = [
-            threading.Thread(target=client.deposit, args=(alice, 500))
-            for _ in range(2)
-        ]
+        deposit = (server.address, "bank.deposit", {"account_id": alice, "amount": 500})
+        threads = [threading.Thread(target=wire.rpc_call, args=deposit) for _ in range(2)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert client.balance(alice) == 1000
+        assert core.balance(alice) == 1000
     finally:
         server.shutdown()
 
@@ -310,20 +306,24 @@ def test_concurrent_deposits_serialize():
 def test_rpc_surface_round_trip():
     core = BankCore(cluster_secrets=SECRETS)
     server = wire.serve("127.0.0.1:0", rpc_handlers(core))
+
+    def call(method, **params):
+        return wire.rpc_call(server.address, method, params, timeout_ms=5000)
+
     try:
-        client = BankClient(server.address)
-        alice = client.create_account("alice", "USER")
-        cluster = client.create_account("clusterA", "CLUSTER")
-        client.deposit(alice, 9000)
-        escrow_id = client.hold_escrow(alice, cluster, 700, "j" * 32)
-        assert client.verify_escrow(escrow_id, cluster, "j" * 32, 700) is True
-        record = client.settle_escrow(escrow_id, "j" * 32, "COMPLETED", "sekrit")
+        alice = call("bank.create_account", owner="alice", kind="USER")["account_id"]
+        cluster = call("bank.create_account", owner="clusterA", kind="CLUSTER")["account_id"]
+        call("bank.deposit", account_id=alice, amount=9000)
+        job = {"job_id": "j" * 32}
+        escrow = call("bank.hold_escrow", payer=alice, payee=cluster, amount=700, **job)
+        escrow |= job
+        assert call("bank.verify_escrow", payee=cluster, min_amount=700, **escrow) == {"ok": True}
+        record = call("bank.settle_escrow", outcome="COMPLETED", reporter_secret="sekrit", **escrow)
         assert record["state"] == "RELEASED"
-        totals = client.audit()
-        assert totals["total_balances"] == 9000
-        assert totals["total_held"] == 0
+        totals = call("bank.audit")
+        assert totals == {"total_balances": {"amount": 9000}, "total_held": {"amount": 0}}
         with pytest.raises(wire.RpcError) as err:
-            client.deposit("user:ghost", 5)
+            call("bank.deposit", account_id="user:ghost", amount=5)
         assert err.value.app_error_name() == "UnknownAccount"
     finally:
         server.shutdown()

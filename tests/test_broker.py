@@ -32,7 +32,9 @@ from sgmarket.domain import (
     refusal_reason,
     validate_jobspec,
 )
-from sgmarket.frontend import FrontendCore, HORIZON_S
+from sgmarket.frontend import FrontendCore, HORIZON_S, rpc_handlers as frontend_handlers
+
+from local_network import LocalNetwork
 
 
 def _descriptor(cluster_id, address="127.0.0.1:9999", capacity=8, capabilities=(),
@@ -76,40 +78,52 @@ def test_select_lowest_order_independent_with_ties():
 
 # -- registry -------------------------------------------------------------------
 
-def _quotes_from(table):
-    """Fake batch quote fn answering from {cluster_id: price-or-reason}; a
-    ``(price, load, drain)`` answer is a bid with that load report."""
+def _answer(address, entry):
+    """A quote table entry as the Bid it stands for, or the reason there is
+    none; a ``(price, load, drain)`` entry is a bid with that load report."""
+    if isinstance(entry, int):
+        entry = (entry, (1, 1), (0, 1))
+    if isinstance(entry, tuple):
+        price, load, drain = entry
+        return Bid(Money(price), f"tok-{address}", f"cluster:{address}", load, drain)
+    return entry
+
+
+def _serve_quotes(network, table):
+    """Host at each address of ``table`` a front-end that quotes its entry as
+    it is at each quote; one whose entry is ``"timeout"`` is not hosted."""
 
     def quote(address):
-        if address not in table:  # nothing listens there
-            return "rpc_error"
-        answer = table[address]
-        if isinstance(answer, int):
-            answer = (answer, (1, 1), (0, 1))
-        if isinstance(answer, tuple):
-            price, load, drain = answer
-            return Bid(
-                price=Money(price),
-                bid_token=f"tok-{address}",
-                payee_account=f"cluster:{address}",
-                load=load,
-                drain=drain,
-            )
-        return answer
+        answer = _answer(address, table[address])
+        if isinstance(answer, Bid):
+            return {"bid": answer.to_dict()}
+        return {"no_bid": {"reason": answer}}
 
-    def fn(addresses, spec, timeout_ms):
-        return [quote(address) for address in addresses]
+    for address, entry in table.items():
+        if entry != "timeout":
+            network.hosts[address] = {"node.quote": lambda params, address=address: quote(address)}
+    return network
 
-    return fn
+
+def _batches(network):
+    """The cluster ids each quote round asked, in order."""
+    rounds = [addresses for method, addresses in network.fanouts if method == "node.quote"]
+    return [[address.split("#", 1)[1] for address in addresses] for addresses in rounds]
+
+
+@pytest.fixture()
+def network():
+    with LocalNetwork() as network:
+        yield network
 
 
 def _register(core, cluster_id, ttl_s=60):
-    # Addresses carry the cluster id so the fake quote table can find them.
+    # Addresses carry the cluster id, which ``_batches`` reads back.
     core.register_cluster(_descriptor(cluster_id, address=f"127.0.0.1:1#{cluster_id}"), ttl_s)
 
 
 def test_registry_upsert_and_sorted_listing():
-    core = BrokerCore(clock=VirtualClock(), quote_fn=_quotes_from({}))
+    core = BrokerCore(clock=VirtualClock())
     _register(core, "zeta")
     _register(core, "alpha")
     assert [d.cluster_id for d in core.list_clusters()] == ["alpha", "zeta"]
@@ -118,9 +132,9 @@ def test_registry_upsert_and_sorted_listing():
     assert listed == {"alpha": "127.0.0.1:1#alpha", "zeta": "127.0.0.1:2#zeta"}
 
 
-def test_expired_registrations_drop_out():
+def test_expired_registrations_drop_out(network):
     clock = VirtualClock()
-    core = BrokerCore(clock=clock, quote_fn=_quotes_from({}))
+    core = BrokerCore(clock=clock)
     _register(core, "A", ttl_s=10)
     _register(core, "B", ttl_s=30)
     clock.advance(11)
@@ -131,7 +145,7 @@ def test_expired_registrations_drop_out():
 
 def test_refresh_extends_ttl():
     clock = VirtualClock()
-    core = BrokerCore(clock=clock, quote_fn=_quotes_from({}))
+    core = BrokerCore(clock=clock)
     _register(core, "A", ttl_s=10)
     clock.advance(8)
     _register(core, "A", ttl_s=10)
@@ -209,15 +223,16 @@ def test_two_bid_rounds_fit_in_the_clients_timeout():
 
 # -- selection over fakes --------------------------------------------------------
 
-def _core_with(table, **kw):
-    core = BrokerCore(clock=VirtualClock(), quote_fn=_quotes_from(table), **kw)
+def _core_with(network, table):
+    core = BrokerCore(clock=VirtualClock())
+    _serve_quotes(network, table)
     for cluster_id in sorted(table):
         _register(core, cluster_id.split("#", 1)[1])
     return core
 
 
-def test_find_cluster_picks_cheapest():
-    core = _core_with({"127.0.0.1:1#A": 300, "127.0.0.1:1#B": 250, "127.0.0.1:1#C": 400})
+def test_find_cluster_picks_cheapest(network):
+    core = _core_with(network, {"127.0.0.1:1#A": 300, "127.0.0.1:1#B": 250, "127.0.0.1:1#C": 400})
     outcome = core.find_cluster(_spec())
     assert isinstance(outcome, Selection)
     assert (outcome.cluster_id, outcome.price) == ("B", Money(250))
@@ -225,29 +240,27 @@ def test_find_cluster_picks_cheapest():
     assert outcome.payee_account == "cluster:127.0.0.1:1#B"
 
 
-def test_find_cluster_breaks_ties_lexicographically():
-    core = _core_with({"127.0.0.1:1#B": 300, "127.0.0.1:1#A": 300})
+def test_find_cluster_breaks_ties_lexicographically(network):
+    core = _core_with(network, {"127.0.0.1:1#B": 300, "127.0.0.1:1#A": 300})
     assert core.find_cluster(_spec()).cluster_id == "A"
 
 
-def test_find_cluster_ignores_hangs_and_no_bids():
-    core = _core_with(
-        {"127.0.0.1:1#A": "timeout", "127.0.0.1:1#B": 500,
-         "127.0.0.1:1#C": "unsupported_feature"}
-    )
+def test_find_cluster_ignores_hangs_and_no_bids(network):
+    core = _core_with(network, {"127.0.0.1:1#A": "timeout", "127.0.0.1:1#B": 500,
+                                "127.0.0.1:1#C": "unsupported_feature"})
     outcome = core.find_cluster(_spec())
     assert outcome.cluster_id == "B"
 
 
-def test_find_cluster_reports_reasons_when_nothing_bids():
-    core = _core_with({"127.0.0.1:1#A": "timeout", "127.0.0.1:1#B": "unsupported_feature"})
+def test_find_cluster_reports_reasons_when_nothing_bids(network):
+    core = _core_with(network, {"127.0.0.1:1#A": "timeout", "127.0.0.1:1#B": "unsupported_feature"})
     outcome = core.find_cluster(_spec())
     assert isinstance(outcome, NoEligibleCluster)
     assert outcome.reasons == {"A": "timeout", "B": "unsupported_feature"}
 
 
-def test_find_cluster_with_empty_registry():
-    core = BrokerCore(clock=VirtualClock(), quote_fn=_quotes_from({}))
+def test_find_cluster_with_empty_registry(network):
+    core = BrokerCore(clock=VirtualClock())
     outcome = core.find_cluster(_spec())
     assert isinstance(outcome, NoEligibleCluster)
     assert outcome.reasons == {}
@@ -275,22 +288,16 @@ def test_find_cluster_with_empty_registry():
         ({"A": (2, 900), "B": (2, 800), "C": (2, 850)}, [["A", "B", "C"]], "B"),
     ],
 )
-def test_bid_rounds_ask_only_clusters_that_can_still_win(fleet, batches, winner):
+def test_bid_rounds_ask_only_clusters_that_can_still_win(network, fleet, batches, winner):
     table = {f"127.0.0.1:1#{cid}": answer for cid, (_, answer) in fleet.items()}
-    answer = _quotes_from(table)
-    asked = []
-
-    def quote_fn(addresses, spec, timeout_ms):
-        asked.append([address.split("#", 1)[1] for address in addresses])
-        return answer(addresses, spec, timeout_ms)
-
-    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    _serve_quotes(network, table)
+    core = BrokerCore(clock=VirtualClock())
     for cid, (base_rate, _) in fleet.items():
         core.register_cluster(
             _descriptor(cid, address=f"127.0.0.1:1#{cid}", base_rate=base_rate), 60
         )
     outcome = core.find_cluster(_spec())
-    assert asked == batches
+    assert _batches(network) == batches
     assert isinstance(outcome, Selection)
     assert outcome.cluster_id == winner
 
@@ -339,14 +346,15 @@ def test_bid_rounds_keep_the_full_fanouts_winner(fleet):
         f"127.0.0.1:1#{cid}": extra if isinstance(extra, str) else 400 * (base + extra)
         for cid, (base, extra) in fleet.items()
     }
-    quote_fn = _quotes_from(table)
-    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    core = BrokerCore(clock=VirtualClock())
     for cid, (base_rate, _) in fleet.items():
         core.register_cluster(
             _descriptor(cid, address=f"127.0.0.1:1#{cid}", base_rate=base_rate), 60
         )
-    answers = dict(zip(table, quote_fn(list(table), _spec(), 1)))
-    assert core.find_cluster(_spec()) == _full_fanout(core.list_clusters(), _spec(), answers)
+    answers = {address: _answer(address, entry) for address, entry in table.items()}
+    with _serve_quotes(LocalNetwork(), table):
+        outcome = core.find_cluster(_spec())
+    assert outcome == _full_fanout(core.list_clusters(), _spec(), answers)
 
 
 _FEATURES = st.sampled_from(["gpu", "deadline"])
@@ -372,7 +380,7 @@ def _frontend(draw, cluster_id):
     frontend = FrontendCore(
         card=card,
         cluster_secret=f"cs-{cluster_id}",
-        bank=None,
+        bank="127.0.0.1:1",
         load_coefficient=0 if draw(st.booleans()) else coefficient * HORIZON_S / horizon_s,
     )
     # A whole horizon of queued work (load ratio 1) makes prices land on
@@ -403,33 +411,25 @@ def test_bounded_find_selects_what_a_full_fanout_would(
     answers = {}
     for frontend in fleet:
         answers[f"127.0.0.1:1#{frontend.card.cluster_id}"] = frontend.quote(spec)
-    batches = []
-
-    def quote_fn(addresses, spec, timeout_ms):
-        batches.append(addresses)
-        return [answers[address] for address in addresses]
-
-    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    core = BrokerCore(clock=VirtualClock())
     for frontend in fleet:
         address = f"127.0.0.1:1#{frontend.card.cluster_id}"
         core.register_cluster(frontend.descriptor(address), 60)
-    assert core.find_cluster(spec) == _full_fanout(core.list_clusters(), spec, answers)
+    with _serve_quotes(LocalNetwork(), answers) as network:
+        outcome = core.find_cluster(spec)
+    assert outcome == _full_fanout(core.list_clusters(), spec, answers)
+    batches = _batches(network)
     assert len(batches) <= 2
     asked = [address for batch in batches for address in batch]
     assert len(asked) == len(set(asked))
 
 
-def _recording_core(table, rates, clock=None):
-    """A broker over ``_quotes_from(table)`` (mutable between finds) that
+def _recording_core(network, table, rates, clock=None):
+    """A broker whose clusters quote from ``table`` on ``network``, which
     records each batch of cluster ids it asks; ``rates`` maps a cluster id
     to its base rate, or to ``(base_rate, feature_multipliers)``."""
-    batches = []
-
-    def quote_fn(addresses, spec, timeout_ms):
-        batches.append([address.split("#", 1)[1] for address in addresses])
-        return _quotes_from(table)(addresses, spec, timeout_ms)
-
-    core = BrokerCore(clock=clock or VirtualClock(), quote_fn=quote_fn)
+    _serve_quotes(network, table)
+    core = BrokerCore(clock=clock or VirtualClock())
     for cid, rate in rates.items():
         base_rate, multipliers = rate if isinstance(rate, tuple) else (rate, {})
         descriptor = _descriptor(
@@ -440,64 +440,64 @@ def _recording_core(table, rates, clock=None):
             dataclasses.replace(descriptor, feature_multipliers=multipliers), 3600,
             boot_id=f"boot-{cid}",
         )
-    return core, batches
+    return core
 
 
-def test_floor_counts_the_rate_cards_feature_multipliers():
+def test_floor_counts_the_rate_cards_feature_multipliers(network):
     """A gpu job's floor on A is 400 * 3/2: A's bid at that floor ends the
     find, where a base-rate floor of 400 would still have asked B."""
     table = {"127.0.0.1:1#A": 600, "127.0.0.1:1#B": 700}
-    core, batches = _recording_core(
-        table, {"A": (1, {"gpu": Fraction(3, 2)}), "B": (2, {"gpu": Fraction(1)})}
+    core = _recording_core(
+        network, table, {"A": (1, {"gpu": Fraction(3, 2)}), "B": (2, {"gpu": Fraction(1)})}
     )
     outcome = core.find_cluster(_spec(required_features=["gpu"]))
-    assert batches == [["A"]]
+    assert _batches(network) == [["A"]]
     assert (outcome.cluster_id, outcome.price) == ("A", Money(600))
 
 
-def test_round_one_follows_the_placement_record():
+def test_round_one_follows_the_placement_record(network):
     # nodes=4, walltime_s=100: floor 400 on A-D, 800 on E.
     clock = VirtualClock()
     table = {f"127.0.0.1:1#{cid}": 500 for cid in "ABCDE"}
     table["127.0.0.1:1#C"] = 400
-    core, batches = _recording_core(
-        table, {"A": 1, "B": 1, "C": 1, "D": 1, "E": 2}, clock=clock
+    core = _recording_core(
+        network, table, {"A": 1, "B": 1, "C": 1, "D": 1, "E": 2}, clock=clock
     )
     # A fresh broker knows no idle cluster: round 1 is the lowest-floor group.
     assert core.find_cluster(_spec()).cluster_id == "C"
-    assert batches == [["A", "B", "C", "D"]]
+    assert _batches(network) == [["A", "B", "C", "D"]]
     # C's placement runs until t=100; nothing is known idle before then.
     clock.advance(99)
     table["127.0.0.1:1#C"], table["127.0.0.1:1#D"] = 450, 400
     assert core.find_cluster(_spec()).cluster_id == "D"
-    assert batches[-1] == ["A", "B", "C", "D"]
+    assert _batches(network)[-1] == ["A", "B", "C", "D"]
     # From t=100 the record shows C idle: round 1 stops there, and C's bid
     # at its floor leaves nobody after it who could win.
     clock.advance(1)
     table["127.0.0.1:1#C"] = 400
     assert core.find_cluster(_spec()).cluster_id == "C"
-    assert batches[-1] == ["A", "B", "C"]
-    assert len(batches) == 3
+    assert _batches(network)[-1] == ["A", "B", "C"]
+    assert len(_batches(network)) == 3
     # The record is a hint. Here C is busy after all, so round 2 asks the
     # rest of the group, whose floor still beats C's bid, as before.
     clock.advance(100)
     table["127.0.0.1:1#C"] = 450
     table["127.0.0.1:1#D"] = 420
     assert core.find_cluster(_spec()).cluster_id == "D"
-    assert batches[-2:] == [["A", "B", "C"], ["D"]]
+    assert _batches(network)[-2:] == [["A", "B", "C"], ["D"]]
 
 
-def test_bid_below_its_own_floor_sends_round_two_to_everyone():
+def test_bid_below_its_own_floor_sends_round_two_to_everyone(network):
     """A front-end bidding under its published rate card shows floors are
     not to be trusted: round 2 asks every remaining eligible cluster."""
     table = {"127.0.0.1:1#A": 100, "127.0.0.1:1#B": 50, "127.0.0.1:1#C": 2000}
-    core, batches = _recording_core(table, {"A": 1, "B": 2, "C": 3})
+    core = _recording_core(network, table, {"A": 1, "B": 2, "C": 3})
     outcome = core.find_cluster(_spec())
-    assert batches == [["A"], ["B", "C"]]
+    assert _batches(network) == [["A"], ["B", "C"]]
     assert (outcome.cluster_id, outcome.price) == ("B", Money(50))
 
 
-def test_round_one_follows_the_load_reports():
+def test_round_one_follows_the_load_reports(network):
     # nodes=4, walltime_s=100: floor 400 on every cluster.
     clock = VirtualClock()
     table = {
@@ -506,33 +506,33 @@ def test_round_one_follows_the_load_reports():
         "127.0.0.1:1#C": (1000, (5, 2), (1, 100)),
         "127.0.0.1:1#D": (700, (7, 4), (1, 100)),
     }
-    core, batches = _recording_core(table, dict.fromkeys("ABCD", 1), clock=clock)
+    core = _recording_core(network, table, dict.fromkeys("ABCD", 1), clock=clock)
     # No reports yet: round 1 is every floor-400 cluster.
     assert core.find_cluster(_spec()).cluster_id == "B"
-    assert batches == [["A", "B", "C", "D"]]
+    assert _batches(network) == [["A", "B", "C", "D"]]
     # Ten seconds of drain at most: bounds A 760, B 560, C 960, D 660.
     # Round 1 is B alone, whose report shows it busy; at 600, nobody
     # else's bound can beat it.
     clock.advance(9)
     assert core.find_cluster(_spec()).cluster_id == "B"
-    assert batches[-1:] == [["B"]]
+    assert _batches(network)[-1:] == [["B"]]
     # B bids 700 this time: round 2 asks only D, whose bound is below it.
     table["127.0.0.1:1#B"] = (700, (7, 4), (1, 100))
     table["127.0.0.1:1#D"] = (650, (13, 8), (1, 100))
     assert core.find_cluster(_spec()).cluster_id == "D"
-    assert batches[-2:] == [["B"], ["D"]]
+    assert _batches(network)[-2:] == [["B"], ["D"]]
     # C registers again, so its report goes: its bound is back at its floor.
     core.register_cluster(_descriptor("C", address="127.0.0.1:1#C"), 3600)
     table["127.0.0.1:1#C"] = 400
     assert core.find_cluster(_spec()).cluster_id == "C"
-    assert batches[-1:] == [["C"]]
-    assert len(batches) == 5
+    assert _batches(network)[-1:] == [["C"]]
+    assert len(_batches(network)) == 5
     # A bid at load 1 ends a cluster's report.
     reported = {cid for cid, record in core._registry.items() if record.report is not None}
     assert reported == {"A", "B", "D"}
 
 
-def test_registering_again_drops_the_report_but_keeps_the_placement_record():
+def test_registering_again_drops_the_report_but_keeps_the_placement_record(network):
     """A registration under a new boot id, or none, may come from a
     front-end restarted empty, so its report goes; but the work this broker
     placed there still runs, so its placement record stays."""
@@ -543,9 +543,9 @@ def test_registering_again_drops_the_report_but_keeps_the_placement_record():
         "127.0.0.1:1#B": 400,
         "127.0.0.1:1#C": 500,
     }
-    core, batches = _recording_core(table, dict.fromkeys("ABC", 1), clock=clock)
+    core = _recording_core(network, table, dict.fromkeys("ABC", 1), clock=clock)
     assert core.find_cluster(_spec()).cluster_id == "B"
-    assert batches == [["A", "B", "C"]]
+    assert _batches(network) == [["A", "B", "C"]]
     # Without the restarts, A's report would bound it at 600, and round 1
     # would be B alone, the first floor-400 cluster, which the record shows
     # idle from t=100.
@@ -555,18 +555,18 @@ def test_registering_again_drops_the_report_but_keeps_the_placement_record():
         core.register_cluster(_descriptor(cid, address=f"127.0.0.1:1#{cid}"), 3600)
     # A is back at its floor and asked first; B still stops round 1.
     assert core.find_cluster(_spec()).cluster_id == "B"
-    assert batches[1:] == [["A", "B"]]
+    assert _batches(network)[1:] == [["A", "B"]]
 
 
-def test_a_renewal_under_the_same_boot_id_keeps_the_report():
+def test_a_renewal_under_the_same_boot_id_keeps_the_report(network):
     """``sg-node`` renews its registration every half ttl under the boot id
     it drew at start; such a renewal keeps a busy cluster's bound."""
     # nodes=4, walltime_s=100: floor 400 on both clusters.
     clock = VirtualClock()
     table = {"127.0.0.1:1#A": (600, (3, 2), (0, 1)), "127.0.0.1:1#B": 500}
-    core, batches = _recording_core(table, dict.fromkeys("AB", 1), clock=clock)
+    core = _recording_core(network, table, dict.fromkeys("AB", 1), clock=clock)
     assert core.find_cluster(_spec()).cluster_id == "B"
-    assert batches == [["A", "B"]]
+    assert _batches(network) == [["A", "B"]]
     clock.advance(30)
     for cid in "AB":
         core.register_cluster(
@@ -575,11 +575,11 @@ def test_a_renewal_under_the_same_boot_id_keeps_the_report():
     # A's report still bounds it at 600, so round 1 is B alone, and its bid
     # of 500 ends the find. Had the report gone, both would share floor 400.
     assert core.find_cluster(_spec()).cluster_id == "B"
-    assert batches[1:] == [["B"]]
+    assert _batches(network)[1:] == [["B"]]
 
 
 def test_boot_id_must_be_a_string():
-    core = BrokerCore(clock=VirtualClock(), quote_fn=_quotes_from({}))
+    core = BrokerCore(clock=VirtualClock())
     handlers = rpc_handlers(core)
     with pytest.raises(wire.InvalidParams):
         handlers["broker.register_cluster"](
@@ -588,7 +588,7 @@ def test_boot_id_must_be_a_string():
     assert core.list_clusters() == []
 
 
-def test_bid_below_its_own_bound_sends_round_two_to_everyone():
+def test_bid_below_its_own_bound_sends_round_two_to_everyone(network):
     """A front-end bidding under the bound its own report set shows the
     reports are not to be trusted: round 2 asks every remaining eligible
     cluster, whatever its bound."""
@@ -598,7 +598,7 @@ def test_bid_below_its_own_bound_sends_round_two_to_everyone():
         "127.0.0.1:1#B": (600, (3, 2), (0, 1)),
         "127.0.0.1:1#C": (1200, (3, 1), (0, 1)),
     }
-    core, batches = _recording_core(table, dict.fromkeys("ABC", 1), clock=clock)
+    core = _recording_core(network, table, dict.fromkeys("ABC", 1), clock=clock)
     assert core.find_cluster(_spec()).cluster_id == "B"
     # Bounds now A 800, B 600, C 1200. B bids 500 < 600, and C, which
     # restarted without registering again, bids its floor.
@@ -606,46 +606,41 @@ def test_bid_below_its_own_bound_sends_round_two_to_everyone():
     table["127.0.0.1:1#B"] = 500
     table["127.0.0.1:1#C"] = 400
     outcome = core.find_cluster(_spec())
-    assert batches[-2:] == [["B"], ["A", "C"]]
+    assert _batches(network)[-2:] == [["B"], ["A", "C"]]
     assert (outcome.cluster_id, outcome.price) == ("C", Money(400))
 
 
-def test_bound_allows_a_front_end_clock_one_second_ahead():
+def test_bound_allows_a_front_end_clock_one_second_ahead(network):
     """Two whole-second clocks can differ by a second: the ``+ 1`` in a
     bound covers a front-end whose clock ticked while the broker's did not."""
     coefficients = {"A": (10, 1800), "B": (17, 0)}
     frontends = {
         f"127.0.0.1:1#{cid}": FrontendCore(
             card=_descriptor(cid, capacity=1, base_rate=rate),
-            cluster_secret=f"cs-{cid}", bank=None, load_coefficient=coefficient,
+            cluster_secret=f"cs-{cid}", bank="127.0.0.1:1", load_coefficient=coefficient,
         )
         for cid, (rate, coefficient) in coefficients.items()
     }
-    batches = []
-
-    def quote_fn(addresses, spec, timeout_ms):
-        batches.append([address.split("#", 1)[1] for address in addresses])
-        return [frontends[address].quote(spec) for address in addresses]
-
-    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    core = BrokerCore(clock=VirtualClock())
     for address, frontend in frontends.items():
         core.register_cluster(frontend.descriptor(address), 3600)
+        network.hosts[address] = frontend_handlers(frontend)
     frontends["127.0.0.1:1#A"].scheduler.enqueue("f" * 32, 1, 2)
     spec = _spec(nodes=1, walltime_s=10)
     # A's load factor is 2 (price 200) and drains by 1/2 a second.
     assert core.find_cluster(spec).cluster_id == "B"
-    assert batches == [["A"], ["B"]]
+    assert _batches(network) == [["A"], ["B"]]
     frontends["127.0.0.1:1#A"].tick(1)
     # The broker's clock still reads 0, yet A's bound is 150, not 200.
     outcome = core.find_cluster(spec)
     assert (outcome.cluster_id, outcome.price) == ("A", Money(150))
-    assert batches[-1:] == [["A"]]
+    assert _batches(network)[-1:] == [["A"]]
 
 
-def test_placement_record_survives_concurrent_finds():
+def test_placement_record_survives_concurrent_finds(network):
     """Each find records max(end) under the broker lock; a lost update
     would leave an end earlier than the longest placement."""
-    core, _ = _recording_core({"127.0.0.1:1#A": 1}, {"A": 1})
+    core = _recording_core(network, {"127.0.0.1:1#A": 1}, {"A": 1})
     walltimes = list(range(1, 201))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -690,17 +685,12 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
     finds: whatever its placement record and the front-ends' load reports
     say, each find picks the full fan-out's winner in at most two rounds."""
     clock = VirtualClock()
-    answers = {}
-    batches = []
-
-    def quote_fn(addresses, spec, timeout_ms):
-        batches.append(addresses)
-        return [answers[address] for address in addresses]
-
-    core = BrokerCore(clock=clock, quote_fn=quote_fn)
+    core = BrokerCore(clock=clock)
     frontends = {f"127.0.0.1:1#{frontend.card.cluster_id}": frontend for frontend in fleet}
     for address, frontend in frontends.items():
         core.register_cluster(frontend.descriptor(address), 3600)
+    answers = dict.fromkeys(frontends)
+    network = _serve_quotes(LocalNetwork(), answers)
     for index, (nodes, walltime_s, features, place, dt, restart) in enumerate(steps):
         if restart is not None and restart < len(fleet):
             # A restarted front-end has lost its jobs, and registers again.
@@ -709,19 +699,20 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
             frontends[address] = FrontendCore(
                 card=old.card,
                 cluster_secret=old.cluster_secret,
-                bank=None,
+                bank="127.0.0.1:1",
                 load_coefficient=old.load_coefficient,
             )
             core.register_cluster(frontends[address].descriptor(address), 3600)
         spec = _spec(job_id=f"{index + 100:032x}", nodes=nodes, walltime_s=walltime_s,
                      required_features=sorted(features))
         # Each front-end quotes once, so the oracle and the find see the same bids.
-        answers.clear()
         for address, frontend in frontends.items():
             answers[address] = frontend.quote(spec)
-        batches.clear()
-        outcome = core.find_cluster(spec)
+        network.fanouts.clear()
+        with network:
+            outcome = core.find_cluster(spec)
         assert outcome == _full_fanout(core.list_clusters(), spec, answers)
+        batches = _batches(network)
         assert len(batches) <= 2
         asked = [address for batch in batches for address in batch]
         assert len(asked) == len(set(asked))
@@ -734,43 +725,22 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
 
 # -- matchmaking ------------------------------------------------------------------
 
-def _recording_quotes():
-    """Fake batch quote fn that bids 100 everywhere and records every
-    address it was asked."""
-    asked = []
-
-    def fn(addresses, spec, timeout_ms):
-        asked.extend(addresses)
-        return [
-            Bid(
-                price=Money(100),
-                bid_token=f"tok-{address}",
-                payee_account=f"cluster:{address}",
-            )
-            for address in addresses
-        ]
-
-    return fn, asked
-
-
-def _register_fleet(core, fleet):
+def _register_fleet(core, network, fleet):
+    """Register ``fleet``, each cluster bidding 100 on ``network``."""
     for cluster_id, capacity, capabilities in fleet:
+        address = f"127.0.0.1:1#{cluster_id}"
         core.register_cluster(
-            _descriptor(
-                cluster_id,
-                address=f"127.0.0.1:1#{cluster_id}",
-                capacity=capacity,
-                capabilities=capabilities,
-            ),
+            _descriptor(cluster_id, address=address, capacity=capacity, capabilities=capabilities),
             60,
         )
+        _serve_quotes(network, {address: 100})
 
 
-def test_find_cluster_quotes_only_clusters_that_can_run_the_job():
-    quote_fn, asked = _recording_quotes()
-    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+def test_find_cluster_quotes_only_clusters_that_can_run_the_job(network):
+    core = BrokerCore(clock=VirtualClock())
     _register_fleet(
         core,
+        network,
         [
             ("A", 8, ("gpu",)),
             ("B", 8, ()),  # lacks the feature
@@ -780,17 +750,16 @@ def test_find_cluster_quotes_only_clusters_that_can_run_the_job():
         ],
     )
     outcome = core.find_cluster(_spec(nodes=4, required_features=["gpu"]))
-    assert asked == ["127.0.0.1:1#A", "127.0.0.1:1#E"]
+    assert _batches(network) == [["A", "E"]]
     assert isinstance(outcome, Selection)
     assert outcome.cluster_id == "A"
 
 
-def test_find_cluster_with_no_capable_cluster_asks_nobody():
-    quote_fn, asked = _recording_quotes()
-    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
-    _register_fleet(core, [("B", 8, ()), ("C", 2, ("gpu",)), ("D", 2, ())])
+def test_find_cluster_with_no_capable_cluster_asks_nobody(network):
+    core = BrokerCore(clock=VirtualClock())
+    _register_fleet(core, network, [("B", 8, ()), ("C", 2, ("gpu",)), ("D", 2, ())])
     outcome = core.find_cluster(_spec(nodes=4, required_features=["gpu"]))
-    assert asked == []
+    assert network.requests == []
     assert isinstance(outcome, NoEligibleCluster)
     assert outcome.reasons == {
         "B": "unsupported_feature",
@@ -812,19 +781,19 @@ def test_broker_refusal_matches_the_frontends(capacity, capabilities, nodes, fea
         card=_descriptor("A", capacity=capacity, capabilities=capabilities),
         cluster_secret="cs-A",
         load_coefficient=0,
-        bank=None,
+        bank="127.0.0.1:1",
     )
-    quote_fn, asked = _recording_quotes()
-    core = BrokerCore(clock=VirtualClock(), quote_fn=quote_fn)
+    core = BrokerCore(clock=VirtualClock())
     core.register_cluster(frontend.descriptor("127.0.0.1:1#A"), 60)
     spec = _spec(nodes=nodes, required_features=sorted(features))
-    outcome = core.find_cluster(spec)
+    with LocalNetwork({"127.0.0.1:1#A": frontend_handlers(frontend)}) as network:
+        outcome = core.find_cluster(spec)
     answer = frontend.quote(spec)
     if isinstance(answer, str):
-        assert asked == []
+        assert network.requests == []
         assert outcome == NoEligibleCluster(reasons={"A": answer})
     else:
-        assert asked == ["127.0.0.1:1#A"]
+        assert _batches(network) == [["A"]]
         assert isinstance(outcome, Selection)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sgmarket import client, wire
+from sgmarket import bank, broker, client, frontend, wire
 from sgmarket.client import (
     ClientConfig,
     ClientSession,
@@ -12,6 +12,8 @@ from sgmarket.client import (
     parse_spec,
 )
 from sgmarket.domain import JobState, ValidationError
+
+from local_network import LocalNetwork
 
 IDENTITY = {"job_id": "d" * 32}
 
@@ -90,6 +92,38 @@ def test_seeded_sessions_mint_identical_job_ids():
     ids_b = [b.mint_job_id() for _ in range(3)]
     assert ids_a == ids_b
     assert all(len(j) == 32 for j in ids_a)
+
+
+# -- one job's exchanges ---------------------------------------------------------------
+
+def test_one_job_sends_find_quotes_hold_submit_verify_settle(market_factory):
+    """One job's submission and the tick that ends it send exactly these
+    requests; a quote carries only the spec, never a credential."""
+    runtime = market_factory(
+        clusters=[{"cluster_id": cid, "capacity_nodes": 8, "base_rate": 1} for cid in "AB"],
+        users=FUNDED,
+    )
+    broker_at, bank_at = runtime.broker_server.address, runtime.bank_server.address
+    a, b = runtime.frontends
+    hosts = {s.address: frontend.rpc_handlers(s.core) for s in runtime.frontends}
+    hosts[broker_at] = broker.rpc_handlers(runtime.broker_core)
+    hosts[bank_at] = bank.rpc_handlers(runtime.bank_core)
+    with LocalNetwork(hosts) as network:
+        session = runtime.sessions["alice"]
+        terms = {"nodes": 4, "walltime_s": 100, "command": "run", "workdir": "/data"}
+        assert session.submit_job(session.build_spec(None, terms))["cluster_id"] == "A"
+        a.core.tick(100)
+    assert [(address, method) for address, method, _ in network.requests] == [
+        (broker_at, "broker.find_cluster"),
+        (a.address, "node.quote"),
+        (b.address, "node.quote"),
+        (bank_at, "bank.hold_escrow"),
+        (a.address, "node.submit"),
+        (bank_at, "bank.verify_escrow"),
+        (bank_at, "bank.settle_escrow"),
+    ]
+    assert [set(params) for params in network.sent("node.quote")] == [{"spec"}, {"spec"}]
+    assert runtime.bank_core.account_balances()["cluster:A"] == 400
 
 
 # -- full lifecycle over the CLI ------------------------------------------------------

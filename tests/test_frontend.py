@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgmarket import wire
-from sgmarket.bank import BankClient, BankCore, EscrowState, rpc_handlers as bank_handlers
+from sgmarket.bank import BankCore, EscrowState, rpc_handlers as bank_handlers
 from sgmarket.domain import (
     Bid,
     ClusterDescriptor,
@@ -35,7 +35,10 @@ from sgmarket.frontend import (
     parse_load_coefficient,
 )
 
+from local_network import LocalNetwork
 from scheduler_oracle import simulate
+
+BANK = "127.0.0.1:1"  # the bank's address on the test network
 
 
 def _spec(job_id="a" * 32, nodes=4, walltime_s=100, features=(), max_price=None):
@@ -52,59 +55,25 @@ def _spec(job_id="a" * 32, nodes=4, walltime_s=100, features=(), max_price=None)
     return validate_jobspec(record)
 
 
-class FakeBank:
-    """Stands in for the bank over RPC; records settlements."""
-
-    def __init__(self, verify_ok=True):
-        self.verify_ok = verify_ok
-        self.verifications = []
-        self.settlements = []
-
-    def verify_escrow(self, escrow_id, payee, job_id, min_amount):
-        self.verifications.append((escrow_id, payee, job_id, min_amount))
-        return self.verify_ok
-
-    def settle_escrow(self, escrow_id, job_id, outcome, reporter_secret):
-        self.settlements.append((escrow_id, job_id, outcome, reporter_secret))
-        return {"state": "RELEASED" if outcome == "COMPLETED" else "REFUNDED"}
+def _bank(verify_ok=True):
+    """Handlers of a bank that finds every escrow ``verify_ok`` and takes every settlement."""
+    return {"bank.verify_escrow": lambda p: {"ok": verify_ok}, "bank.settle_escrow": lambda p: {}}
 
 
-class FlakyBank(FakeBank):
-    """A FakeBank that answers each listed method's next calls with the
-    given RpcErrors, in order, before it answers normally again."""
+@pytest.fixture()
+def network():
+    with LocalNetwork({BANK: _bank()}) as network:
+        yield network
 
-    def __init__(self, **failures):
-        super().__init__()
-        self.failures = {method: list(errors) for method, errors in failures.items()}
-        self.settle_attempts = 0
 
-    def _maybe_fail(self, method):
-        errors = self.failures.get(method)
-        if errors:
-            raise errors.pop(0)
-
-    def verify_escrow(self, *args, **kwargs):
-        self._maybe_fail("verify_escrow")
-        return super().verify_escrow(*args, **kwargs)
-
-    def settle_escrow(self, *args, **kwargs):
-        self.settle_attempts += 1
-        self._maybe_fail("settle_escrow")
-        return super().settle_escrow(*args, **kwargs)
+def _settlements(network):
+    """Every settlement sent to the bank, answered or not, in order."""
+    fields = ("escrow_id", "job_id", "outcome", "reporter_secret")
+    return [tuple(p[f] for f in fields) for p in network.sent("bank.settle_escrow")]
 
 
 def _timeout():
     return wire.RpcError(wire.RpcErrorCode.TIMEOUT, "timed out waiting for response")
-
-
-@pytest.fixture()
-def served_bank():
-    """A ``BankCore`` served over loopback, and a ``BankClient`` for it: a
-    front-end reaches its bank only through a client."""
-    bank = BankCore(cluster_secrets={"clusterA": "cs-A"})
-    server = wire.serve("127.0.0.1:0", bank_handlers(bank))
-    yield bank, BankClient(server.address)
-    server.shutdown()
 
 
 def _card(capacity=8, capabilities=("deadline",), base_rate=1, multipliers=None,
@@ -137,12 +106,12 @@ def _config_card(base, multipliers):
     )
 
 
-def _core(bank=None, capacity=8, capabilities=("deadline",), multipliers=None,
+def _core(capacity=8, capabilities=("deadline",), multipliers=None,
           quote_ttl_s=60, base_rate=1, cluster_secret="cs-A"):
     return FrontendCore(
         card=_card(capacity, capabilities, base_rate, multipliers),
         cluster_secret=cluster_secret,
-        bank=bank if bank is not None else FakeBank(),
+        bank=BANK,
         quote_ttl_s=quote_ttl_s,
     )
 
@@ -197,9 +166,8 @@ def test_price_cap_yields_no_bid():
     assert isinstance(core.quote(_spec(max_price=400)), Bid)
 
 
-def test_quote_reflects_committed_load():
-    bank = FakeBank()
-    core = _core(bank=bank, capacity=8)
+def test_quote_reflects_committed_load(network):
+    core = _core(capacity=8)
     first = core.quote(_spec(job_id="a" * 32))
     assert first.price == Money(400)
     core.submit(_spec(job_id="a" * 32), first.bid_token, "esc-1")
@@ -303,7 +271,7 @@ def test_price_never_falls_below_the_published_rate_card_floor(
     card = _config_card(base, multipliers)
     coefficient = parse_load_coefficient(coefficient)
     core = FrontendCore(
-        card=card, cluster_secret="cs-A", bank=FakeBank(), load_coefficient=coefficient
+        card=card, cluster_secret="cs-A", bank=BANK, load_coefficient=coefficient
     )
     num, den = core.descriptor("127.0.0.1:7710").cost(
         _spec(nodes=nodes, walltime_s=walltime, features=features)
@@ -331,7 +299,7 @@ def test_load_coefficient_must_be_a_non_negative_integer_or_ratio(value):
 def test_a_negative_load_coefficient_is_refused():
     """It would price below the floor the broker bounds the cluster by."""
     with pytest.raises(ValidationError) as err:
-        FrontendCore(card=_card(), cluster_secret="cs-A", bank=FakeBank(),
+        FrontendCore(card=_card(), cluster_secret="cs-A", bank=BANK,
                      load_coefficient=Fraction(-1, 2))
     assert err.value.field == "load_coefficient"
 
@@ -392,7 +360,7 @@ def test_a_bids_load_report_bounds_its_later_prices(
     drawn as ``coefficient`` over a ``horizon_s`` of whole-cluster work."""
     card = _card(capacity, {"gpu"}, 3, {"gpu": Fraction(5, 2)}, cluster_id="A")
     core = FrontendCore(
-        card=card, cluster_secret="cs-A", bank=FakeBank(),
+        card=card, cluster_secret="cs-A", bank=BANK,
         load_coefficient=coefficient * HORIZON_S / horizon_s,
     )
     for index, step in enumerate(steps):
@@ -624,29 +592,29 @@ def test_scheduler_matches_event_list_oracle(seed):
 
 # -- submission gating ------------------------------------------------------------
 
-def test_submit_happy_path_consumes_token():
-    bank = FakeBank()
-    core = _core(bank=bank)
+def test_submit_happy_path_consumes_token(network):
+    core = _core()
     bid = core.quote(_spec())
     status = core.submit(_spec(), bid.bid_token, "esc-7")
     assert status.state is JobState.QUEUED
-    assert bank.verifications == [("esc-7", "cluster:clusterA", "a" * 32, 400)]
+    assert network.sent("bank.verify_escrow") == [
+        {"escrow_id": "esc-7", "payee": "cluster:clusterA", "job_id": "a" * 32, "min_amount": 400}
+    ]
     with pytest.raises(UnknownQuote):
         core.submit(_spec(), bid.bid_token, "esc-7")
 
 
-def test_submit_expired_quote_rejected_and_refunded():
-    bank = FakeBank()
-    core = _core(bank=bank, quote_ttl_s=5)
+def test_submit_expired_quote_rejected_and_refunded(network):
+    core = _core(quote_ttl_s=5)
     bid = core.quote(_spec())
     core.tick(5)
     with pytest.raises(QuoteExpired):
         core.submit(_spec(), bid.bid_token, "esc-7")
     assert core.scheduler.jobs == {}
-    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+    assert _settlements(network) == [("esc-7", "a" * 32, "FAILED", "cs-A")]
 
 
-def test_submit_in_the_linger_window_gets_quote_expired():
+def test_submit_in_the_linger_window_gets_quote_expired(network):
     core = _core(quote_ttl_s=5)
     bid = core.quote(_spec())
     core.tick(9)  # expired at 5; lingers until 10
@@ -657,7 +625,7 @@ def test_submit_in_the_linger_window_gets_quote_expired():
         core.submit(_spec(), bid.bid_token, "esc-7")
 
 
-def test_consumed_quote_leaves_the_book():
+def test_consumed_quote_leaves_the_book(network):
     core = _core(quote_ttl_s=5)
     bid = core.quote(_spec(walltime_s=3))
     core.submit(_spec(walltime_s=3), bid.bid_token, "esc-7")
@@ -669,9 +637,8 @@ def test_consumed_quote_leaves_the_book():
         core.submit(_spec(walltime_s=3), bid.bid_token, "esc-8")
 
 
-def test_quote_book_is_empty_two_ttls_later():
-    bank = FakeBank()
-    core = _core(bank=bank, quote_ttl_s=60)
+def test_quote_book_is_empty_two_ttls_later(network):
+    core = _core(quote_ttl_s=60)
     specs = [_spec(job_id=f"{i:032x}", nodes=1, walltime_s=1) for i in range(1000)]
     tokens = [core.quote(spec).bid_token for spec in specs]
     core.tick(119)
@@ -730,39 +697,39 @@ def _retoken(token, index, field):
         "non-ascii",
     ],
 )
-def test_submit_with_unknown_token_rejected(forge):
-    bank = FakeBank()
-    core = _core(bank=bank)
+def test_submit_with_unknown_token_rejected(network, forge):
+    core = _core()
     bid = core.quote(_spec())
     with pytest.raises(UnknownQuote):
         core.submit(_spec(), forge(bid.bid_token), "esc-7")
     assert core.scheduler.jobs == {}
-    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+    assert _settlements(network) == [("esc-7", "a" * 32, "FAILED", "cs-A")]
 
 
-def test_submit_token_for_other_job_rejected():
+def test_submit_token_for_other_job_rejected(network):
     core = _core()
     bid = core.quote(_spec(job_id="a" * 32))
     with pytest.raises(UnknownQuote):
         core.submit(_spec(job_id="b" * 32), bid.bid_token, "esc-7")
 
 
-def test_submit_bad_escrow_rejected():
-    bank = FakeBank(verify_ok=False)
-    core = _core(bank=bank)
+def test_submit_bad_escrow_rejected(network):
+    network.hosts[BANK] = _bank(verify_ok=False)
+    core = _core()
     bid = core.quote(_spec())
     with pytest.raises(EscrowInvalid):
         core.submit(_spec(), bid.bid_token, "esc-7")
     assert core.scheduler.jobs == {}
-    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+    assert _settlements(network) == [("esc-7", "a" * 32, "FAILED", "cs-A")]
 
 
-def test_stranger_cannot_void_a_running_jobs_escrow(served_bank):
-    bank, client = served_bank
+def test_stranger_cannot_void_a_running_jobs_escrow(network):
+    bank = BankCore(cluster_secrets={"clusterA": "cs-A"})
+    network.hosts[BANK] = bank_handlers(bank)
     alice = bank.create_account("alice", "USER")
     cluster = bank.create_account("clusterA", "CLUSTER")
     bank.deposit(alice, 10000)
-    core = _core(bank=client)
+    core = _core()
     spec = _spec(walltime_s=3)
     bid = core.quote(spec)
     escrow_id = bank.hold_escrow(alice, cluster, bid.price.amount, spec.job_id)
@@ -780,14 +747,15 @@ def test_stranger_cannot_void_a_running_jobs_escrow(served_bank):
     assert bank.balance(alice) == 10000 - 12
 
 
-def test_quote_binds_the_jobs_terms(served_bank):
+def test_quote_binds_the_jobs_terms(network):
     """A cheap quote cannot be stretched over a bigger job: the submitted
     spec must ask for the nodes, walltime and features that were priced."""
-    bank, client = served_bank
+    bank = BankCore(cluster_secrets={"clusterA": "cs-A"})
+    network.hosts[BANK] = bank_handlers(bank)
     alice = bank.create_account("alice", "USER")
     cluster = bank.create_account("clusterA", "CLUSTER")
     bank.deposit(alice, 10000)
-    core = _core(bank=client, capacity=8)
+    core = _core(capacity=8)
     bid = core.quote(_spec(nodes=1, walltime_s=1))
     escrow_id = bank.hold_escrow(alice, cluster, bid.price.amount, "a" * 32)
     with pytest.raises(UnknownQuote):
@@ -809,22 +777,20 @@ def test_quote_binds_the_jobs_terms(served_bank):
     [{"nodes": 8}, {"walltime_s": 101}, {"features": ("deadline",)}],
     ids=["nodes", "walltime", "features"],
 )
-def test_submit_with_other_terms_than_quoted_rejected(changed):
-    bank = FakeBank()
-    core = _core(bank=bank)
+def test_submit_with_other_terms_than_quoted_rejected(network, changed):
+    core = _core()
     bid = core.quote(_spec())
     with pytest.raises(UnknownQuote):
         core.submit(_spec(**changed), bid.bid_token, "esc-7")
     assert core.scheduler.jobs == {}
-    assert bank.verifications == []
-    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+    assert network.sent("bank.verify_escrow") == []
+    assert _settlements(network) == [("esc-7", "a" * 32, "FAILED", "cs-A")]
     # The quote is still good for the terms it priced.
     assert core.submit(_spec(), bid.bid_token, "esc-8").state is JobState.QUEUED
 
 
-def test_token_single_use_under_race():
-    bank = FakeBank()
-    core = _core(bank=bank)
+def test_token_single_use_under_race(network):
+    core = _core()
     bid = core.quote(_spec())
     barrier = threading.Barrier(2)
     outcomes = []
@@ -844,65 +810,66 @@ def test_token_single_use_under_race():
         t.join()
     assert sorted(outcomes) == ["ok", "rejected"]
     # The accepted job's escrow must not have been refunded by the loser.
-    assert bank.settlements == []
+    assert _settlements(network) == []
 
 
-def test_completion_settles_exactly_once():
-    bank = FakeBank()
-    core = _core(bank=bank)
+def test_completion_settles_exactly_once(network):
+    core = _core()
     bid = core.quote(_spec(walltime_s=3))
     core.submit(_spec(walltime_s=3), bid.bid_token, "esc-9")
     core.tick(10)
-    assert bank.settlements == [("esc-9", "a" * 32, "COMPLETED", "cs-A")]
+    assert _settlements(network) == [("esc-9", "a" * 32, "COMPLETED", "cs-A")]
     core.tick(10)
-    assert bank.settlements == [("esc-9", "a" * 32, "COMPLETED", "cs-A")]
+    assert _settlements(network) == [("esc-9", "a" * 32, "COMPLETED", "cs-A")]
     assert core.status("a" * 32).state is JobState.COMPLETED
 
 
-def test_refund_that_times_out_is_retried_on_the_next_tick():
-    bank = FlakyBank(settle_escrow=[_timeout()])
-    core = _core(bank=bank)
+def test_refund_that_times_out_is_retried_on_the_next_tick(network):
+    network.fail(BANK, "bank.settle_escrow", _timeout())
+    core = _core()
+    refund = ("esc-7", "a" * 32, "FAILED", "cs-A")
     with pytest.raises(UnknownQuote):
         core.submit(_spec(), "1.60.400.forged", "esc-7")
-    assert bank.settle_attempts == 1 and bank.settlements == []
+    assert _settlements(network) == [refund]  # timed out
     core.tick(1)
-    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+    assert _settlements(network) == [refund, refund]  # answered
     core.tick(1)
-    assert bank.settle_attempts == 2
+    assert _settlements(network) == [refund, refund]
 
 
-def test_escrow_check_timeout_is_a_named_rejection_and_refunded():
-    bank = FlakyBank(verify_escrow=[_timeout()], settle_escrow=[_timeout()])
-    core = _core(bank=bank)
+def test_escrow_check_timeout_is_a_named_rejection_and_refunded(network):
+    network.fail(BANK, "bank.verify_escrow", _timeout())
+    network.fail(BANK, "bank.settle_escrow", _timeout())
+    core = _core()
+    refund = ("esc-7", "a" * 32, "FAILED", "cs-A")
     bid = core.quote(_spec())
     with pytest.raises(EscrowInvalid):
         core.submit(_spec(), bid.bid_token, "esc-7")
     assert core.scheduler.jobs == {}
-    assert bank.settlements == []  # the bank is still down
+    assert _settlements(network) == [refund]  # timed out: the bank is still down
     core.tick(1)
-    assert bank.settlements == [("esc-7", "a" * 32, "FAILED", "cs-A")]
+    assert _settlements(network) == [refund, refund]  # answered
 
 
-def test_settlement_the_bank_refuses_is_sent_once():
+def test_settlement_the_bank_refuses_is_sent_once(network):
     refusal = wire.RpcError(
         wire.RpcErrorCode.INVALID_PARAMS, "InvalidParams: reporter_secret must be a string"
     )
-    bank = FlakyBank(settle_escrow=[refusal])
-    core = _core(bank=bank)
+    network.fail(BANK, "bank.settle_escrow", refusal)
+    core = _core()
     spec = _spec(walltime_s=3)
     core.submit(spec, core.quote(spec).bid_token, "esc-9")
     core.tick(10)
-    assert bank.settle_attempts == 1
+    assert len(_settlements(network)) == 1
     core.tick(10)
     core.tick(10)
-    assert bank.settle_attempts == 1
+    assert len(_settlements(network)) == 1
     assert core._pending_settlements == []
 
 
-def test_capacity_never_exceeded_randomized():
+def test_capacity_never_exceeded_randomized(network):
     rng = random.Random(42)
-    bank = FakeBank()
-    core = _core(bank=bank, capacity=8)
+    core = _core(capacity=8)
     for i in range(40):
         job_id = f"{i:032x}"
         spec = _spec(job_id=job_id, nodes=rng.randint(1, 8), walltime_s=rng.randint(1, 9))

@@ -32,6 +32,8 @@ from sgmarket.domain import (
 from sgmarket.frontend import TICK_INTERVAL_S, FrontendService
 from sgmarket.harness import Scenario, replay_check
 
+from local_network import LocalNetwork
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.parent / "pyproject.toml"
 PACKAGE = README.parent / "src" / "sgmarket"
@@ -209,42 +211,36 @@ def test_concurrent_catch_ups_tick_each_second_once():
     assert scheduler.clock == clock.now() == sum(steps) == 200
 
 
-class _StallingBank:
-    """Holds every settlement until released, as a slow bank would."""
-
-    def __init__(self):
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        self.settled = []
-
-    def settle_escrow(self, escrow_id, job_id, outcome, reporter_secret):
-        self.entered.set()
-        self.release.wait(5.0)
-        self.settled.append((escrow_id, outcome))
-
-
 def test_a_stalled_ticker_ticks_the_whole_gap_at_once():
     """A payment that holds the ticker up for 30 seconds costs the core no
     time: its next catch-up ticks all 30 in one step."""
+    entered, release = threading.Event(), threading.Event()
+
+    def stalling_settle(params):  # holds the settlement up, as a slow bank would
+        entered.set()
+        release.wait(5.0)
+        return {}
+
     clock = VirtualClock()
-    service = FrontendService(_frontend_config(), clock=clock)
-    stalling = service.core.bank = _StallingBank()
+    service = FrontendService(_frontend_config(bank="127.0.0.1:2"), clock=clock)
     scheduler = service.core.scheduler
     scheduler.enqueue("j1", 1, 1)
     scheduler.jobs["j1"].escrow_id = "e1"
     steps = _recorded_steps(scheduler)
-    try:
-        service.start_background()
-        clock.advance(1)  # j1 runs from 0 to 1, and paying for it stalls the ticker
-        assert stalling.entered.wait(5.0)
-        clock.advance(30)
-        stalling.release.set()
-        assert _wait_until(lambda: scheduler.clock == 31)
-        assert [dt for dt in steps if dt] == [1, 30]
-        assert stalling.settled == [("e1", "COMPLETED")]
-    finally:
-        stalling.release.set()
-        service.shutdown()
+    with LocalNetwork({"127.0.0.1:2": {"bank.settle_escrow": stalling_settle}}) as network:
+        try:
+            service.start_background()
+            clock.advance(1)  # j1 runs from 0 to 1, and paying for it stalls the ticker
+            assert entered.wait(5.0)
+            clock.advance(30)
+            release.set()
+            assert _wait_until(lambda: scheduler.clock == 31)
+            assert [dt for dt in steps if dt] == [1, 30]
+            settled = network.sent("bank.settle_escrow")
+            assert [(p["escrow_id"], p["outcome"]) for p in settled] == [("e1", "COMPLETED")]
+        finally:
+            release.set()
+            service.shutdown()
 
 
 def _priced_fleet(clock, broker_address):

@@ -22,21 +22,25 @@ from sgmarket.wire import (
     rpc_call,
 )
 
+from local_network import LocalNetwork
+
 
 class _Boom(ServiceError):
     name = "Boom"
 
 
+HANDLERS = {
+    "ping": lambda params: True,
+    "echo": lambda params: params,
+    "boom": lambda params: (_ for _ in ()).throw(_Boom("it broke")),
+    "bad": lambda params: (_ for _ in ()).throw(wire.InvalidParams("nope")),
+    "slow": lambda params: time.sleep(params.get("s", 0.2)) or "done",
+}
+
+
 @pytest.fixture()
 def server():
-    handlers = {
-        "ping": lambda params: True,
-        "echo": lambda params: params,
-        "boom": lambda params: (_ for _ in ()).throw(_Boom("it broke")),
-        "bad": lambda params: (_ for _ in ()).throw(wire.InvalidParams("nope")),
-        "slow": lambda params: time.sleep(params.get("s", 0.2)) or "done",
-    }
-    srv = wire.serve("127.0.0.1:0", handlers)
+    srv = wire.serve("127.0.0.1:0", HANDLERS)
     yield srv
     srv.shutdown()
 
@@ -335,15 +339,30 @@ def test_rpc_call_ping(server):
     assert rpc_call(server.address, "ping", {}, timeout_ms=2000) is True
 
 
+def _reply(server, method, params):
+    """``server``'s reply to ``method`` over TCP, a result or ``(code, message)``,
+    once checked to be the reply ``tests/local_network.py`` gives too."""
+
+    def reply():
+        (outcome,) = wire.rpc_fanout([server.address], method, params, 2000)
+        return (outcome.code, outcome.message) if isinstance(outcome, RpcError) else outcome
+
+    over_tcp = reply()
+    with LocalNetwork({server.address: HANDLERS}):
+        assert reply() == over_tcp
+    return over_tcp
+
+
 def test_rpc_call_echoes_params(server):
     params = {"x": [1, 2, {"y": None}]}
     assert rpc_call(server.address, "echo", params, timeout_ms=2000) == params
+    assert _reply(server, "echo", params) == params
 
 
 def test_unknown_method_is_code_2(server):
-    with pytest.raises(RpcError) as err:
-        rpc_call(server.address, "no_such_method", {}, timeout_ms=2000)
-    assert err.value.code == RpcErrorCode.UNKNOWN_METHOD
+    assert _reply(server, "no_such_method", {}) == (
+        RpcErrorCode.UNKNOWN_METHOD, "unknown method 'no_such_method'"
+    )
 
 
 def test_service_error_maps_to_code_4_with_name(server):
@@ -352,12 +371,11 @@ def test_service_error_maps_to_code_4_with_name(server):
     assert err.value.code == RpcErrorCode.APPLICATION_ERROR
     assert err.value.app_error_name() == "Boom"
     assert "it broke" in err.value.message
+    assert _reply(server, "boom", {}) == (RpcErrorCode.APPLICATION_ERROR, "Boom: it broke")
 
 
 def test_invalid_params_maps_to_code_3(server):
-    with pytest.raises(RpcError) as err:
-        rpc_call(server.address, "bad", {}, timeout_ms=2000)
-    assert err.value.code == RpcErrorCode.INVALID_PARAMS
+    assert _reply(server, "bad", {}) == (RpcErrorCode.INVALID_PARAMS, "InvalidParams: nope")
 
 
 def test_timeout_on_silent_socket():
