@@ -29,6 +29,7 @@ from .domain import (
     ValidationError,
     canonical_json_bytes,
     check_secrets,
+    money,
     parse_money,
     reject_unknown,
     secret_matches,
@@ -96,7 +97,7 @@ class Account:
             "account_id": self.account_id,
             "owner": self.owner,
             "kind": self.kind.value,
-            "balance": {"amount": self.balance},
+            "balance": money(self.balance),
         }
 
 
@@ -114,7 +115,7 @@ class EscrowRecord:
             "escrow_id": self.escrow_id,
             "payer": self.payer,
             "payee": self.payee,
-            "amount": {"amount": self.amount},
+            "amount": money(self.amount),
             "job_id": self.job_id,
             "state": self.state.value,
         }
@@ -250,6 +251,9 @@ class BankCore:
                 raise KindMismatch(f"payer {payer!r} is not a USER account")
             if payee_account.kind is not AccountKind.CLUSTER:
                 raise KindMismatch(f"payee {payee!r} is not a CLUSTER account")
+            if payee_account.owner not in self.cluster_secrets:
+                # Settling needs the payee's secret, so the escrow would stay held.
+                raise UnknownAccount(f"payee {payee!r} has no cluster secret")
             if job_id in self._held_by_job:
                 raise DuplicateEscrow(f"job {job_id!r} already has a held escrow")
             if payer_account.balance < amount:
@@ -370,7 +374,7 @@ def rpc_handlers(core: BankCore) -> dict[str, wire.Handler]:
         return value
 
     def _amount_param(params: Mapping[str, Any], key: str) -> int:
-        return parse_money(key, params.get(key)).amount
+        return parse_money(key, params.get(key))
 
     def create_account(params: Mapping[str, Any]) -> dict[str, Any]:
         kind = _str_param(params, "kind")
@@ -383,12 +387,10 @@ def rpc_handlers(core: BankCore) -> dict[str, wire.Handler]:
         balance = core.deposit(
             _str_param(params, "account_id"), _amount_param(params, "amount")
         )
-        return {"balance": {"amount": balance}}
+        return {"balance": money(balance)}
 
     def balance(params: Mapping[str, Any]) -> dict[str, Any]:
-        return {
-            "balance": {"amount": core.balance(_str_param(params, "account_id"))}
-        }
+        return {"balance": money(core.balance(_str_param(params, "account_id")))}
 
     def hold_escrow(params: Mapping[str, Any]) -> dict[str, Any]:
         escrow_id = core.hold_escrow(
@@ -400,13 +402,14 @@ def rpc_handlers(core: BankCore) -> dict[str, wire.Handler]:
         return {"escrow_id": escrow_id}
 
     def settle_escrow(params: Mapping[str, Any]) -> dict[str, Any]:
-        record = core.settle_escrow(
+        # The reporting front-end reads nothing back, and the record names the payer.
+        core.settle_escrow(
             escrow_id=_str_param(params, "escrow_id"),
             job_id=_str_param(params, "job_id"),
             outcome=_str_param(params, "outcome"),
             reporter_secret=_str_param(params, "reporter_secret"),
         )
-        return record.to_dict()
+        return {}
 
     def verify_escrow(params: Mapping[str, Any]) -> dict[str, Any]:
         ok = core.verify_escrow(
@@ -420,8 +423,8 @@ def rpc_handlers(core: BankCore) -> dict[str, wire.Handler]:
     def audit(params: Mapping[str, Any]) -> dict[str, Any]:
         totals = core.audit()
         return {
-            "total_balances": {"amount": totals["total_balances"]},
-            "total_held": {"amount": totals["total_held"]},
+            "total_balances": money(totals["total_balances"]),
+            "total_held": money(totals["total_held"]),
         }
 
     return {

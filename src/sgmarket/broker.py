@@ -5,7 +5,7 @@ Only clusters whose registered descriptor can run the job are asked: one
 lacking a required feature, or with fewer nodes than the job needs, is
 refused with the reason its front-end would give, and never sees the spec.
 
-Selection is a pure function of the received bids: lowest price wins, ties
+The choice is a pure function of the received bids: lowest price wins, ties
 break toward the bytewise-smallest cluster_id, so identical market states
 always produce identical selections. No front-end prices a job below its
 floor, the cost of the job at zero load under the rate card it registered
@@ -59,10 +59,10 @@ from .domain import (
     Bid,
     ClusterDescriptor,
     JobSpec,
-    Money,
     ServiceError,
     ValidationError,
     check_int,
+    money,
     price_at,
     refusal_reason,
     reject_unknown,
@@ -95,37 +95,6 @@ class Registration:
 
     def live(self, now: int) -> bool:
         return now <= self.registered_at + self.ttl_s
-
-
-@dataclass(frozen=True)
-class Selection:
-    """The winning bid: where to submit, at what price, and whom to pay."""
-
-    cluster_id: str
-    address: str
-    price: Money
-    bid_token: str
-    payee_account: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "cluster_id": self.cluster_id,
-            "address": self.address,
-            "price": self.price.to_dict(),
-            "bid_token": self.bid_token,
-            "payee_account": self.payee_account,
-        }
-
-
-@dataclass(frozen=True)
-class NoEligibleCluster:
-    """No valid bid arrived; ``reasons`` maps cluster_id to why it was
-    excluded (plus the empty-registry case, where it is empty)."""
-
-    reasons: Mapping[str, str]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"reasons": dict(self.reasons)}
 
 
 def select_lowest(bids: list[tuple[str, int]]) -> tuple[str, int] | None:
@@ -199,7 +168,11 @@ class BrokerCore:
             live = [r.descriptor for r in self._registry.values() if r.live(now)]
         return sorted(live, key=lambda d: d.cluster_id)
 
-    def find_cluster(self, spec: JobSpec) -> Selection | NoEligibleCluster:
+    def find_cluster(self, spec: JobSpec) -> dict[str, Any]:
+        """The ``broker.find_cluster`` reply for ``spec``: ``{"selection":
+        {cluster_id, address, price, bid_token, payee_account}}`` for the
+        winning bid, or ``{"no_eligible": {"reasons": {cluster_id: why}}}``
+        if no bid arrived (empty with no live registration)."""
         now = self.clock.now()
         with self._lock:
             live = [
@@ -230,7 +203,7 @@ class BrokerCore:
             if bounds[cid] > floor or (placed_until is not None and placed_until <= now):
                 stops.add(cid)
         if not eligible:
-            return NoEligibleCluster(reasons=reasons)
+            return {"no_eligible": {"reasons": reasons}}
         bids: dict[str, Bid] = {}
 
         def ask(cluster_ids: list[str]) -> tuple[str, int] | None:
@@ -247,7 +220,7 @@ class BrokerCore:
                     bids[cluster_id] = answer
                 else:
                     reasons[cluster_id] = answer
-            return select_lowest([(cid, bid.price.amount) for cid, bid in bids.items()])
+            return select_lowest([(cid, bid.price) for cid, bid in bids.items()])
 
         order = sorted((bound, cid) for cid, bound in bounds.items())
         # Round 1 is the lowest-bound group, cut after the first cluster the
@@ -265,7 +238,7 @@ class BrokerCore:
         # A bound equal to the best price can still win the tie on a
         # smaller cluster_id. A bid below its own bound shows a front-end
         # off its rate card or its report, and then no bound holds round 2.
-        off_bound = any(bid.price.amount < bounds[cid] for cid, bid in bids.items())
+        off_bound = any(bid.price < bounds[cid] for cid, bid in bids.items())
         rest = [
             cid
             for bound, cid in order[len(first):]
@@ -284,16 +257,18 @@ class BrokerCore:
                 ends = now + spec.walltime_s
                 winner.placed_until = max(winner.placed_until or ends, ends)
         if chosen is None:
-            return NoEligibleCluster(reasons=reasons)
+            return {"no_eligible": {"reasons": reasons}}
         cluster_id, _ = chosen
         winning = bids[cluster_id]
-        return Selection(
-            cluster_id=cluster_id,
-            address=eligible[cluster_id].descriptor.address,
-            price=winning.price,
-            bid_token=winning.bid_token,
-            payee_account=winning.payee_account,
-        )
+        return {
+            "selection": {
+                "cluster_id": cluster_id,
+                "address": eligible[cluster_id].descriptor.address,
+                "price": money(winning.price),
+                "bid_token": winning.bid_token,
+                "payee_account": winning.payee_account,
+            }
+        }
 
 
 def rpc_handlers(core: BrokerCore) -> dict[str, wire.Handler]:
@@ -318,10 +293,7 @@ def rpc_handlers(core: BrokerCore) -> dict[str, wire.Handler]:
         raw = params.get("spec")
         if not isinstance(raw, dict):
             raise wire.InvalidParams("spec must be a JSON object")
-        outcome = core.find_cluster(validate_jobspec(raw))
-        if isinstance(outcome, NoEligibleCluster):
-            return {"no_eligible": outcome.to_dict()}
-        return {"selection": outcome.to_dict()}
+        return core.find_cluster(validate_jobspec(raw))
 
     def list_clusters(params: Mapping[str, Any]) -> dict[str, Any]:
         return {"clusters": [d.to_dict() for d in core.list_clusters()]}

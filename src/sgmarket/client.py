@@ -28,6 +28,7 @@ from .domain import (
     canonical_encode,
     check_address,
     check_int,
+    money,
     parse_money,
     reject_unknown,
     validate_jobspec,
@@ -181,7 +182,7 @@ class ClientSession:
         if "no_eligible" in found:
             raise NoEligibleClusterError(found["no_eligible"].get("reasons", {}))
         selection = found["selection"]
-        price = parse_money("price", selection["price"]).amount
+        price = parse_money("price", selection["price"])
         payee_account = selection["payee_account"]
 
         escrow_id = self._call(self.config.bank, "bank.hold_escrow", {
@@ -220,7 +221,7 @@ class ClientSession:
         return {
             "job_id": spec.job_id,
             "cluster_id": selection["cluster_id"],
-            "price": {"amount": price},
+            "price": money(price),
             "escrow_id": escrow_id,
         }
 
@@ -248,11 +249,13 @@ class ClientSession:
 
     def balance(self) -> int:
         params = {"account_id": self.config.account_id}
-        return self._call(self.config.bank, "bank.balance", params)["balance"]["amount"]
+        reply = self._call(self.config.bank, "bank.balance", params)
+        return parse_money("balance", reply["balance"])
 
     def deposit(self, amount: int) -> int:
         params = {"account_id": self.config.account_id, "amount": amount}
-        return self._call(self.config.bank, "bank.deposit", params)["balance"]["amount"]
+        reply = self._call(self.config.bank, "bank.deposit", params)
+        return parse_money("balance", reply["balance"])
 
 
 def _print_json(payload: Any) -> None:
@@ -311,9 +314,9 @@ def main(argv: list[str] | None = None) -> int:
             status = session.job_status(args.job, args.node)
             _print_json(status.to_dict())
         elif args.command == "balance":
-            _print_json({"balance": {"amount": session.balance()}})
+            _print_json({"balance": money(session.balance())})
         elif args.command == "deposit":
-            _print_json({"balance": {"amount": session.deposit(args.amount)}})
+            _print_json({"balance": money(session.deposit(args.amount))})
     except ClientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

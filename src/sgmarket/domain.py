@@ -2,6 +2,8 @@
 
 Every type here is an immutable value: once constructed it satisfies its
 invariants and can be shared freely between concurrent request handlers.
+An amount of money is a plain ``int`` of millicredits; on the wire it is
+``{"amount": n}``, written by :func:`money` and read by :func:`parse_money`.
 Canonical encoding is compact JSON with bytewise-sorted keys, UTF-8, so equal
 values always produce byte-identical output.
 """
@@ -180,45 +182,27 @@ def reject_unknown(data: Mapping[str, Any], known: frozenset[str], where: str) -
             raise ValidationError(key, f"unknown field for {where}")
 
 
-@dataclass(frozen=True)
-class Money:
-    """Exact integer millicredits; never negative where it denotes a price or
-    balance (the only uses this type has)."""
-
-    amount: int
-
-    def __post_init__(self) -> None:
-        check_int("amount", self.amount, minimum=0)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"amount": self.amount}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Money":
-        if not isinstance(data, Mapping):
-            raise ValidationError("amount", "Money must be an object")
-        reject_unknown(data, frozenset({"amount"}), "Money")
-        return cls(amount=check_int("amount", _require(data, "amount"), minimum=0))
+def money(amount: int) -> dict[str, int]:
+    """The wire form of an amount of millicredits, which ``parse_money``
+    reads back."""
+    return {"amount": amount}
 
 
-def parse_money(field: str, value: Any, *, minimum: int = 0) -> Money:
-    """Accept integer millicredits or a ``{"amount": n}`` object."""
-    if isinstance(value, Money):
-        money = value
-    elif isinstance(value, int) and not isinstance(value, bool):
-        if value < 0:
-            raise ValidationError(field, "must be >= 0")
-        money = Money(value)
-    elif isinstance(value, Mapping):
+def parse_money(field: str, value: Any, *, minimum: int = 0) -> int:
+    """Integer millicredits, given as such or as ``{"amount": n}``."""
+    if isinstance(value, Mapping):
         try:
-            money = Money.from_dict(value)
+            reject_unknown(value, frozenset({"amount"}), "Money")
+            value = check_int("amount", _require(value, "amount"))
         except ValidationError as exc:
             raise ValidationError(field, exc.reason) from None
-    else:
+    elif not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(field, "must be integer millicredits")
-    if money.amount < minimum:
+    if value < 0:
+        raise ValidationError(field, "must be >= 0")
+    if value < minimum:
         raise ValidationError(field, f"must be >= {minimum}")
-    return money
+    return value
 
 
 class JobState(str, Enum):
@@ -298,7 +282,7 @@ class JobSpec:
     nodes: int
     walltime_s: int
     required_features: frozenset[str]
-    max_price: Money | None
+    max_price: int | None
     command: str
     workdir: str
 
@@ -312,7 +296,7 @@ class JobSpec:
             "workdir": self.workdir,
         }
         if self.max_price is not None:
-            out["max_price"] = self.max_price.to_dict()
+            out["max_price"] = money(self.max_price)
         return out
 
     @classmethod
@@ -404,7 +388,7 @@ class ClusterDescriptor:
     address: str
     capacity_nodes: int
     capabilities: frozenset[str]
-    base_rate: Money
+    base_rate: int
     payee_account: str
     feature_multipliers: Mapping[str, Fraction] = field(default_factory=dict, hash=False)
 
@@ -413,7 +397,7 @@ class ClusterDescriptor:
         numerator and denominator: ``base_rate * nodes * walltime_s`` times
         the multiplier of each required feature the card prices. A
         front-end's price and the broker's floor both start from it."""
-        num = self.base_rate.amount * spec.nodes * spec.walltime_s
+        num = self.base_rate * spec.nodes * spec.walltime_s
         den = 1
         for feature in spec.required_features:
             multiplier = self.feature_multipliers.get(feature)
@@ -428,7 +412,7 @@ class ClusterDescriptor:
             "address": self.address,
             "capacity_nodes": self.capacity_nodes,
             "capabilities": sorted(self.capabilities),
-            "base_rate": self.base_rate.to_dict(),
+            "base_rate": money(self.base_rate),
             "payee_account": self.payee_account,
         }
         if self.feature_multipliers:
@@ -493,7 +477,7 @@ class Bid:
     arrives. Both are left off the wire at their idle values, 1 and 0.
     """
 
-    price: Money
+    price: int
     bid_token: str
     payee_account: str
     load: tuple[int, int] = (1, 1)
@@ -501,7 +485,7 @@ class Bid:
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
-            "price": self.price.to_dict(),
+            "price": money(self.price),
             "bid_token": self.bid_token,
             "payee_account": self.payee_account,
         }

@@ -45,7 +45,6 @@ from .domain import (
     JobSpec,
     JobState,
     JobStatus,
-    Money,
     NO_BID_PRICE_ABOVE_MAX,
     ServiceError,
     ValidationError,
@@ -339,14 +338,14 @@ class FrontendCore:
                 return refusal
             load = load_factor(self.load_coefficient, self.load_ratio())
             price = price_at(card.cost(spec), load)
-            if spec.max_price is not None and price > spec.max_price.amount:
+            if spec.max_price is not None and price > spec.max_price:
                 return NO_BID_PRICE_ABOVE_MAX
             self._quote_seq += 1
             expires_at = self.scheduler.clock + self.quote_ttl_s
             signed = f"{self._quote_seq}.{expires_at}.{price}"
             drain_p, drain_q = load_factor(self.load_coefficient, self.drain_ratio())
             return Bid(
-                price=Money(price),
+                price=price,
                 bid_token=f"{signed}.{self._quote_mac(spec, signed)}",
                 payee_account=card.payee_account,
                 load=load,

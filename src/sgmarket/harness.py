@@ -35,7 +35,7 @@ from .bank import BankCore, rpc_handlers as bank_handlers
 from .broker import BrokerCore, MAX_TTL_S, rpc_handlers as broker_handlers
 from .client import ClientConfig, ClientError, ClientSession
 from .clock import VirtualClock
-from .domain import ServiceError, ValidationError, canonical_encode
+from .domain import ServiceError, ValidationError, canonical_encode, money
 from .frontend import FrontendService
 
 AUDIT_INTERVAL_S = 10
@@ -147,8 +147,7 @@ class MarketReport:
             "jobs_per_cluster": dict(self.jobs_per_cluster),
             "price_series": [dict(entry) for entry in self.price_series],
             "final_balances": {
-                account: {"amount": amount}
-                for account, amount in self.final_balances.items()
+                account: money(amount) for account, amount in self.final_balances.items()
             },
             "conservation_ok": self.conservation_ok,
             "all_jobs_terminal": self.all_jobs_terminal,

@@ -104,6 +104,28 @@ def test_hold_escrow_kind_checks(core):
         core.hold_escrow(alice, alice, 100, "b" * 32)
 
 
+def test_hold_for_a_payee_with_no_cluster_secret_is_refused():
+    """Every settlement needs the payee owner's secret, so an escrow for a
+    cluster the bank holds none for could never be released or refunded."""
+    core = BankCore(cluster_secrets={"alpha": "sekrit"})
+    alice = core.create_account("alice", "USER")
+    ghost = core.create_account("ghost", "CLUSTER")
+    core.deposit(alice, 1000)
+    with pytest.raises(UnknownAccount):
+        core.hold_escrow(alice, ghost, 400, "j" * 32)
+    server = wire.serve("127.0.0.1:0", rpc_handlers(core))
+    try:
+        with pytest.raises(wire.RpcError) as err:
+            wire.rpc_call(server.address, "bank.hold_escrow", {
+                "payer": alice, "payee": ghost, "amount": 400, "job_id": "j" * 32,
+            }, timeout_ms=5000)
+    finally:
+        server.shutdown()
+    assert err.value.app_error_name() == "UnknownAccount"
+    assert core.balance(alice) == 1000
+    assert core.audit() == {"total_balances": 1000, "total_held": 0}
+
+
 def test_settle_completed_pays_the_cluster(core):
     alice, cluster = _funded(core)
     escrow_id = core.hold_escrow(alice, cluster, 2000, "j" * 32)
@@ -318,8 +340,8 @@ def test_rpc_surface_round_trip():
         escrow = call("bank.hold_escrow", payer=alice, payee=cluster, amount=700, **job)
         escrow |= job
         assert call("bank.verify_escrow", payee=cluster, min_amount=700, **escrow) == {"ok": True}
-        record = call("bank.settle_escrow", outcome="COMPLETED", reporter_secret="sekrit", **escrow)
-        assert record["state"] == "RELEASED"
+        call("bank.settle_escrow", outcome="COMPLETED", reporter_secret="sekrit", **escrow)
+        assert core.get_escrow(escrow["escrow_id"]).state is EscrowState.RELEASED
         totals = call("bank.audit")
         assert totals == {"total_balances": {"amount": 9000}, "total_held": {"amount": 0}}
         with pytest.raises(wire.RpcError) as err:
@@ -327,6 +349,24 @@ def test_rpc_surface_round_trip():
         assert err.value.app_error_name() == "UnknownAccount"
     finally:
         server.shutdown()
+
+
+def test_settle_reply_is_empty():
+    """The reporting front-end reads nothing from a settlement's reply, so
+    the bank sends it nothing: not the escrow, nor the payer behind it."""
+    core = BankCore(cluster_secrets=SECRETS)
+    alice, cluster = _funded(core)
+    escrow_id = core.hold_escrow(alice, cluster, 700, "j" * 32)
+    server = wire.serve("127.0.0.1:0", rpc_handlers(core))
+    try:
+        reply = wire.rpc_call(server.address, "bank.settle_escrow", {
+            "escrow_id": escrow_id, "job_id": "j" * 32, "outcome": "COMPLETED",
+            "reporter_secret": "sekrit",
+        }, timeout_ms=5000)
+    finally:
+        server.shutdown()
+    assert reply == {}
+    assert core.get_escrow(escrow_id).state is EscrowState.RELEASED
 
 
 # -- operation log -------------------------------------------------------------

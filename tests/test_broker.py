@@ -17,8 +17,6 @@ from sgmarket.broker import (
     DEFAULT_BID_TIMEOUT_MS,
     BrokerCore,
     InvalidDescriptor,
-    NoEligibleCluster,
-    Selection,
     rpc_handlers,
     select_lowest,
 )
@@ -27,7 +25,6 @@ from sgmarket.clock import VirtualClock
 from sgmarket.domain import (
     Bid,
     ClusterDescriptor,
-    Money,
     ValidationError,
     refusal_reason,
     validate_jobspec,
@@ -44,10 +41,16 @@ def _descriptor(cluster_id, address="127.0.0.1:9999", capacity=8, capabilities=(
         address=address,
         capacity_nodes=capacity,
         capabilities=frozenset(capabilities),
-        base_rate=Money(base_rate),
+        base_rate=base_rate,
         payee_account=f"cluster:{cluster_id}",
         feature_multipliers=multipliers or {},
     )
+
+
+def _won(outcome):
+    """The winning cluster_id and price of a ``find_cluster`` reply."""
+    selection = outcome["selection"]
+    return selection["cluster_id"], selection["price"]
 
 
 def _spec(job_id="c" * 32, **kw):
@@ -85,7 +88,7 @@ def _answer(address, entry):
         entry = (entry, (1, 1), (0, 1))
     if isinstance(entry, tuple):
         price, load, drain = entry
-        return Bid(Money(price), f"tok-{address}", f"cluster:{address}", load, drain)
+        return Bid(price, f"tok-{address}", f"cluster:{address}", load, drain)
     return entry
 
 
@@ -140,7 +143,7 @@ def test_expired_registrations_drop_out(network):
     clock.advance(11)
     assert [d.cluster_id for d in core.list_clusters()] == ["B"]
     outcome = core.find_cluster(_spec())
-    assert isinstance(outcome, NoEligibleCluster) or outcome.cluster_id == "B"
+    assert "no_eligible" in outcome or outcome["selection"]["cluster_id"] == "B"
 
 
 def test_refresh_extends_ttl():
@@ -234,36 +237,33 @@ def _core_with(network, table):
 def test_find_cluster_picks_cheapest(network):
     core = _core_with(network, {"127.0.0.1:1#A": 300, "127.0.0.1:1#B": 250, "127.0.0.1:1#C": 400})
     outcome = core.find_cluster(_spec())
-    assert isinstance(outcome, Selection)
-    assert (outcome.cluster_id, outcome.price) == ("B", Money(250))
+    assert _won(outcome) == ("B", {"amount": 250})
     # The payee is the winning bid's, never the unauthenticated descriptor's.
-    assert outcome.payee_account == "cluster:127.0.0.1:1#B"
+    assert outcome["selection"]["payee_account"] == "cluster:127.0.0.1:1#B"
 
 
 def test_find_cluster_breaks_ties_lexicographically(network):
     core = _core_with(network, {"127.0.0.1:1#B": 300, "127.0.0.1:1#A": 300})
-    assert core.find_cluster(_spec()).cluster_id == "A"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "A"
 
 
 def test_find_cluster_ignores_hangs_and_no_bids(network):
     core = _core_with(network, {"127.0.0.1:1#A": "timeout", "127.0.0.1:1#B": 500,
                                 "127.0.0.1:1#C": "unsupported_feature"})
     outcome = core.find_cluster(_spec())
-    assert outcome.cluster_id == "B"
+    assert outcome["selection"]["cluster_id"] == "B"
 
 
 def test_find_cluster_reports_reasons_when_nothing_bids(network):
     core = _core_with(network, {"127.0.0.1:1#A": "timeout", "127.0.0.1:1#B": "unsupported_feature"})
     outcome = core.find_cluster(_spec())
-    assert isinstance(outcome, NoEligibleCluster)
-    assert outcome.reasons == {"A": "timeout", "B": "unsupported_feature"}
+    assert outcome["no_eligible"]["reasons"] == {"A": "timeout", "B": "unsupported_feature"}
 
 
 def test_find_cluster_with_empty_registry(network):
     core = BrokerCore(clock=VirtualClock())
     outcome = core.find_cluster(_spec())
-    assert isinstance(outcome, NoEligibleCluster)
-    assert outcome.reasons == {}
+    assert outcome["no_eligible"]["reasons"] == {}
 
 
 # -- bid rounds -------------------------------------------------------------------
@@ -298,8 +298,7 @@ def test_bid_rounds_ask_only_clusters_that_can_still_win(network, fleet, batches
         )
     outcome = core.find_cluster(_spec())
     assert _batches(network) == batches
-    assert isinstance(outcome, Selection)
-    assert outcome.cluster_id == winner
+    assert outcome["selection"]["cluster_id"] == winner
 
 
 def _full_fanout(descriptors, spec, answers):
@@ -318,17 +317,19 @@ def _full_fanout(descriptors, spec, answers):
             bids[cid] = answer
         else:
             reasons[cid] = answer
-    chosen = select_lowest([(cid, bid.price.amount) for cid, bid in bids.items()])
+    chosen = select_lowest([(cid, bid.price) for cid, bid in bids.items()])
     if chosen is None:
-        return NoEligibleCluster(reasons=reasons)
+        return {"no_eligible": {"reasons": reasons}}
     winning = bids[chosen[0]]
-    return Selection(
-        cluster_id=chosen[0],
-        address=addresses[chosen[0]],
-        price=winning.price,
-        bid_token=winning.bid_token,
-        payee_account=winning.payee_account,
-    )
+    return {
+        "selection": {
+            "cluster_id": chosen[0],
+            "address": addresses[chosen[0]],
+            "price": {"amount": winning.price},
+            "bid_token": winning.bid_token,
+            "payee_account": winning.payee_account,
+        }
+    }
 
 
 @settings(max_examples=300)
@@ -452,7 +453,7 @@ def test_floor_counts_the_rate_cards_feature_multipliers(network):
     )
     outcome = core.find_cluster(_spec(required_features=["gpu"]))
     assert _batches(network) == [["A"]]
-    assert (outcome.cluster_id, outcome.price) == ("A", Money(600))
+    assert _won(outcome) == ("A", {"amount": 600})
 
 
 def test_round_one_follows_the_placement_record(network):
@@ -464,18 +465,18 @@ def test_round_one_follows_the_placement_record(network):
         network, table, {"A": 1, "B": 1, "C": 1, "D": 1, "E": 2}, clock=clock
     )
     # A fresh broker knows no idle cluster: round 1 is the lowest-floor group.
-    assert core.find_cluster(_spec()).cluster_id == "C"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "C"
     assert _batches(network) == [["A", "B", "C", "D"]]
     # C's placement runs until t=100; nothing is known idle before then.
     clock.advance(99)
     table["127.0.0.1:1#C"], table["127.0.0.1:1#D"] = 450, 400
-    assert core.find_cluster(_spec()).cluster_id == "D"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "D"
     assert _batches(network)[-1] == ["A", "B", "C", "D"]
     # From t=100 the record shows C idle: round 1 stops there, and C's bid
     # at its floor leaves nobody after it who could win.
     clock.advance(1)
     table["127.0.0.1:1#C"] = 400
-    assert core.find_cluster(_spec()).cluster_id == "C"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "C"
     assert _batches(network)[-1] == ["A", "B", "C"]
     assert len(_batches(network)) == 3
     # The record is a hint. Here C is busy after all, so round 2 asks the
@@ -483,7 +484,7 @@ def test_round_one_follows_the_placement_record(network):
     clock.advance(100)
     table["127.0.0.1:1#C"] = 450
     table["127.0.0.1:1#D"] = 420
-    assert core.find_cluster(_spec()).cluster_id == "D"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "D"
     assert _batches(network)[-2:] == [["A", "B", "C"], ["D"]]
 
 
@@ -494,7 +495,7 @@ def test_bid_below_its_own_floor_sends_round_two_to_everyone(network):
     core = _recording_core(network, table, {"A": 1, "B": 2, "C": 3})
     outcome = core.find_cluster(_spec())
     assert _batches(network) == [["A"], ["B", "C"]]
-    assert (outcome.cluster_id, outcome.price) == ("B", Money(50))
+    assert _won(outcome) == ("B", {"amount": 50})
 
 
 def test_round_one_follows_the_load_reports(network):
@@ -508,23 +509,23 @@ def test_round_one_follows_the_load_reports(network):
     }
     core = _recording_core(network, table, dict.fromkeys("ABCD", 1), clock=clock)
     # No reports yet: round 1 is every floor-400 cluster.
-    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "B"
     assert _batches(network) == [["A", "B", "C", "D"]]
     # Ten seconds of drain at most: bounds A 760, B 560, C 960, D 660.
     # Round 1 is B alone, whose report shows it busy; at 600, nobody
     # else's bound can beat it.
     clock.advance(9)
-    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "B"
     assert _batches(network)[-1:] == [["B"]]
     # B bids 700 this time: round 2 asks only D, whose bound is below it.
     table["127.0.0.1:1#B"] = (700, (7, 4), (1, 100))
     table["127.0.0.1:1#D"] = (650, (13, 8), (1, 100))
-    assert core.find_cluster(_spec()).cluster_id == "D"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "D"
     assert _batches(network)[-2:] == [["B"], ["D"]]
     # C registers again, so its report goes: its bound is back at its floor.
     core.register_cluster(_descriptor("C", address="127.0.0.1:1#C"), 3600)
     table["127.0.0.1:1#C"] = 400
-    assert core.find_cluster(_spec()).cluster_id == "C"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "C"
     assert _batches(network)[-1:] == [["C"]]
     assert len(_batches(network)) == 5
     # A bid at load 1 ends a cluster's report.
@@ -544,7 +545,7 @@ def test_registering_again_drops_the_report_but_keeps_the_placement_record(netwo
         "127.0.0.1:1#C": 500,
     }
     core = _recording_core(network, table, dict.fromkeys("ABC", 1), clock=clock)
-    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "B"
     assert _batches(network) == [["A", "B", "C"]]
     # Without the restarts, A's report would bound it at 600, and round 1
     # would be B alone, the first floor-400 cluster, which the record shows
@@ -554,7 +555,7 @@ def test_registering_again_drops_the_report_but_keeps_the_placement_record(netwo
     for cid in "BC":
         core.register_cluster(_descriptor(cid, address=f"127.0.0.1:1#{cid}"), 3600)
     # A is back at its floor and asked first; B still stops round 1.
-    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "B"
     assert _batches(network)[1:] == [["A", "B"]]
 
 
@@ -565,7 +566,7 @@ def test_a_renewal_under_the_same_boot_id_keeps_the_report(network):
     clock = VirtualClock()
     table = {"127.0.0.1:1#A": (600, (3, 2), (0, 1)), "127.0.0.1:1#B": 500}
     core = _recording_core(network, table, dict.fromkeys("AB", 1), clock=clock)
-    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "B"
     assert _batches(network) == [["A", "B"]]
     clock.advance(30)
     for cid in "AB":
@@ -574,7 +575,7 @@ def test_a_renewal_under_the_same_boot_id_keeps_the_report(network):
         )
     # A's report still bounds it at 600, so round 1 is B alone, and its bid
     # of 500 ends the find. Had the report gone, both would share floor 400.
-    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "B"
     assert _batches(network)[1:] == [["B"]]
 
 
@@ -599,7 +600,7 @@ def test_bid_below_its_own_bound_sends_round_two_to_everyone(network):
         "127.0.0.1:1#C": (1200, (3, 1), (0, 1)),
     }
     core = _recording_core(network, table, dict.fromkeys("ABC", 1), clock=clock)
-    assert core.find_cluster(_spec()).cluster_id == "B"
+    assert core.find_cluster(_spec())["selection"]["cluster_id"] == "B"
     # Bounds now A 800, B 600, C 1200. B bids 500 < 600, and C, which
     # restarted without registering again, bids its floor.
     clock.advance(5)
@@ -607,7 +608,7 @@ def test_bid_below_its_own_bound_sends_round_two_to_everyone(network):
     table["127.0.0.1:1#C"] = 400
     outcome = core.find_cluster(_spec())
     assert _batches(network)[-2:] == [["B"], ["A", "C"]]
-    assert (outcome.cluster_id, outcome.price) == ("C", Money(400))
+    assert _won(outcome) == ("C", {"amount": 400})
 
 
 def test_bound_allows_a_front_end_clock_one_second_ahead(network):
@@ -628,12 +629,12 @@ def test_bound_allows_a_front_end_clock_one_second_ahead(network):
     frontends["127.0.0.1:1#A"].scheduler.enqueue("f" * 32, 1, 2)
     spec = _spec(nodes=1, walltime_s=10)
     # A's load factor is 2 (price 200) and drains by 1/2 a second.
-    assert core.find_cluster(spec).cluster_id == "B"
+    assert core.find_cluster(spec)["selection"]["cluster_id"] == "B"
     assert _batches(network) == [["A"], ["B"]]
     frontends["127.0.0.1:1#A"].tick(1)
     # The broker's clock still reads 0, yet A's bound is 150, not 200.
     outcome = core.find_cluster(spec)
-    assert (outcome.cluster_id, outcome.price) == ("A", Money(150))
+    assert _won(outcome) == ("A", {"amount": 150})
     assert _batches(network)[-1:] == [["A"]]
 
 
@@ -716,8 +717,9 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
         assert len(batches) <= 2
         asked = [address for batch in batches for address in batch]
         assert len(asked) == len(set(asked))
-        if place and isinstance(outcome, Selection):
-            frontends[outcome.address].scheduler.enqueue(spec.job_id, nodes, walltime_s)
+        if place and "selection" in outcome:
+            winner = frontends[outcome["selection"]["address"]]
+            winner.scheduler.enqueue(spec.job_id, nodes, walltime_s)
         for frontend in frontends.values():
             frontend.tick(dt)
         clock.advance(dt)
@@ -751,8 +753,7 @@ def test_find_cluster_quotes_only_clusters_that_can_run_the_job(network):
     )
     outcome = core.find_cluster(_spec(nodes=4, required_features=["gpu"]))
     assert _batches(network) == [["A", "E"]]
-    assert isinstance(outcome, Selection)
-    assert outcome.cluster_id == "A"
+    assert outcome["selection"]["cluster_id"] == "A"
 
 
 def test_find_cluster_with_no_capable_cluster_asks_nobody(network):
@@ -760,8 +761,7 @@ def test_find_cluster_with_no_capable_cluster_asks_nobody(network):
     _register_fleet(core, network, [("B", 8, ()), ("C", 2, ("gpu",)), ("D", 2, ())])
     outcome = core.find_cluster(_spec(nodes=4, required_features=["gpu"]))
     assert network.requests == []
-    assert isinstance(outcome, NoEligibleCluster)
-    assert outcome.reasons == {
+    assert outcome["no_eligible"]["reasons"] == {
         "B": "unsupported_feature",
         "C": "insufficient_capacity",
         "D": "unsupported_feature",
@@ -791,10 +791,45 @@ def test_broker_refusal_matches_the_frontends(capacity, capabilities, nodes, fea
     answer = frontend.quote(spec)
     if isinstance(answer, str):
         assert network.requests == []
-        assert outcome == NoEligibleCluster(reasons={"A": answer})
+        assert outcome == {"no_eligible": {"reasons": {"A": answer}}}
     else:
         assert _batches(network) == [["A"]]
-        assert isinstance(outcome, Selection)
+        assert "selection" in outcome
+
+
+def test_find_cluster_replies_are_the_wire_objects():
+    """``broker.find_cluster`` answers one ``selection`` or one
+    ``no_eligible`` object, field for field. A bid token is compared by type
+    only: its MAC is keyed per process."""
+    fronts = {
+        cid: FrontendCore(
+            card=_descriptor(cid, base_rate=rate, capabilities=caps),
+            cluster_secret=f"cs-{cid}",
+            load_coefficient=0,
+            bank="127.0.0.1:1",
+        )
+        for cid, rate, caps in (("A", 3, ()), ("B", 2, ("gpu",)))
+    }
+    core = BrokerCore(clock=VirtualClock())
+    for cid, front in fronts.items():
+        core.register_cluster(front.descriptor(f"127.0.0.1:1#{cid}"), 60)
+    find = rpc_handlers(core)["broker.find_cluster"]
+    with LocalNetwork({f"127.0.0.1:1#{cid}": frontend_handlers(f) for cid, f in fronts.items()}):
+        found = find({"spec": _spec().to_dict()})
+        refused = find({"spec": _spec(nodes=9, required_features=["gpu"]).to_dict()})
+    token = found["selection"].pop("bid_token")
+    assert isinstance(token, str)
+    assert found == {
+        "selection": {
+            "cluster_id": "B",
+            "address": "127.0.0.1:1#B",
+            "price": {"amount": 800},
+            "payee_account": "cluster:B",
+        }
+    }
+    assert refused == {
+        "no_eligible": {"reasons": {"A": "unsupported_feature", "B": "insufficient_capacity"}}
+    }
 
 
 # -- end-to-end over sockets -----------------------------------------------------
@@ -855,8 +890,7 @@ def test_hanging_frontend_does_not_block_selection(market_factory):
         started = time.monotonic()
         outcome = runtime.broker_core.find_cluster(_spec())
         elapsed = time.monotonic() - started
-        assert isinstance(outcome, Selection)
-        assert outcome.cluster_id == "alive"
+        assert outcome["selection"]["cluster_id"] == "alive"
         assert elapsed <= 0.5 * 1.1 + 0.2
     finally:
         silent.close()
@@ -888,8 +922,7 @@ def test_black_holed_frontend_does_not_block_selection(market_factory, black_hol
     started = time.monotonic()
     outcome = runtime.broker_core.find_cluster(_spec())
     elapsed = time.monotonic() - started
-    assert isinstance(outcome, Selection)
-    assert outcome.cluster_id == "alive"
+    assert outcome["selection"]["cluster_id"] == "alive"
     assert elapsed <= 0.5 * 1.1 + 0.2
 
 
@@ -907,8 +940,7 @@ def test_black_holed_cheapest_cluster_loses_to_a_dearer_live_one(market_factory,
     started = time.monotonic()
     outcome = runtime.broker_core.find_cluster(_spec())
     elapsed = time.monotonic() - started
-    assert isinstance(outcome, Selection)
-    assert (outcome.cluster_id, outcome.price) == ("alive", Money(800))
+    assert _won(outcome) == ("alive", {"amount": 800})
     assert elapsed <= 2 * 0.5 * 1.1 + 0.2
 
 
@@ -933,7 +965,7 @@ def test_malformed_no_bid_reads_bad_bid(market_factory, no_bid):
         assert result["selection"]["cluster_id"] == "real"
         alone = BrokerCore(clock=VirtualClock())
         alone.register_cluster(descriptor, ttl_s=600)
-        assert alone.find_cluster(_spec()) == NoEligibleCluster(reasons={"bad": "bad_bid"})
+        assert alone.find_cluster(_spec()) == {"no_eligible": {"reasons": {"bad": "bad_bid"}}}
     finally:
         bad.shutdown()
 
@@ -987,7 +1019,7 @@ def test_unparsable_bid_loses_only_its_own(market_factory, huge_number_peer):
     assert result["selection"]["cluster_id"] == "real"
     alone = BrokerCore(clock=VirtualClock())
     alone.register_cluster(descriptor, ttl_s=600)
-    assert alone.find_cluster(_spec()) == NoEligibleCluster(reasons={"huge": "rpc_error"})
+    assert alone.find_cluster(_spec()) == {"no_eligible": {"reasons": {"huge": "rpc_error"}}}
 
 
 def test_black_holed_cluster_without_the_feature_costs_nothing(market_factory, black_hole):
@@ -1005,8 +1037,7 @@ def test_black_holed_cluster_without_the_feature_costs_nothing(market_factory, b
     started = time.monotonic()
     outcome = runtime.broker_core.find_cluster(_spec(required_features=["gpu"]))
     elapsed = time.monotonic() - started
-    assert isinstance(outcome, Selection)
-    assert outcome.cluster_id == "alive"
+    assert outcome["selection"]["cluster_id"] == "alive"
     assert elapsed < 1.0
 
 
@@ -1033,5 +1064,4 @@ def test_find_cluster_over_64_clusters_starts_no_thread(monkeypatch):
     finally:
         silent.close()
     assert started == []
-    assert isinstance(outcome, NoEligibleCluster)
-    assert outcome.reasons == {f"c{i:02d}": "timeout" for i in range(64)}
+    assert outcome["no_eligible"]["reasons"] == {f"c{i:02d}": "timeout" for i in range(64)}

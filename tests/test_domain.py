@@ -13,10 +13,11 @@ from sgmarket.domain import (
     JobSpec,
     JobState,
     JobStatus,
-    Money,
     ValidationError,
     canonical_encode,
     canonical_json_bytes,
+    money,
+    parse_money,
     validate_jobspec,
 )
 
@@ -86,12 +87,82 @@ def test_validate_jobspec_missing_field_named():
 
 
 def test_money_golden_encoding():
-    assert canonical_encode(Money(0)) == b'{"amount":0}'
+    assert canonical_encode(money(0)) == b'{"amount":0}'
 
 
 def test_money_rejects_negative():
     with pytest.raises(ValidationError):
-        Money(-1)
+        parse_money("amount", -1)
+    with pytest.raises(ValidationError):
+        parse_money("amount", {"amount": -1})
+
+
+_PRICE_NEGATIVE = ("price", "must be >= 0")
+_PRICE_NOT_MILLICREDITS = ("price", "must be integer millicredits")
+_PRICE_NOT_INTEGER = ("price", "must be an integer")
+
+
+def _parsed(raw, minimum):
+    """What ``parse_money`` makes of ``raw``: the amount, read through an
+    ``amount`` attribute if the value boxes it, or the ``(field, reason)``
+    it raises."""
+    try:
+        value = parse_money("price", raw, minimum=minimum)
+    except ValidationError as exc:
+        return exc.field, exc.reason
+    return getattr(value, "amount", value)
+
+
+@pytest.mark.parametrize(
+    "raw, at_minimum_0, at_minimum_1",
+    [
+        (5, 5, 5),
+        (0, 0, ("price", "must be >= 1")),
+        (-1, _PRICE_NEGATIVE, _PRICE_NEGATIVE),
+        (True, _PRICE_NOT_MILLICREDITS, _PRICE_NOT_MILLICREDITS),
+        (1.5, _PRICE_NOT_MILLICREDITS, _PRICE_NOT_MILLICREDITS),
+        ("5", _PRICE_NOT_MILLICREDITS, _PRICE_NOT_MILLICREDITS),
+        (None, _PRICE_NOT_MILLICREDITS, _PRICE_NOT_MILLICREDITS),
+        ([5], _PRICE_NOT_MILLICREDITS, _PRICE_NOT_MILLICREDITS),
+        ({"amount": 5}, 5, 5),
+        ({"amount": -1}, _PRICE_NEGATIVE, _PRICE_NEGATIVE),
+        ({"amount": True}, _PRICE_NOT_INTEGER, _PRICE_NOT_INTEGER),
+        ({"amount": 1.5}, _PRICE_NOT_INTEGER, _PRICE_NOT_INTEGER),
+        ({}, ("price", "missing required field"), ("price", "missing required field")),
+        (
+            {"amount": 5, "x": 1},
+            ("price", "unknown field for Money"),
+            ("price", "unknown field for Money"),
+        ),
+    ],
+)
+def test_parse_money_answers_each_form(raw, at_minimum_0, at_minimum_1):
+    """Every form a peer may send reads as its amount or as one exact error;
+    a negative amount reads "must be >= 0" whatever the minimum."""
+    assert _parsed(raw, 0) == at_minimum_0
+    assert _parsed(raw, 1) == at_minimum_1
+
+
+def test_priced_values_keep_their_bytes():
+    spec = validate_jobspec(_base_record(required_features=["gpu"], max_price={"amount": 900}))
+    assert canonical_encode(spec) == (
+        b'{"command":"run","job_id":"00000000000000000000000000000000",'
+        b'"max_price":{"amount":900},"nodes":4,"required_features":["gpu"],'
+        b'"walltime_s":100,"workdir":"/data"}'
+    )
+    descriptor = ClusterDescriptor.from_dict(
+        _card_descriptor(feature_multipliers={"gpu": [3, 2]})
+    )
+    assert canonical_encode(descriptor) == (
+        b'{"address":"127.0.0.1:7710","base_rate":{"amount":2},'
+        b'"capabilities":["deadline","gpu"],"capacity_nodes":8,"cluster_id":"A",'
+        b'"feature_multipliers":{"gpu":[3,2]},"payee_account":"cluster:A"}'
+    )
+    bid = Bid.from_dict(_bid_record(load=[2, 1], drain=[1, 360]))
+    assert canonical_encode(bid) == (
+        b'{"bid_token":"t","drain":[1,360],"load":[2,1],'
+        b'"payee_account":"cluster:A","price":{"amount":800}}'
+    )
 
 
 def test_canonical_encode_is_deterministic():
@@ -155,7 +226,7 @@ _feature = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=
 _features = st.frozensets(_feature, max_size=4)
 _job_id = st.integers(min_value=0, max_value=2**128 - 1).map(lambda n: f"{n:032x}")
 _name = st.text(min_size=1, max_size=12)
-_money = st.integers(min_value=0, max_value=10**9).map(Money)
+_money = st.integers(min_value=0, max_value=10**9)
 
 _jobspecs = st.builds(
     JobSpec,
@@ -177,7 +248,7 @@ _descriptors = st.builds(
     ).map(lambda hp: f"{hp[0]}:{hp[1]}"),
     capacity_nodes=st.integers(1, 4096),
     capabilities=_features,
-    base_rate=st.integers(1, 10**6).map(Money),
+    base_rate=st.integers(1, 10**6),
     payee_account=_name,
 )
 
@@ -212,7 +283,7 @@ def _job_statuses(draw):
 
 @given(_money)
 def test_money_round_trip(value):
-    assert Money.from_dict(json.loads(canonical_encode(value))) == value
+    assert parse_money("amount", json.loads(canonical_encode(money(value)))) == value
 
 
 @given(_jobspecs)

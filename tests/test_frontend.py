@@ -17,7 +17,6 @@ from sgmarket.domain import (
     Bid,
     ClusterDescriptor,
     JobState,
-    Money,
     ValidationError,
     price_at,
     validate_jobspec,
@@ -84,7 +83,7 @@ def _card(capacity=8, capabilities=("deadline",), base_rate=1, multipliers=None,
         address="127.0.0.1:1",
         capacity_nodes=capacity,
         capabilities=frozenset(capabilities),
-        base_rate=Money(base_rate),
+        base_rate=base_rate,
         payee_account=f"cluster:{cluster_id}",
         feature_multipliers=multipliers or {},
     )
@@ -169,11 +168,11 @@ def test_price_cap_yields_no_bid():
 def test_quote_reflects_committed_load(network):
     core = _core(capacity=8)
     first = core.quote(_spec(job_id="a" * 32))
-    assert first.price == Money(400)
+    assert first.price == 400
     core.submit(_spec(job_id="a" * 32), first.bid_token, "esc-1")
     second = core.quote(_spec(job_id="b" * 32))
     # committed 4*100 node-seconds over 8*3600 -> ceil(400 * (1 + 400/28800))
-    assert second.price == Money(406)
+    assert second.price == 406
 
 
 @given(
@@ -199,7 +198,7 @@ def test_price_monotonicity(base, nodes, walltime, bump, r1, r2):
 def _fraction_price(card, coefficient, nodes, walltime_s, features, load_ratio):
     """The price formula in Fraction arithmetic: the oracle for the integer
     implementation."""
-    amount = Fraction(card.base_rate.amount) * nodes * walltime_s
+    amount = Fraction(card.base_rate) * nodes * walltime_s
     amount *= 1 + coefficient * load_ratio
     for feature in features:
         amount *= card.feature_multipliers.get(feature, Fraction(1))
@@ -381,7 +380,7 @@ def test_a_bids_load_report_bounds_its_later_prices(
 
     (num, den), bid = cost_and_bid(quoted, "e" * 32)
     (load_p, load_q), (drain_p, drain_q) = bid.load, bid.drain
-    assert bid.price.amount == -(-num * load_p // (den * load_q))
+    assert bid.price == -(-num * load_p // (den * load_q))
     if coefficient == 0:
         assert "load" not in bid.to_dict() and "drain" not in bid.to_dict()
     elapsed = 0
@@ -390,7 +389,7 @@ def test_a_bids_load_report_bounds_its_later_prices(
         elapsed += dt
         (num, den), later_bid = cost_and_bid(job, f"{index:032x}")
         factor = load_p * drain_q - drain_p * elapsed * load_q
-        assert later_bid.price.amount >= -(-num * factor // (den * load_q * drain_q))
+        assert later_bid.price >= -(-num * factor // (den * load_q * drain_q))
 
 
 # -- scheduler ------------------------------------------------------------------
@@ -732,7 +731,7 @@ def test_stranger_cannot_void_a_running_jobs_escrow(network):
     core = _core()
     spec = _spec(walltime_s=3)
     bid = core.quote(spec)
-    escrow_id = bank.hold_escrow(alice, cluster, bid.price.amount, spec.job_id)
+    escrow_id = bank.hold_escrow(alice, cluster, bid.price, spec.job_id)
     core.submit(spec, bid.bid_token, escrow_id)
     core.tick(1)
     assert core.status(spec.job_id).state is JobState.RUNNING
@@ -743,7 +742,7 @@ def test_stranger_cannot_void_a_running_jobs_escrow(network):
     assert bank.get_escrow(escrow_id).state is EscrowState.HELD
     core.tick(10)
     assert core.status(spec.job_id).state is JobState.COMPLETED
-    assert bank.balance(cluster) == bid.price.amount == 12
+    assert bank.balance(cluster) == bid.price == 12
     assert bank.balance(alice) == 10000 - 12
 
 
@@ -757,7 +756,7 @@ def test_quote_binds_the_jobs_terms(network):
     bank.deposit(alice, 10000)
     core = _core(capacity=8)
     bid = core.quote(_spec(nodes=1, walltime_s=1))
-    escrow_id = bank.hold_escrow(alice, cluster, bid.price.amount, "a" * 32)
+    escrow_id = bank.hold_escrow(alice, cluster, bid.price, "a" * 32)
     with pytest.raises(UnknownQuote):
         core.submit(_spec(nodes=64, walltime_s=3600), bid.bid_token, escrow_id)
     assert core.scheduler.jobs == {}
@@ -766,7 +765,7 @@ def test_quote_binds_the_jobs_terms(network):
     # Nothing blocks the FIFO head, so a later small job runs.
     later = _spec(job_id="b" * 32, nodes=1, walltime_s=1)
     later_bid = core.quote(later)
-    later_escrow = bank.hold_escrow(alice, cluster, later_bid.price.amount, later.job_id)
+    later_escrow = bank.hold_escrow(alice, cluster, later_bid.price, later.job_id)
     core.submit(later, later_bid.bid_token, later_escrow)
     core.tick(100)
     assert core.status(later.job_id).state is JobState.COMPLETED

@@ -278,13 +278,15 @@ def test_broker_picks_the_full_fan_out_winner_on_the_shared_clock():
     server = wire.serve("127.0.0.1:0", broker_handlers(broker_core))
     fleet = _priced_fleet(clock, server.address)
     try:
-        assert broker_core.find_cluster(_one_node_job("1" * 32)).cluster_id == "C"
+        first = broker_core.find_cluster(_one_node_job("1" * 32))
+        assert first["selection"]["cluster_id"] == "C"
         clock.advance(5)
         for service in fleet.values():
             service.catch_up()
         job = _one_node_job("2" * 32)
-        prices = {cid: s.core.quote(job).price.amount for cid, s in fleet.items()}
-        assert broker_core.find_cluster(job).cluster_id == min(prices, key=prices.get)
+        prices = {cid: s.core.quote(job).price for cid, s in fleet.items()}
+        second = broker_core.find_cluster(job)
+        assert second["selection"]["cluster_id"] == min(prices, key=prices.get)
         assert prices == {"A": 1950, "C": 1700}
     finally:
         for service in fleet.values():
