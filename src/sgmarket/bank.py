@@ -146,7 +146,9 @@ class BankCore:
         self._lock = threading.RLock()
         self._accounts: dict[str, Account] = {}
         self._escrows: dict[str, EscrowRecord] = {}
-        self._held_by_job: dict[str, str] = {}
+        # (payer, job_id) -> escrow_id of each held escrow: a stranger's
+        # hold for a job id cannot block its payer's own.
+        self._held: dict[tuple[str, str], str] = {}
         self._escrow_seq = 0
         self.cluster_secrets = check_secrets(
             "cluster_secrets", {} if cluster_secrets is None else cluster_secrets
@@ -254,8 +256,8 @@ class BankCore:
             if payee_account.owner not in self.cluster_secrets:
                 # Settling needs the payee's secret, so the escrow would stay held.
                 raise UnknownAccount(f"payee {payee!r} has no cluster secret")
-            if job_id in self._held_by_job:
-                raise DuplicateEscrow(f"job {job_id!r} already has a held escrow")
+            if (payer, job_id) in self._held:
+                raise DuplicateEscrow(f"{payer!r} already holds an escrow for job {job_id!r}")
             if payer_account.balance < amount:
                 raise InsufficientFunds(
                     f"balance {payer_account.balance} < amount {amount}"
@@ -284,7 +286,7 @@ class BankCore:
             job_id=job_id,
             state=EscrowState.HELD,
         )
-        self._held_by_job[job_id] = escrow_id
+        self._held[payer, job_id] = escrow_id
 
     def settle_escrow(
         self, escrow_id: str, job_id: str, outcome: str, reporter_secret: str
@@ -316,7 +318,7 @@ class BankCore:
         else:
             self._accounts[escrow.payer].balance += escrow.amount
             escrow.state = EscrowState.REFUNDED
-        self._held_by_job.pop(escrow.job_id, None)
+        self._held.pop((escrow.payer, escrow.job_id), None)
 
     def verify_escrow(
         self, escrow_id: str, payee: str, job_id: str, min_amount: int
@@ -335,7 +337,7 @@ class BankCore:
         with self._lock:
             total_balances = sum(a.balance for a in self._accounts.values())
             total_held = sum(
-                self._escrows[escrow_id].amount for escrow_id in self._held_by_job.values()
+                self._escrows[escrow_id].amount for escrow_id in self._held.values()
             )
             return {"total_balances": total_balances, "total_held": total_held}
 

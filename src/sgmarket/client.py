@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
+import secrets
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +28,7 @@ from .domain import (
     canonical_encode,
     check_address,
     check_int,
+    load_config,
     money,
     parse_money,
     reject_unknown,
@@ -77,7 +78,6 @@ class ClientConfig:
     broker: str
     bank: str
     account_id: str
-    rng_seed: int | None = None
     timeout_ms: int = 5000
 
     def __post_init__(self) -> None:
@@ -85,15 +85,13 @@ class ClientConfig:
             check_address(name, getattr(self, name))
         if not isinstance(self.account_id, str) or not self.account_id:
             raise ValidationError("account_id", "must be a non-empty string")
-        if self.rng_seed is not None:
-            check_int("rng_seed", self.rng_seed)
         check_int("timeout_ms", self.timeout_ms, minimum=1)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClientConfig":
         if not isinstance(data, Mapping):
             raise ValidationError("config", "must be a JSON object")
-        known = frozenset({"broker", "bank", "account_id", "rng_seed", "timeout_ms"})
+        known = frozenset({"broker", "bank", "account_id", "timeout_ms"})
         reject_unknown(data, known, "client config")
         for name in ("broker", "bank", "account_id"):
             if name not in data:
@@ -102,23 +100,17 @@ class ClientConfig:
             broker=data["broker"],
             bank=data["bank"],
             account_id=data["account_id"],
-            rng_seed=data.get("rng_seed"),
             timeout_ms=data.get("timeout_ms", 5000),
         )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ClientConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def parse_spec(
     spec_path: str | Path | None,
     overrides: Mapping[str, Any],
-    identity: Mapping[str, str],
+    job_id: str,
 ) -> JobSpec:
-    """Merge spec file fields, flag overrides (stronger), and the job's
-    identity (its ``job_id``, strongest), then validate."""
+    """Merge spec file fields, flag overrides (stronger), and the
+    ``job_id`` (strongest), then validate."""
     record: dict[str, Any] = {}
     if spec_path is not None:
         with open(spec_path, "r", encoding="utf-8") as fh:
@@ -127,7 +119,7 @@ def parse_spec(
             raise ValidationError("spec", "spec file must hold a JSON object")
         record.update(loaded)
     record.update({k: v for k, v in overrides.items() if v is not None})
-    record.update(identity)
+    record["job_id"] = job_id
     try:
         return validate_jobspec(record)
     except ValidationError as exc:
@@ -151,10 +143,6 @@ class ClientSession:
 
     def __init__(self, config: ClientConfig):
         self.config = config
-        self._rng = random.Random(config.rng_seed)
-
-    def mint_job_id(self) -> str:
-        return f"{self._rng.getrandbits(128):032x}"
 
     def _call(self, address: str, method: str, params: Mapping[str, Any]) -> Any:
         try:
@@ -170,8 +158,8 @@ class ClientSession:
         overrides: Mapping[str, Any] | None = None,
         job_id: str | None = None,
     ) -> JobSpec:
-        identity = {"job_id": job_id or self.mint_job_id()}
-        return parse_spec(spec_path, overrides or {}, identity)
+        """The job, under ``job_id`` or else a fresh random id."""
+        return parse_spec(spec_path, overrides or {}, job_id or secrets.token_hex(16))
 
     def submit_job(self, spec: JobSpec) -> dict[str, Any]:
         """Select, escrow, submit; returns the receipt
@@ -297,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        session = ClientSession(ClientConfig.from_file(args.config))
+        session = ClientSession(ClientConfig.from_dict(load_config(args.config)))
         if args.command == "submit":
             overrides = {
                 "nodes": args.nodes,

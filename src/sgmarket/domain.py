@@ -117,10 +117,10 @@ def _require(data: Mapping[str, Any], field: str) -> Any:
     return data[field]
 
 
-def _check_str(field: str, value: Any, *, nonempty: bool = True) -> str:
+def _check_str(field: str, value: Any) -> str:
     if not isinstance(value, str):
         raise ValidationError(field, "must be a string")
-    if nonempty and not value:
+    if not value:
         raise ValidationError(field, "must be non-empty")
     return value
 
@@ -298,10 +298,6 @@ class JobSpec:
         if self.max_price is not None:
             out["max_price"] = money(self.max_price)
         return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "JobSpec":
-        return validate_jobspec(data)
 
 
 def validate_jobspec(raw: Mapping[str, Any]) -> JobSpec:

@@ -60,7 +60,7 @@ from .domain import (
 log = logging.getLogger(__name__)
 
 DEFAULT_LISTEN = "127.0.0.1:7710"
-DEFAULT_QUOTE_TTL_S = 60
+QUOTE_TTL_S = 60  # a quote's life, and how long it then answers QuoteExpired
 DEFAULT_ANNOUNCE_TTL_S = 60
 HORIZON_S = 3600  # seconds of work on every node that make a load ratio of 1
 TICK_INTERVAL_S = 0.1  # how often ``sg-node``'s ticker catches up with its clock
@@ -194,7 +194,7 @@ class SchedulerCore:
             committed += record.nodes * record.walltime_s
         return used, committed
 
-    def enqueue(self, job_id: str, nodes: int, walltime_s: int) -> JobStatus:
+    def enqueue(self, job_id: str, nodes: int, walltime_s: int) -> None:
         if job_id in self.jobs:
             raise DuplicateJob(f"job {job_id!r} already submitted here")
         if walltime_s < 1:
@@ -204,12 +204,10 @@ class SchedulerCore:
             order = len(self.jobs)
             heapq.heappush(self._due, (start, 1, order, job_id))
             heapq.heappush(self._due, (start + walltime_s, 0, order, job_id))
-        record = _JobRecord(job_id, nodes, walltime_s, self.clock, start)
-        self.jobs[job_id] = record
+        self.jobs[job_id] = _JobRecord(job_id, nodes, walltime_s, self.clock, start)
         self.queue.append(job_id)
         self._queued_nodes += nodes
         self._queued_node_seconds += nodes * walltime_s
-        return record.status(self.clock)
 
     def _reserve(self, nodes: int, walltime_s: int) -> int | None:
         """The next job's start, or None if it never starts: a job wider
@@ -291,10 +289,8 @@ class FrontendCore:
         card: ClusterDescriptor,
         cluster_secret: str,
         bank: str,
-        quote_ttl_s: int = DEFAULT_QUOTE_TTL_S,
         load_coefficient: Fraction = Fraction(1),
     ):
-        self.quote_ttl_s = check_int("quote_ttl_s", quote_ttl_s, minimum=1)
         if load_coefficient < 0:
             raise ValidationError("load_coefficient", "must be >= 0")
         if not isinstance(cluster_secret, str) or not cluster_secret:
@@ -341,7 +337,7 @@ class FrontendCore:
             if spec.max_price is not None and price > spec.max_price:
                 return NO_BID_PRICE_ABOVE_MAX
             self._quote_seq += 1
-            expires_at = self.scheduler.clock + self.quote_ttl_s
+            expires_at = self.scheduler.clock + QUOTE_TTL_S
             signed = f"{self._quote_seq}.{expires_at}.{price}"
             drain_p, drain_q = load_factor(self.load_coefficient, self.drain_ratio())
             return Bid(
@@ -368,7 +364,7 @@ class FrontendCore:
         more ttl. The MAC is compared in constant time before any number is
         parsed. Single use rests on ``scheduler.jobs`` holding every
         accepted job, so a job's record must outlive ``expires_at +
-        quote_ttl_s``. Errors never name the token: its MAC is random per
+        QUOTE_TTL_S``. Errors never name the token: its MAC is random per
         process, and reports must replay byte for byte."""
         signed, _, mac = bid_token.rpartition(".")
         if not bid_token.isascii() or not secrets.compare_digest(
@@ -377,13 +373,13 @@ class FrontendCore:
             raise UnknownQuote(f"no live quote for job {spec.job_id!r}")
         _, expires_at, price = map(int, signed.split("."))
         clock = self.scheduler.clock
-        if spec.job_id in self.scheduler.jobs or clock >= expires_at + self.quote_ttl_s:
+        if spec.job_id in self.scheduler.jobs or clock >= expires_at + QUOTE_TTL_S:
             raise UnknownQuote(f"no live quote for job {spec.job_id!r}")
         if clock >= expires_at:
             raise QuoteExpired(f"quote for job {spec.job_id!r} expired at {expires_at}")
         return price
 
-    def submit(self, spec: JobSpec, bid_token: str, escrow_id: str) -> JobStatus:
+    def submit(self, spec: JobSpec, bid_token: str, escrow_id: str) -> None:
         """Accept a job iff its quote is live and its escrow covers the
         quoted price. Rejections leave the scheduler untouched and queue a
         refund of the job's escrow, which is tried before the rejection is
@@ -406,9 +402,8 @@ class FrontendCore:
                 )
             with self._lock:
                 self._check_quote(spec, bid_token)
-                status = self.scheduler.enqueue(spec.job_id, spec.nodes, spec.walltime_s)
+                self.scheduler.enqueue(spec.job_id, spec.nodes, spec.walltime_s)
                 self.scheduler.jobs[spec.job_id].escrow_id = escrow_id
-                return status
         except ServiceError:
             # Refund unless this escrow backs a job we actually hold (a
             # competing submission of the same job may have won).
@@ -477,7 +472,7 @@ class FrontendService:
     ):
         settings = _CARD + (
             "listen", "broker", "bank", "cluster_secret", "load_coefficient",
-            "quote_ttl_s", "announce_ttl_s",
+            "announce_ttl_s",
         )
         reject_unknown(config, frozenset(settings), "node config")
         self.config = dict(config)
@@ -501,7 +496,6 @@ class FrontendService:
             card=card,
             cluster_secret=self.config.get("cluster_secret"),
             bank=self.config["bank"],
-            quote_ttl_s=self.config.get("quote_ttl_s", DEFAULT_QUOTE_TTL_S),
             load_coefficient=parse_load_coefficient(
                 self.config.get("load_coefficient", 1)
             ),
@@ -514,16 +508,14 @@ class FrontendService:
     def address(self) -> str:
         return self.server.address
 
-    def announce(self, broker_address: str | None = None, ttl_s: int | None = None) -> None:
+    def announce(self) -> None:
         """Register this cluster with the broker once."""
-        broker_address = broker_address or self.config["broker"]
-        ttl_s = ttl_s if ttl_s is not None else self.announce_ttl_s
         wire.rpc_call(
-            broker_address,
+            self.config["broker"],
             "broker.register_cluster",
             {
                 "descriptor": self.core.descriptor(self.address).to_dict(),
-                "ttl_s": ttl_s,
+                "ttl_s": self.announce_ttl_s,
                 "boot_id": self.boot_id,
             },
             timeout_ms=2000,
@@ -587,8 +579,8 @@ def rpc_handlers(core: FrontendCore) -> dict[str, wire.Handler]:
         escrow_id = params.get("escrow_id")
         if not isinstance(bid_token, str) or not isinstance(escrow_id, str):
             raise wire.InvalidParams("bid_token and escrow_id must be strings")
-        status = core.submit(spec, bid_token, escrow_id)
-        return {"job_id": spec.job_id, "status": status.to_dict()}
+        core.submit(spec, bid_token, escrow_id)
+        return {}
 
     def status(params: Mapping[str, Any]) -> dict[str, Any]:
         job_id = params.get("job_id")

@@ -16,7 +16,6 @@ from sgmarket.wire import decode_message, encode_message
 
 import test_frontend
 import test_harness
-from scheduler_oracle import simulate  # noqa: F401  (re-exported for oracle tests)
 
 
 @contextmanager

@@ -8,7 +8,6 @@ import pytest
 from sgmarket import wire
 from sgmarket.domain import ValidationError
 from sgmarket.bank import (
-    AccountKind,
     AlreadySettled,
     BadReporter,
     BankCore,
@@ -94,6 +93,45 @@ def test_hold_escrow_duplicate_job_rejected(core):
     core.hold_escrow(alice, cluster, 1000, "j" * 32)
     with pytest.raises(DuplicateEscrow):
         core.hold_escrow(alice, cluster, 1000, "j" * 32)
+
+
+def _squatted(core):
+    """Alice's funded account, a cluster's, and mallory's 1 millicredit held
+    for job ``c…c`` before alice holds anything for it."""
+    alice, cluster = _funded(core)
+    mallory = core.create_account("mallory", "USER")
+    core.deposit(mallory, 1)
+    return alice, cluster, core.hold_escrow(mallory, cluster, 1, "c" * 32)
+
+
+def test_another_payers_hold_does_not_squat_a_job_id(core):
+    """A hold is unique per payer and job: a stranger who holds first for
+    a job id leaves its payer free to hold for it, and each escrow settles
+    on its own."""
+    alice, cluster, squat = _squatted(core)
+    mine = core.hold_escrow(alice, cluster, 1000, "c" * 32)
+    assert core.audit() == {"total_balances": 9000, "total_held": 1001}
+    with pytest.raises(DuplicateEscrow):
+        core.hold_escrow(alice, cluster, 1000, "c" * 32)
+    core.settle_escrow(mine, "c" * 32, "COMPLETED", "sekrit")
+    core.settle_escrow(squat, "c" * 32, "FAILED", "sekrit")
+    assert core.account_balances() == {
+        "user:alice": 9000, "cluster:clusterA": 1000, "user:mallory": 1,
+    }
+    assert core.audit() == {"total_balances": 10001, "total_held": 0}
+
+
+def test_another_payers_hold_does_not_squat_a_job_id_over_rpc(core):
+    alice, cluster, _ = _squatted(core)
+    server = wire.serve("127.0.0.1:0", rpc_handlers(core))
+    try:
+        reply = wire.rpc_call(server.address, "bank.hold_escrow", {
+            "payer": alice, "payee": cluster, "amount": 1000, "job_id": "c" * 32,
+        }, timeout_ms=5000)
+    finally:
+        server.shutdown()
+    assert core.get_escrow(reply["escrow_id"]).payer == alice
+    assert core.audit() == {"total_balances": 9000, "total_held": 1001}
 
 
 def test_hold_escrow_kind_checks(core):
@@ -384,6 +422,32 @@ def test_log_replay_reproduces_state(tmp_path):
     replayed = BankCore(cluster_secrets=SECRETS, log_path=log_path)
     assert replayed.snapshot() == core.snapshot()
     replayed.close()
+
+
+def test_a_log_from_before_holds_were_keyed_by_payer_replays(tmp_path):
+    """The log format did not change when holds became unique per payer
+    and job, so a log written before still replays to its ledger."""
+    a, b = "a" * 32, "b" * 32
+    log_path = tmp_path / "bank.log"
+    log_path.write_text(
+        '{"kind":"USER","op":"create_account","owner":"alice"}\n'
+        '{"kind":"CLUSTER","op":"create_account","owner":"clusterA"}\n'
+        '{"account_id":"user:alice","amount":10000,"op":"deposit"}\n'
+        f'{{"amount":1500,"escrow_id":"esc-000001","job_id":"{a}","op":"hold_escrow",'
+        '"payee":"cluster:clusterA","payer":"user:alice"}\n'
+        f'{{"amount":500,"escrow_id":"esc-000002","job_id":"{b}","op":"hold_escrow",'
+        '"payee":"cluster:clusterA","payer":"user:alice"}\n'
+        '{"escrow_id":"esc-000001","op":"settle_escrow","outcome":"COMPLETED"}\n'
+    )
+    core = BankCore(cluster_secrets=SECRETS, log_path=log_path)
+    try:
+        assert core.account_balances() == {"user:alice": 8000, "cluster:clusterA": 1500}
+        assert core.audit() == {"total_balances": 9500, "total_held": 500}
+        with pytest.raises(DuplicateEscrow):
+            core.hold_escrow("user:alice", "cluster:clusterA", 100, b)
+        assert core.hold_escrow("user:alice", "cluster:clusterA", 100, a) == "esc-000003"
+    finally:
+        core.close()
 
 
 def test_restarted_bank_keeps_its_ledger(tmp_path):

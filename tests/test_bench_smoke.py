@@ -43,6 +43,16 @@ def test_mixed_base_rate_report_is_pinned(monkeypatch):
     assert digest == "008823d3d9fc96220d5016235575527da451499327681372ba49f5dd1ad34b94"
 
 
+def test_benchmark_budgets_with_the_front_ends_pricing_horizon(monkeypatch):
+    """``bench/scenarios.py`` keeps its own copy of the horizon for
+    ``max_spend``'s worst-case load factor, so a drift fails here."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import scenarios
+    from sgmarket.frontend import HORIZON_S
+
+    assert scenarios.HORIZON_S == HORIZON_S
+
+
 def _quote_batches_per_find(monkeypatch, workload, seed):
     """Run a benchmark scenario; the number of ``node.quote`` batches each
     find sent, and the number of quotes in all."""

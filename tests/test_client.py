@@ -11,11 +11,11 @@ from sgmarket.client import (
     MissingRequiredField,
     parse_spec,
 )
-from sgmarket.domain import JobState, ValidationError
+from sgmarket.domain import JOB_ID_RE, ValidationError, canonical_encode
 
 from local_network import LocalNetwork
 
-IDENTITY = {"job_id": "d" * 32}
+JOB_ID = "d" * 32
 
 
 def _spec_file(tmp_path, **fields):
@@ -31,7 +31,6 @@ def _client_config_file(tmp_path, runtime, login="alice", account_id=None):
         "broker": runtime.broker_server.address,
         "bank": runtime.bank_server.address,
         "account_id": account_id or runtime.user_accounts[login],
-        "rng_seed": 11,
     }
     path = tmp_path / "client.json"
     path.write_text(json.dumps(config))
@@ -46,7 +45,7 @@ FUNDED = [{"account": "alice", "initial_deposit": 10000}]
 
 def test_flag_overrides_beat_file_fields(tmp_path):
     path = _spec_file(tmp_path)
-    spec = parse_spec(path, {"nodes": 8}, IDENTITY)
+    spec = parse_spec(path, {"nodes": 8}, JOB_ID)
     assert spec.nodes == 8
     assert spec.walltime_s == 100
 
@@ -55,43 +54,38 @@ def test_missing_command_is_named(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"nodes": 1, "walltime_s": 1, "workdir": "/d"}))
     with pytest.raises(MissingRequiredField) as err:
-        parse_spec(path, {}, IDENTITY)
+        parse_spec(path, {}, JOB_ID)
     assert err.value.field == "command"
 
 
 def test_flags_only_spec_is_enough():
     overrides = {"nodes": 2, "walltime_s": 5, "command": "x", "workdir": "/d"}
-    spec = parse_spec(None, overrides, IDENTITY)
+    spec = parse_spec(None, overrides, JOB_ID)
     assert (spec.nodes, spec.walltime_s) == (2, 5)
 
 
 def test_bad_field_still_validation_error(tmp_path):
     path = _spec_file(tmp_path, nodes=0)
     with pytest.raises(ValidationError):
-        parse_spec(path, {}, IDENTITY)
+        parse_spec(path, {}, JOB_ID)
 
 
 def test_none_overrides_do_not_mask_file(tmp_path):
     path = _spec_file(tmp_path, nodes=6)
-    spec = parse_spec(path, {"nodes": None, "walltime_s": None}, IDENTITY)
+    spec = parse_spec(path, {"nodes": None, "walltime_s": None}, JOB_ID)
     assert spec.nodes == 6
 
 
-# -- seeded determinism -------------------------------------------------------------
+# -- job ids ------------------------------------------------------------------------
 
-def test_seeded_sessions_mint_identical_job_ids():
-    config = ClientConfig(
-        broker="127.0.0.1:1",
-        bank="127.0.0.1:2",
-        account_id="user:alice",
-        rng_seed=42,
-    )
-    a = ClientSession(config)
-    b = ClientSession(config)
-    ids_a = [a.mint_job_id() for _ in range(3)]
-    ids_b = [b.mint_job_id() for _ in range(3)]
-    assert ids_a == ids_b
-    assert all(len(j) == 32 for j in ids_a)
+def test_sessions_from_one_config_mint_different_job_ids():
+    """Two ``sg submit`` runs from one config are two sessions: a seeded
+    client once minted the same id in both, and the second was refused."""
+    config = ClientConfig(broker="127.0.0.1:1", bank="127.0.0.1:2", account_id="user:alice")
+    terms = {"nodes": 1, "walltime_s": 1, "command": "run", "workdir": "/d"}
+    ids = [ClientSession(config).build_spec(None, terms).job_id for _ in range(2)]
+    assert ids[0] != ids[1]
+    assert all(JOB_ID_RE.match(job_id) for job_id in ids)
 
 
 # -- one job's exchanges ---------------------------------------------------------------
@@ -326,12 +320,9 @@ def test_identical_markets_produce_byte_identical_receipts(tmp_path, market_fact
                 broker=runtime.broker_server.address,
                 bank=runtime.bank_server.address,
                 account_id=runtime.user_accounts["alice"],
-                rng_seed=77,
             )
         )
-        spec = session.build_spec(_spec_file(tmp_path))
-        from sgmarket.domain import canonical_encode
-
+        spec = session.build_spec(_spec_file(tmp_path), job_id="e" * 32)
         receipts.append(canonical_encode(session.submit_job(spec)))
     assert receipts[0] == receipts[1]
 
@@ -407,13 +398,12 @@ def test_config_peer_ports_must_be_at_least_1(field):
     assert err.value.field == field
 
 
-@pytest.mark.parametrize("rng_seed", [[1], "7", 7.0, True])
-def test_rng_seed_must_be_an_integer_or_absent(rng_seed):
+def test_config_refuses_an_rng_seed():
+    """Job ids are random, so a config that still seeds them is refused
+    as any config with an unknown key is."""
     with pytest.raises(ValidationError) as err:
-        ClientConfig.from_dict({**_CONFIG, "rng_seed": rng_seed})
+        ClientConfig.from_dict({**_CONFIG, "rng_seed": 7})
     assert err.value.field == "rng_seed"
-    assert ClientConfig.from_dict({**_CONFIG, "rng_seed": 7}).rng_seed == 7
-    assert ClientConfig.from_dict(_CONFIG).rng_seed is None
 
 
 @pytest.mark.parametrize(

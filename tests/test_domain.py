@@ -288,7 +288,7 @@ def test_money_round_trip(value):
 
 @given(_jobspecs)
 def test_jobspec_round_trip(spec):
-    assert JobSpec.from_dict(json.loads(canonical_encode(spec))) == spec
+    assert validate_jobspec(json.loads(canonical_encode(spec))) == spec
 
 
 @given(_descriptors)

@@ -26,12 +26,14 @@ from sgmarket.frontend import (
     EscrowInvalid,
     FrontendCore,
     HORIZON_S,
+    QUOTE_TTL_S,
     QuoteExpired,
     SchedulerCore,
     UnknownJob,
     UnknownQuote,
     load_factor,
     parse_load_coefficient,
+    rpc_handlers,
 )
 
 from local_network import LocalNetwork
@@ -106,12 +108,11 @@ def _config_card(base, multipliers):
 
 
 def _core(capacity=8, capabilities=("deadline",), multipliers=None,
-          quote_ttl_s=60, base_rate=1, cluster_secret="cs-A"):
+          base_rate=1, cluster_secret="cs-A"):
     return FrontendCore(
         card=_card(capacity, capabilities, base_rate, multipliers),
         cluster_secret=cluster_secret,
         bank=BANK,
-        quote_ttl_s=quote_ttl_s,
     )
 
 
@@ -303,15 +304,6 @@ def test_a_negative_load_coefficient_is_refused():
     assert err.value.field == "load_coefficient"
 
 
-@pytest.mark.parametrize("name", ["quote_ttl_s"])
-@pytest.mark.parametrize("value", [0, -5, True, "60", 1.5, None])
-def test_quote_ttl_and_horizon_must_be_positive_integers(name, value):
-    """A negative ttl made every token expire as it was issued."""
-    with pytest.raises(ValidationError) as err:
-        _core(**{name: value})
-    assert err.value.field == name
-
-
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -457,7 +449,8 @@ def test_event_driven_tick_matches_per_second_stepper(script):
     for i, step in enumerate(steps):
         if step[0] == "enqueue":
             _, nodes, walltime = step
-            assert core.enqueue(f"job{i}", nodes, walltime).state is JobState.QUEUED
+            core.enqueue(f"job{i}", nodes, walltime)
+            assert core.status(f"job{i}").state is JobState.QUEUED
             reference.enqueue(f"job{i}", nodes, walltime)
         else:
             assert core.tick(step[1]) == reference.tick(step[1])
@@ -594,8 +587,8 @@ def test_scheduler_matches_event_list_oracle(seed):
 def test_submit_happy_path_consumes_token(network):
     core = _core()
     bid = core.quote(_spec())
-    status = core.submit(_spec(), bid.bid_token, "esc-7")
-    assert status.state is JobState.QUEUED
+    core.submit(_spec(), bid.bid_token, "esc-7")
+    assert core.status("a" * 32).state is JobState.QUEUED
     assert network.sent("bank.verify_escrow") == [
         {"escrow_id": "esc-7", "payee": "cluster:clusterA", "job_id": "a" * 32, "min_amount": 400}
     ]
@@ -603,10 +596,25 @@ def test_submit_happy_path_consumes_token(network):
         core.submit(_spec(), bid.bid_token, "esc-7")
 
 
+def test_submit_answers_an_empty_object(network):
+    """An accepted job is always queued when it is answered, and the client
+    reads nothing back, so ``node.submit`` answers ``{}``; ``node.status``
+    tells the job's state."""
+    core = _core()
+    node = "127.0.0.1:7710"
+    network.hosts[node] = rpc_handlers(core)
+    spec = _spec()
+    params = {"spec": spec.to_dict(), "bid_token": core.quote(spec).bid_token,
+              "escrow_id": "esc-7"}
+    assert wire.rpc_call(node, "node.submit", params, timeout_ms=2000) == {}
+    status = wire.rpc_call(node, "node.status", {"job_id": spec.job_id}, timeout_ms=2000)
+    assert status == {"status": {"state": "QUEUED", "submitted_at": 0}}
+
+
 def test_submit_expired_quote_rejected_and_refunded(network):
-    core = _core(quote_ttl_s=5)
+    core = _core()
     bid = core.quote(_spec())
-    core.tick(5)
+    core.tick(QUOTE_TTL_S)
     with pytest.raises(QuoteExpired):
         core.submit(_spec(), bid.bid_token, "esc-7")
     assert core.scheduler.jobs == {}
@@ -614,9 +622,9 @@ def test_submit_expired_quote_rejected_and_refunded(network):
 
 
 def test_submit_in_the_linger_window_gets_quote_expired(network):
-    core = _core(quote_ttl_s=5)
+    core = _core()
     bid = core.quote(_spec())
-    core.tick(9)  # expired at 5; lingers until 10
+    core.tick(2 * QUOTE_TTL_S - 1)  # expired at QUOTE_TTL_S; lingers one ttl more
     with pytest.raises(QuoteExpired):
         core.submit(_spec(), bid.bid_token, "esc-7")
     core.tick(1)
@@ -625,7 +633,7 @@ def test_submit_in_the_linger_window_gets_quote_expired(network):
 
 
 def test_consumed_quote_leaves_the_book(network):
-    core = _core(quote_ttl_s=5)
+    core = _core()
     bid = core.quote(_spec(walltime_s=3))
     core.submit(_spec(walltime_s=3), bid.bid_token, "esc-7")
     # The job finishes while its quote is still unexpired; the job record
@@ -637,10 +645,10 @@ def test_consumed_quote_leaves_the_book(network):
 
 
 def test_quote_book_is_empty_two_ttls_later(network):
-    core = _core(quote_ttl_s=60)
+    core = _core()
     specs = [_spec(job_id=f"{i:032x}", nodes=1, walltime_s=1) for i in range(1000)]
     tokens = [core.quote(spec).bid_token for spec in specs]
-    core.tick(119)
+    core.tick(2 * QUOTE_TTL_S - 1)
     for spec, token in zip(specs, tokens):
         with pytest.raises(QuoteExpired):
             core.submit(spec, token, "")
@@ -785,7 +793,8 @@ def test_submit_with_other_terms_than_quoted_rejected(network, changed):
     assert network.sent("bank.verify_escrow") == []
     assert _settlements(network) == [("esc-7", "a" * 32, "FAILED", "cs-A")]
     # The quote is still good for the terms it priced.
-    assert core.submit(_spec(), bid.bid_token, "esc-8").state is JobState.QUEUED
+    core.submit(_spec(), bid.bid_token, "esc-8")
+    assert core.status("a" * 32).state is JobState.QUEUED
 
 
 def test_token_single_use_under_race(network):

@@ -167,13 +167,14 @@ def test_in_process_registration_matches_an_announce(market_factory):
     would: the same descriptor, ttl and boot id, recorded the same way."""
     runtime = market_factory(
         clusters=[
-            {"cluster_id": "A", "capacity_nodes": 8, "base_rate": 1},
+            {"cluster_id": "A", "capacity_nodes": 8, "base_rate": 1, "announce_ttl_s": 560},
             {
                 "cluster_id": "B",
                 "capacity_nodes": 16,
                 "base_rate": 2,
                 "capabilities": ["gpu"],
                 "feature_multipliers": {"gpu": [5, 2]},
+                "announce_ttl_s": 560,
             },
         ],
         users=[{"account": "alice", "initial_deposit": 100}],
@@ -184,7 +185,7 @@ def test_in_process_registration_matches_an_announce(market_factory):
     assert sorted(in_process) == ["A", "B"]
     assert {r.ttl_s for r in in_process.values()} == {560}
     for service in runtime.frontends:
-        service.announce(runtime.broker_server.address, ttl_s=560)
+        service.announce()
         cluster_id = service.core.card.cluster_id
         assert registry[cluster_id] is not in_process[cluster_id]
     assert registry == in_process
@@ -390,6 +391,8 @@ def test_scenario_times_must_be_integers(mutation, message):
         # Settings the load coefficient replaced.
         lambda d: d["clusters"][0].update(horizon_s=3600),
         lambda d: d["clusters"][0].update(policy="flat"),
+        # A quote's life is fixed.
+        lambda d: d["clusters"][0].update(quote_ttl_s=60),
     ],
 )
 def test_sim_cli_answers_a_malformed_scenario_without_a_traceback(

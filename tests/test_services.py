@@ -68,7 +68,7 @@ def test_fresh_frontend_appears_in_broker_listing():
     broker = wire.serve("127.0.0.1:0", broker_handlers(BrokerCore(clock=VirtualClock())))
     service = FrontendService(_frontend_config(broker=broker.address))
     try:
-        service.announce(ttl_s=60)
+        service.announce()
         listed = wire.rpc_call(broker.address, "broker.list_clusters", {}, timeout_ms=2000)
         assert [c["cluster_id"] for c in listed["clusters"]] == ["solo"]
         assert listed["clusters"][0]["address"] == service.address
@@ -84,7 +84,7 @@ def test_describe_surfaces_descriptor():
         _frontend_config(broker=broker.address, capabilities=["deadline"])
     )
     try:
-        service.announce(ttl_s=60)
+        service.announce()
         listed = wire.rpc_call(broker.address, "broker.list_clusters", {}, timeout_ms=2000)
         (described,) = listed["clusters"]
         assert described["cluster_id"] == "solo"
@@ -94,24 +94,6 @@ def test_describe_surfaces_descriptor():
     finally:
         service.shutdown()
         broker.shutdown()
-
-
-def test_frontend_announces_to_multiple_brokers():
-    brokers = [
-        wire.serve("127.0.0.1:0", broker_handlers(BrokerCore(clock=VirtualClock())))
-        for _ in range(2)
-    ]
-    service = FrontendService(_frontend_config())
-    try:
-        for broker in brokers:
-            service.announce(broker_address=broker.address, ttl_s=60)
-        for broker in brokers:
-            listed = wire.rpc_call(broker.address, "broker.list_clusters", {}, timeout_ms=2000)
-            assert [c["cluster_id"] for c in listed["clusters"]] == ["solo"]
-    finally:
-        service.shutdown()
-        for broker in brokers:
-            broker.shutdown()
 
 
 def test_announcer_retries_until_broker_appears():
@@ -398,6 +380,7 @@ _NODE = _frontend_config(listen="127.0.0.1:0")
         (broker, {"listen": "127.0.0.1:0", "default_ttl_s": 60}),
         (frontend, {**_NODE, "horizon_s": 3600}),  # the load coefficient sets it
         (frontend, {**_NODE, "policy": "flat"}),  # load coefficient 0
+        (frontend, {**_NODE, "quote_ttl_s": 60}),  # a quote's life is fixed
     ],
 )
 def test_services_answer_a_bad_config_with_an_error_line(tmp_path, capsys, service, config):
@@ -449,10 +432,10 @@ def test_readme_configs_start(tmp_path):
     examples = _readme_configs()
     for name in examples:
         (tmp_path / name).write_text(examples[name])
-    client_config = ClientConfig.from_file(tmp_path / "client.json")
+    client_config = ClientConfig.from_dict(load_config(tmp_path / "client.json"))
     fields = {field.name for field in dataclasses.fields(ClientConfig)}
     assert set(json.loads(examples["client.json"])) <= fields
-    spec = parse_spec(tmp_path / "job.json", {}, {"job_id": "a" * 32})
+    spec = parse_spec(tmp_path / "job.json", {}, "a" * 32)
     assert (client_config.account_id, spec.nodes) == ("user:alice", 4)
     assert replay_check(Scenario.from_file(tmp_path / "scenario.json"))
     configs = {
@@ -467,8 +450,8 @@ def test_readme_configs_start(tmp_path):
 
 
 def test_a_node_config_with_a_misspelt_setting_is_refused():
-    """``quote_ttl`` for ``quote_ttl_s`` once started on the default ttl,
-    and nothing reported it."""
+    """A misspelt setting once started the node on its default, and
+    nothing reported it."""
     with pytest.raises(ValidationError) as err:
         FrontendService(_frontend_config(quote_ttl=30))
     assert err.value.field == "quote_ttl"
@@ -488,9 +471,9 @@ def test_readme_front_end_prices_an_idle_job_at_its_registered_cost():
     broker_core = BrokerCore(clock=VirtualClock())
     server = wire.serve("127.0.0.1:0", broker_handlers(broker_core))
     config = json.loads(_readme_configs()["node.json"])
-    service = FrontendService({**config, "listen": "127.0.0.1:0"})
+    service = FrontendService({**config, "listen": "127.0.0.1:0", "broker": server.address})
     try:
-        service.announce(server.address)
+        service.announce()
         (descriptor,) = broker_core.list_clusters()
         spec = validate_jobspec(
             {"job_id": "a" * 32, "nodes": 3, "walltime_s": 7,
@@ -587,3 +570,44 @@ def test_the_package_imports_only_the_standard_library():
                 if name.partition(".")[0] not in allowed
             ]
     assert outside == []
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Each name ``path`` imports and never reads, as ``file:line name``.
+    A name read only inside a string annotation counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parsed = ast.parse(node.value, mode="eval")
+                read.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return [
+        f"{path.name}:{line} {name}"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in read
+    ]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """The repository has no linter, so this is its check for dead imports
+    in ``src`` and ``tests``."""
+    files = sorted(PACKAGE.rglob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(files) > 10
+    assert [entry for path in files for entry in _unread_imports(path)] == []
