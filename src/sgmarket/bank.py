@@ -27,7 +27,7 @@ from . import wire
 from .domain import (
     ServiceError,
     ValidationError,
-    canonical_json_bytes,
+    canonical_encode,
     check_secrets,
     money,
     parse_money,
@@ -179,7 +179,7 @@ class BankCore:
         """Write one checked operation ahead to the log, then apply it."""
         entry = {"op": op, **args}
         if self._log_file is not None:
-            self._log_file.write(canonical_json_bytes(entry) + b"\n")
+            self._log_file.write(canonical_encode(entry) + b"\n")
             self._log_file.flush()
             os.fsync(self._log_file.fileno())
         self._apply(entry)

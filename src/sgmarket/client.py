@@ -5,14 +5,20 @@ The escrow is created between selection and submission, so a front-end can
 never charge without a prior quote; if the front-end then rejects the
 submission, the money comes straight back.
 
+Every field of a peer's reply is read through one check, so a reply that
+is not an object or lacks a field is a :class:`ClientError`. A job's status
+is printed as the front-end's ``node.status`` object, once
+:func:`domain.parse_status` has checked it.
+
 Exit codes: 0 success, 2 no eligible cluster, 3 insufficient funds,
 4 unknown job or account, 5 submission rejected (after refund), 1 anything
-else.
+else, a malformed reply too.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import secrets
 import sys
@@ -23,7 +29,6 @@ from typing import Any, Mapping
 from . import wire
 from .domain import (
     JobSpec,
-    JobStatus,
     ValidationError,
     canonical_encode,
     check_address,
@@ -31,6 +36,7 @@ from .domain import (
     load_config,
     money,
     parse_money,
+    parse_status,
     reject_unknown,
     validate_jobspec,
 )
@@ -91,17 +97,12 @@ class ClientConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "ClientConfig":
         if not isinstance(data, Mapping):
             raise ValidationError("config", "must be a JSON object")
-        known = frozenset({"broker", "bank", "account_id", "timeout_ms"})
-        reject_unknown(data, known, "client config")
-        for name in ("broker", "bank", "account_id"):
-            if name not in data:
-                raise ValidationError(name, "missing required field")
-        return cls(
-            broker=data["broker"],
-            bank=data["bank"],
-            account_id=data["account_id"],
-            timeout_ms=data.get("timeout_ms", 5000),
-        )
+        fields = dataclasses.fields(cls)
+        reject_unknown(data, frozenset(f.name for f in fields), "client config")
+        for f in fields:
+            if f.default is dataclasses.MISSING and f.name not in data:
+                raise ValidationError(f.name, "missing required field")
+        return cls(**data)
 
 
 def parse_spec(
@@ -126,6 +127,14 @@ def parse_spec(
         if exc.reason == "missing required field":
             raise MissingRequiredField(exc.field) from None
         raise
+
+
+def _field(reply: Any, name: str) -> Any:
+    """Field ``name`` of a peer's reply, or a ``ClientError`` if the reply
+    is not an object or lacks it."""
+    if not isinstance(reply, Mapping) or name not in reply:
+        raise ClientError(f"malformed reply: no field {name!r}")
+    return reply[name]
 
 
 def _map_rpc_error(exc: wire.RpcError) -> ClientError:
@@ -167,26 +176,25 @@ class ClientSession:
         found = self._call(
             self.config.broker, "broker.find_cluster", {"spec": spec.to_dict()}
         )
-        if "no_eligible" in found:
-            raise NoEligibleClusterError(found["no_eligible"].get("reasons", {}))
-        selection = found["selection"]
-        price = parse_money("price", selection["price"])
-        payee_account = selection["payee_account"]
+        if isinstance(found, Mapping) and "no_eligible" in found:
+            raise NoEligibleClusterError(_field(found["no_eligible"], "reasons"))
+        selection = _field(found, "selection")
+        price = parse_money("price", _field(selection, "price"))
+        payee_account = _field(selection, "payee_account")
+        address = _field(selection, "address")
+        bid_token = _field(selection, "bid_token")
+        cluster_id = _field(selection, "cluster_id")
 
-        escrow_id = self._call(self.config.bank, "bank.hold_escrow", {
+        escrow_id = _field(self._call(self.config.bank, "bank.hold_escrow", {
             "payer": self.config.account_id, "payee": payee_account, "amount": price,
             "job_id": spec.job_id,
-        })["escrow_id"]
+        }), "escrow_id")
 
         try:
             wire.rpc_call(
-                selection["address"],
+                address,
                 "node.submit",
-                {
-                    "spec": spec.to_dict(),
-                    "bid_token": selection["bid_token"],
-                    "escrow_id": escrow_id,
-                },
+                {"spec": spec.to_dict(), "bid_token": bid_token, "escrow_id": escrow_id},
                 timeout_ms=self.config.timeout_ms,
             )
         except wire.RpcError as exc:
@@ -197,7 +205,7 @@ class ClientSession:
                 raise SubmissionRejected(f"submission rejected: {exc.message}") from None
             # Transport trouble: the node may or may not have accepted.
             try:
-                self.job_status(spec.job_id, selection["address"])
+                self.job_status(spec.job_id, address)
             except UnknownEntityError:
                 self._confirm_refund(escrow_id, payee_account, spec.job_id, price)
                 raise SubmissionRejected(f"submission failed: {exc.message}") from None
@@ -208,7 +216,7 @@ class ClientSession:
                 ) from None
         return {
             "job_id": spec.job_id,
-            "cluster_id": selection["cluster_id"],
+            "cluster_id": cluster_id,
             "price": money(price),
             "escrow_id": escrow_id,
         }
@@ -224,26 +232,27 @@ class ClientSession:
             "escrow_id": escrow_id, "payee": payee_account, "job_id": job_id, "min_amount": price
         }
         try:
-            if not self._call(self.config.bank, "bank.verify_escrow", params)["ok"]:
+            if not _field(self._call(self.config.bank, "bank.verify_escrow", params), "ok"):
                 return
             problem = "is still held"
         except ClientError as exc:
             problem = f"refund unconfirmed: {exc}"
         print(f"warning: escrow {escrow_id} {problem}", file=sys.stderr)
 
-    def job_status(self, job_id: str, node_address: str) -> JobStatus:
-        result = self._call(node_address, "node.status", {"job_id": job_id})
-        return JobStatus.from_dict(result["status"])
+    def job_status(self, job_id: str, node_address: str) -> dict[str, Any]:
+        """The job's ``node.status`` object, checked by ``parse_status``."""
+        reply = self._call(node_address, "node.status", {"job_id": job_id})
+        return parse_status(_field(reply, "status"))
 
     def balance(self) -> int:
         params = {"account_id": self.config.account_id}
         reply = self._call(self.config.bank, "bank.balance", params)
-        return parse_money("balance", reply["balance"])
+        return parse_money("balance", _field(reply, "balance"))
 
     def deposit(self, amount: int) -> int:
         params = {"account_id": self.config.account_id, "amount": amount}
         reply = self._call(self.config.bank, "bank.deposit", params)
-        return parse_money("balance", reply["balance"])
+        return parse_money("balance", _field(reply, "balance"))
 
 
 def _print_json(payload: Any) -> None:
@@ -299,8 +308,7 @@ def main(argv: list[str] | None = None) -> int:
             receipt = session.submit_job(spec)
             _print_json(receipt)
         elif args.command == "status":
-            status = session.job_status(args.job, args.node)
-            _print_json(status.to_dict())
+            _print_json(session.job_status(args.job, args.node))
         elif args.command == "balance":
             _print_json({"balance": money(session.balance())})
         elif args.command == "deposit":

@@ -4,6 +4,8 @@ Every type here is an immutable value: once constructed it satisfies its
 invariants and can be shared freely between concurrent request handlers.
 An amount of money is a plain ``int`` of millicredits; on the wire it is
 ``{"amount": n}``, written by :func:`money` and read by :func:`parse_money`.
+A job's status is its plain ``node.status`` object, which a front-end writes
+and :func:`parse_status` reads.
 Canonical encoding is compact JSON with bytewise-sorted keys, UTF-8, so equal
 values always produce byte-identical output.
 """
@@ -15,7 +17,6 @@ import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -63,20 +64,12 @@ _encode = json.encoder.c_make_encoder(
 )
 
 
-def canonical_json_bytes(value: Any) -> bytes:
+def canonical_encode(value: Any) -> bytes:
     """Serialize a JSON-able value deterministically: sorted keys, no
     insignificant whitespace, UTF-8; the bytes ``json.dumps`` gives with
     those settings. A value that contains itself raises ``RecursionError``,
     where ``json.dumps`` raises ``ValueError``."""
     return "".join(_encode(value, 0)).encode("utf-8")
-
-
-def canonical_encode(value: Any) -> bytes:
-    """Canonical byte encoding of a domain value (or any JSON-able value)."""
-    to_dict = getattr(value, "to_dict", None)
-    if to_dict is not None:
-        value = to_dict()
-    return canonical_json_bytes(value)
 
 
 def secret_matches(expected: str | None, given: str) -> bool:
@@ -205,60 +198,32 @@ def parse_money(field: str, value: Any, *, minimum: int = 0) -> int:
     return value
 
 
-class JobState(str, Enum):
-    QUEUED = "QUEUED"
-    RUNNING = "RUNNING"
-    COMPLETED = "COMPLETED"
+JOB_QUEUED, JOB_RUNNING, JOB_COMPLETED = "QUEUED", "RUNNING", "COMPLETED"
+_STATUS_INTS = ("submitted_at", "started_at", "finished_at", "exit_code")
 
 
-@dataclass(frozen=True)
-class JobStatus:
-    state: JobState
-    submitted_at: int | None = None
-    started_at: int | None = None
-    finished_at: int | None = None
-    exit_code: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.state, JobState):
-            raise ValidationError("state", f"unknown state {self.state!r}")
-        for name in ("submitted_at", "started_at", "finished_at", "exit_code"):
-            value = getattr(self, name)
-            if value is not None:
-                check_int(name, value)
-        if self.started_at is not None and self.submitted_at is not None:
-            if self.started_at < self.submitted_at:
-                raise ValidationError("started_at", "precedes submitted_at")
-        if self.finished_at is not None and self.started_at is not None:
-            if self.finished_at < self.started_at:
-                raise ValidationError("finished_at", "precedes started_at")
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"state": self.state.value}
-        for name in ("submitted_at", "started_at", "finished_at", "exit_code"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "JobStatus":
-        known = frozenset(
-            {"state", "submitted_at", "started_at", "finished_at", "exit_code"}
-        )
-        reject_unknown(data, known, "JobStatus")
-        state_raw = _check_str("state", _require(data, "state"))
-        try:
-            state = JobState(state_raw)
-        except ValueError:
-            raise ValidationError("state", f"unknown state {state_raw!r}") from None
-        return cls(
-            state=state,
-            submitted_at=data.get("submitted_at"),
-            started_at=data.get("started_at"),
-            finished_at=data.get("finished_at"),
-            exit_code=data.get("exit_code"),
-        )
+def parse_status(raw: Any) -> dict[str, Any]:
+    """A job's ``node.status`` object as a peer sent it: its ``state`` and
+    whichever integer ``submitted_at``, ``started_at``, ``finished_at`` and
+    ``exit_code`` it has, no time earlier than the one before it. A null
+    field reads as absent."""
+    if not isinstance(raw, Mapping):
+        raise ValidationError("status", "must be an object")
+    reject_unknown(raw, frozenset(("state",) + _STATUS_INTS), "job status")
+    state = _check_str("state", _require(raw, "state"))
+    if state not in (JOB_QUEUED, JOB_RUNNING, JOB_COMPLETED):
+        raise ValidationError("state", f"unknown state {state!r}")
+    status: dict[str, Any] = {"state": state}
+    for name in _STATUS_INTS:
+        if raw.get(name) is not None:
+            status[name] = check_int(name, raw[name])
+    started = status.get("started_at")
+    if started is not None and started < status.get("submitted_at", started):
+        raise ValidationError("started_at", "precedes submitted_at")
+    finished = status.get("finished_at")
+    if finished is not None and finished < status.get("started_at", finished):
+        raise ValidationError("finished_at", "precedes started_at")
+    return status
 
 
 _JOBSPEC_FIELDS = frozenset(

@@ -42,9 +42,10 @@ from .clock import VirtualClock, WallClock
 from .domain import (
     Bid,
     ClusterDescriptor,
+    JOB_COMPLETED,
+    JOB_QUEUED,
+    JOB_RUNNING,
     JobSpec,
-    JobState,
-    JobStatus,
     NO_BID_PRICE_ABOVE_MAX,
     ServiceError,
     ValidationError,
@@ -122,17 +123,19 @@ class _JobRecord:
     start: int | None  # None: never, behind a job wider than the cluster
     escrow_id: str | None = None
 
-    def status(self, clock: int) -> JobStatus:
-        """The job's state at ``clock``: it has started once the clock has
-        passed its start, and finished once the clock has reached its end."""
+    def status(self, clock: int) -> dict[str, Any]:
+        """The job's ``node.status`` object at ``clock``: it has started once
+        the clock has passed its start, and finished once the clock has
+        reached its end."""
+        status: dict[str, Any] = {"state": JOB_QUEUED, "submitted_at": self.submitted_at}
         if self.start is None or clock <= self.start:
-            return JobStatus(JobState.QUEUED, self.submitted_at)
+            return status
         end = self.start + self.walltime_s
         if clock < end:
-            return JobStatus(JobState.RUNNING, self.submitted_at, self.start)
-        return JobStatus(
-            JobState.COMPLETED, self.submitted_at, self.start, end, exit_code=0
-        )
+            return status | {"state": JOB_RUNNING, "started_at": self.start}
+        return status | {
+            "state": JOB_COMPLETED, "started_at": self.start, "finished_at": end, "exit_code": 0
+        }
 
 
 class SchedulerCore:
@@ -232,7 +235,7 @@ class SchedulerCore:
         self._last_start = start
         return start
 
-    def status(self, job_id: str) -> JobStatus:
+    def status(self, job_id: str) -> dict[str, Any]:
         record = self.jobs.get(job_id)
         if record is None:
             raise UnknownJob(f"no job {job_id!r}")
@@ -416,10 +419,11 @@ class FrontendCore:
 
     # -- time ---------------------------------------------------------------
 
-    def tick(self, dt: int = 0, *, to: int | None = None) -> list[dict[str, Any]]:
+    def tick(self, to: int) -> list[dict[str, Any]]:
+        """Bring the scheduler's clock up to ``to``, if it is behind, and
+        queue the payment of each job that completes; its lifecycle events."""
         with self._lock:
-            dt = dt if to is None else max(0, to - self.scheduler.clock)
-            events = self.scheduler.tick(dt)
+            events = self.scheduler.tick(max(0, to - self.scheduler.clock))
             for event in events:
                 if event["type"] != "COMPLETED":
                     continue
@@ -454,7 +458,7 @@ class FrontendCore:
 
     # -- observability -------------------------------------------------------
 
-    def status(self, job_id: str) -> JobStatus:
+    def status(self, job_id: str) -> dict[str, Any]:
         with self._lock:
             return self.scheduler.status(job_id)
 
@@ -586,7 +590,7 @@ def rpc_handlers(core: FrontendCore) -> dict[str, wire.Handler]:
         job_id = params.get("job_id")
         if not isinstance(job_id, str):
             raise wire.InvalidParams("job_id must be a string")
-        return {"status": core.status(job_id).to_dict()}
+        return {"status": core.status(job_id)}
 
     return {
         "node.quote": quote,

@@ -164,15 +164,15 @@ class MarketRuntime:
     may inspect the cores directly; ``run_scenario`` is the fire-and-forget
     wrapper."""
 
-    def __init__(self, scenario: Scenario, bid_timeout_ms: int = 2000):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.virtual_clock = VirtualClock()
         with ExitStack() as stack:
-            self._boot(bid_timeout_ms, stack)
+            self._boot(stack)
             self._stack = stack.pop_all()
 
-    def _boot(self, bid_timeout_ms: int, stack: ExitStack) -> None:
+    def _boot(self, stack: ExitStack) -> None:
         """Start every service, each one's shutdown on ``stack``."""
         scenario = self.scenario
         secrets = {
@@ -183,9 +183,7 @@ class MarketRuntime:
         stack.callback(self.bank_server.shutdown)
         bank_address = self.bank_server.address
 
-        self.broker_core = BrokerCore(
-            bid_timeout_ms=bid_timeout_ms, clock=self.virtual_clock
-        )
+        self.broker_core = BrokerCore(clock=self.virtual_clock)
         self.broker_server = wire.serve("127.0.0.1:0", broker_handlers(self.broker_core))
         stack.callback(self.broker_server.shutdown)
         broker_address = self.broker_server.address

@@ -49,7 +49,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .domain import (
     ServiceError,
     ValidationError,
-    canonical_json_bytes,
+    canonical_encode,
     load_config,
     parse_address,
 )
@@ -104,7 +104,7 @@ class InvalidParams(ServiceError):
 
 def encode_message(message: dict[str, Any]) -> bytes:
     """One canonical-JSON line terminated by a single LF."""
-    return canonical_json_bytes(message) + b"\n"
+    return canonical_encode(message) + b"\n"
 
 
 def decode_message(line: bytes) -> dict[str, Any]:
@@ -119,7 +119,7 @@ def decode_message(line: bytes) -> dict[str, Any]:
         # Only a \uD800-\uDFFF escape decodes to a lone surrogate, which UTF-8
         # cannot encode; encode_message escapes nothing but control characters.
         if "\\u" in text:
-            canonical_json_bytes(data)
+            canonical_encode(data)
     except (ValueError, RecursionError) as exc:
         # ValueError covers UnicodeError, JSONDecodeError and an integer
         # past CPython's digit limit; RecursionError, nesting too deep.

@@ -15,7 +15,6 @@ def market_factory():
         workload=(),
         duration_s=1000,
         seed=0,
-        bid_timeout_ms=2000,
     ) -> MarketRuntime:
         scenario = Scenario(
             clusters=tuple(clusters),
@@ -24,7 +23,7 @@ def market_factory():
             duration_s=duration_s,
             seed=seed,
         )
-        runtime = MarketRuntime(scenario, bid_timeout_ms=bid_timeout_ms)
+        runtime = MarketRuntime(scenario)
         runtimes.append(runtime)
         return runtime
 

@@ -157,7 +157,6 @@ def test_criterion_5_broker_isolation():
                 duration_s=1,
                 seed=0,
             ),
-            bid_timeout_ms=2000,
         )
         silent = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:

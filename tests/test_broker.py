@@ -721,7 +721,7 @@ def test_finds_over_time_select_what_a_full_fanout_would(fleet, steps):
             winner = frontends[outcome["selection"]["address"]]
             winner.scheduler.enqueue(spec.job_id, nodes, walltime_s)
         for frontend in frontends.values():
-            frontend.tick(dt)
+            frontend.tick(frontend.scheduler.clock + dt)
         clock.advance(dt)
 
 
@@ -877,8 +877,8 @@ def test_hanging_frontend_does_not_block_selection(market_factory):
     runtime = market_factory(
         clusters=[{"cluster_id": "alive", "capacity_nodes": 8, "base_rate": 1}],
         users=[{"account": "alice", "initial_deposit": 0}],
-        bid_timeout_ms=500,
     )
+    runtime.broker_core.bid_timeout_ms = 500
     silent = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     silent.bind(("127.0.0.1", 0))
     silent.listen(8)
@@ -916,8 +916,8 @@ def test_black_holed_frontend_does_not_block_selection(market_factory, black_hol
     runtime = market_factory(
         clusters=[{"cluster_id": "alive", "capacity_nodes": 8, "base_rate": 1}],
         users=[{"account": "alice", "initial_deposit": 0}],
-        bid_timeout_ms=500,
     )
+    runtime.broker_core.bid_timeout_ms = 500
     runtime.broker_core.register_cluster(_descriptor("a-hole", address=black_hole), ttl_s=600)
     started = time.monotonic()
     outcome = runtime.broker_core.find_cluster(_spec())
@@ -932,8 +932,8 @@ def test_black_holed_cheapest_cluster_loses_to_a_dearer_live_one(market_factory,
     runtime = market_factory(
         clusters=[{"cluster_id": "alive", "capacity_nodes": 8, "base_rate": 2}],
         users=[{"account": "alice", "initial_deposit": 0}],
-        bid_timeout_ms=500,
     )
+    runtime.broker_core.bid_timeout_ms = 500
     runtime.broker_core.register_cluster(
         _descriptor("zz-hole", address=black_hole, base_rate=1), ttl_s=600
     )
@@ -1031,7 +1031,6 @@ def test_black_holed_cluster_without_the_feature_costs_nothing(market_factory, b
              "capabilities": ["gpu"]},
         ],
         users=[{"account": "alice", "initial_deposit": 0}],
-        bid_timeout_ms=2000,
     )
     runtime.broker_core.register_cluster(_descriptor("a-hole", address=black_hole), ttl_s=600)
     started = time.monotonic()

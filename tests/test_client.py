@@ -406,6 +406,57 @@ def test_config_refuses_an_rng_seed():
     assert err.value.field == "rng_seed"
 
 
+_BROKER, _NODE = _CONFIG["broker"], "127.0.0.1:3"
+_SUBMIT = ["submit", "--nodes", "1", "--walltime", "1", "--command", "run", "--workdir", "/d"]
+_STATUS = ["status", "--job", JOB_ID, "--node", _NODE]
+
+
+@pytest.mark.parametrize(
+    "argv, address, method, reply",
+    [
+        (_SUBMIT, _BROKER, "broker.find_cluster", {"selection": {"price": {"amount": 5}}}),
+        (_SUBMIT, _BROKER, "broker.find_cluster", {}),
+        (_SUBMIT, _BROKER, "broker.find_cluster", {"no_eligible": 5}),
+        (_SUBMIT, _BROKER, "broker.find_cluster", ["selection"]),
+        (_STATUS, _NODE, "node.status", {"status": 5}),
+        (_STATUS, _NODE, "node.status", {}),
+        (_STATUS, _NODE, "node.status", 5),
+        (["balance"], _CONFIG["bank"], "bank.balance", {}),
+        (["balance"], _CONFIG["bank"], "bank.balance", None),
+    ],
+)
+def test_malformed_reply_exits_1_without_a_traceback(
+    tmp_path, capsys, argv, address, method, reply
+):
+    """A reply that is not an object, or lacks a field the client reads,
+    once escaped ``main`` as a raw KeyError, TypeError or AttributeError."""
+    path = tmp_path / "client.json"
+    path.write_text(json.dumps(_CONFIG))
+    with LocalNetwork({address: {method: lambda params: reply}}):
+        rc = client.main([argv[0], "--config", str(path), *argv[1:]])
+    assert rc == client.EXIT_OTHER
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_malformed_reply_lands_in_the_report_errors(market_factory):
+    """The simulator reports a submission whose broker reply lacks a field
+    as an error of that job, and runs on."""
+    runtime = market_factory(
+        clusters=ONE_CLUSTER,
+        users=FUNDED,
+        workload=[{"submit_at": 0, "user": "alice",
+                   "spec": {"nodes": 1, "walltime_s": 1, "command": "run", "workdir": "/d"}}],
+        duration_s=5,
+    )
+    broker_at = runtime.broker_server.address
+    with LocalNetwork({broker_at: {"broker.find_cluster": lambda params: {}}}):
+        report = runtime.run()
+    assert [error["time"] for error in report.errors] == [0]
+    assert report.conservation_ok and report.all_jobs_terminal
+
+
 @pytest.mark.parametrize(
     "config",
     [

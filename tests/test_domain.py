@@ -10,14 +10,15 @@ from hypothesis import given, strategies as st
 from sgmarket.domain import (
     Bid,
     ClusterDescriptor,
+    JOB_COMPLETED,
+    JOB_QUEUED,
+    JOB_RUNNING,
     JobSpec,
-    JobState,
-    JobStatus,
     ValidationError,
     canonical_encode,
-    canonical_json_bytes,
     money,
     parse_money,
+    parse_status,
     validate_jobspec,
 )
 
@@ -145,7 +146,7 @@ def test_parse_money_answers_each_form(raw, at_minimum_0, at_minimum_1):
 
 def test_priced_values_keep_their_bytes():
     spec = validate_jobspec(_base_record(required_features=["gpu"], max_price={"amount": 900}))
-    assert canonical_encode(spec) == (
+    assert canonical_encode(spec.to_dict()) == (
         b'{"command":"run","job_id":"00000000000000000000000000000000",'
         b'"max_price":{"amount":900},"nodes":4,"required_features":["gpu"],'
         b'"walltime_s":100,"workdir":"/data"}'
@@ -153,13 +154,13 @@ def test_priced_values_keep_their_bytes():
     descriptor = ClusterDescriptor.from_dict(
         _card_descriptor(feature_multipliers={"gpu": [3, 2]})
     )
-    assert canonical_encode(descriptor) == (
+    assert canonical_encode(descriptor.to_dict()) == (
         b'{"address":"127.0.0.1:7710","base_rate":{"amount":2},'
         b'"capabilities":["deadline","gpu"],"capacity_nodes":8,"cluster_id":"A",'
         b'"feature_multipliers":{"gpu":[3,2]},"payee_account":"cluster:A"}'
     )
     bid = Bid.from_dict(_bid_record(load=[2, 1], drain=[1, 360]))
-    assert canonical_encode(bid) == (
+    assert canonical_encode(bid.to_dict()) == (
         b'{"bid_token":"t","drain":[1,360],"load":[2,1],'
         b'"payee_account":"cluster:A","price":{"amount":800}}'
     )
@@ -167,7 +168,7 @@ def test_priced_values_keep_their_bytes():
 
 def test_canonical_encode_is_deterministic():
     spec = validate_jobspec(_base_record(required_features=["deadline"]))
-    assert canonical_encode(spec) == canonical_encode(spec)
+    assert canonical_encode(spec.to_dict()) == canonical_encode(spec.to_dict())
 
 
 def _oracle_serialize(value) -> str:
@@ -199,16 +200,16 @@ def test_canonical_bytes_equal_json_dumps(value):
     expected = json.dumps(
         value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")
-    assert canonical_json_bytes(value) == expected
+    assert canonical_encode(value) == expected
 
 
 def test_canonical_bytes_of_a_value_that_contains_itself():
     value = []
     value.append(value)
     with pytest.raises(RecursionError):
-        canonical_json_bytes(value)
+        canonical_encode(value)
     with pytest.raises(TypeError):
-        canonical_json_bytes({"a": object()})
+        canonical_encode({"a": object()})
 
 
 def test_key_order_never_matters():
@@ -216,8 +217,9 @@ def test_key_order_never_matters():
     shuffled = dict(reversed(list(record.items())))
     spec_a = validate_jobspec(record)
     spec_b = validate_jobspec(shuffled)
-    assert canonical_encode(spec_a) == canonical_encode(spec_b)
-    assert canonical_encode(spec_a) == _oracle_serialize(spec_a.to_dict()).encode("utf-8")
+    encoded = canonical_encode(spec_a.to_dict())
+    assert encoded == canonical_encode(spec_b.to_dict())
+    assert encoded == _oracle_serialize(spec_a.to_dict()).encode("utf-8")
 
 
 # -- round-trip properties ----------------------------------------------------
@@ -265,20 +267,21 @@ _bids = st.builds(
 
 @st.composite
 def _job_statuses(draw):
-    state = draw(st.sampled_from(list(JobState)))
+    state = draw(st.sampled_from([JOB_QUEUED, JOB_RUNNING, JOB_COMPLETED]))
     submitted = draw(st.none() | st.integers(0, 10**6))
     start_floor = submitted if submitted is not None else 0
     started = draw(st.none() | st.integers(start_floor, start_floor + 10**6))
     finish_floor = started if started is not None else 0
     finished = draw(st.none() | st.integers(finish_floor, finish_floor + 10**6))
     exit_code = draw(st.none() | st.integers(-255, 255))
-    return JobStatus(
-        state=state,
-        submitted_at=submitted,
-        started_at=started,
-        finished_at=finished,
-        exit_code=exit_code,
-    )
+    status = {
+        "state": state,
+        "submitted_at": submitted,
+        "started_at": started,
+        "finished_at": finished,
+        "exit_code": exit_code,
+    }
+    return {name: value for name, value in status.items() if value is not None}
 
 
 @given(_money)
@@ -288,28 +291,28 @@ def test_money_round_trip(value):
 
 @given(_jobspecs)
 def test_jobspec_round_trip(spec):
-    assert validate_jobspec(json.loads(canonical_encode(spec))) == spec
+    assert validate_jobspec(json.loads(canonical_encode(spec.to_dict()))) == spec
 
 
 @given(_descriptors)
 def test_descriptor_round_trip(descriptor):
-    decoded = ClusterDescriptor.from_dict(json.loads(canonical_encode(descriptor)))
+    decoded = ClusterDescriptor.from_dict(json.loads(canonical_encode(descriptor.to_dict())))
     assert decoded == descriptor
 
 
 @given(_bids)
 def test_bid_round_trip(bid):
-    assert Bid.from_dict(json.loads(canonical_encode(bid))) == bid
+    assert Bid.from_dict(json.loads(canonical_encode(bid.to_dict()))) == bid
 
 
 @given(_job_statuses())
 def test_job_status_round_trip(status):
-    assert JobStatus.from_dict(json.loads(canonical_encode(status))) == status
+    assert parse_status(json.loads(canonical_encode(status))) == status
 
 
 @given(_jobspecs, _jobspecs)
 def test_encoding_pure_function(a, b):
-    same_bytes = canonical_encode(a) == canonical_encode(b)
+    same_bytes = canonical_encode(a.to_dict()) == canonical_encode(b.to_dict())
     assert same_bytes == (a == b)
 
 
@@ -327,7 +330,7 @@ def _priced_descriptors(draw):
 
 @given(_priced_descriptors())
 def test_descriptor_round_trip_with_a_rate_card(descriptor):
-    decoded = ClusterDescriptor.from_dict(json.loads(canonical_encode(descriptor)))
+    decoded = ClusterDescriptor.from_dict(json.loads(canonical_encode(descriptor.to_dict())))
     assert decoded == descriptor
 
 
@@ -349,8 +352,8 @@ def test_descriptor_without_multipliers_omits_the_field():
     descriptors carried rate cards."""
     descriptor = ClusterDescriptor.from_dict(_card_descriptor(feature_multipliers={}))
     assert descriptor.feature_multipliers == {}
-    assert canonical_encode(descriptor) == canonical_encode(_card_descriptor())
-    assert b"feature_multipliers" not in canonical_encode(descriptor)
+    assert canonical_encode(descriptor.to_dict()) == canonical_encode(_card_descriptor())
+    assert b"feature_multipliers" not in canonical_encode(descriptor.to_dict())
 
 
 def test_descriptor_carries_its_rate_card():
@@ -399,7 +402,7 @@ def test_bid_at_idle_load_keeps_its_bytes():
     coefficient 0 sends, encodes as bids did before they reported load."""
     bid = Bid.from_dict(_bid_record(load=[1, 1], drain=[0, 1]))
     assert (bid.load, bid.drain) == ((1, 1), (0, 1))
-    assert canonical_encode(bid) == canonical_encode(_bid_record())
+    assert canonical_encode(bid.to_dict()) == canonical_encode(_bid_record())
     busy = Bid.from_dict(_bid_record(load=[2, 1], drain=[1, 360]))
     assert (busy.load, busy.drain) == ((2, 1), (1, 360))
 
@@ -436,6 +439,76 @@ def test_malformed_load_report_is_rejected(field, value):
 
 def test_job_status_timestamp_ordering_enforced():
     with pytest.raises(ValidationError):
-        JobStatus(state=JobState.RUNNING, submitted_at=10, started_at=5)
+        parse_status({"state": JOB_RUNNING, "submitted_at": 10, "started_at": 5})
     with pytest.raises(ValidationError):
-        JobStatus(state=JobState.COMPLETED, started_at=10, finished_at=9)
+        parse_status({"state": JOB_COMPLETED, "started_at": 10, "finished_at": 9})
+
+
+def test_parse_status_reads_a_null_field_as_absent():
+    """A null time reads as absent, as the status's wire form leaves it."""
+    raw = {"state": JOB_RUNNING, "submitted_at": 3, "started_at": None, "finished_at": None}
+    assert parse_status(raw) == {"state": JOB_RUNNING, "submitted_at": 3}
+
+
+@pytest.mark.parametrize("raw", [5, "QUEUED", ["state"], None])
+def test_parse_status_refuses_a_non_object(raw):
+    with pytest.raises(ValidationError) as err:
+        parse_status(raw)
+    assert (err.value.field, err.value.reason) == ("status", "must be an object")
+
+
+_NOT_INTEGER = "must be an integer"
+
+
+@pytest.mark.parametrize(
+    "raw, field, reason",
+    [
+        ({"state": "QUEUED", "bogus": 1}, "bogus", "unknown field for job status"),
+        ({"bogus": 1}, "bogus", "unknown field for job status"),
+        ({}, "state", "missing required field"),
+        ({"submitted_at": 0}, "state", "missing required field"),
+        ({"state": 5}, "state", "must be a string"),
+        ({"state": None}, "state", "must be a string"),
+        ({"state": ""}, "state", "must be non-empty"),
+        ({"state": "DONE"}, "state", "unknown state 'DONE'"),
+        ({"state": "queued"}, "state", "unknown state 'queued'"),
+        ({"state": "DONE", "submitted_at": "0"}, "state", "unknown state 'DONE'"),
+        ({"state": "QUEUED", "submitted_at": "0"}, "submitted_at", _NOT_INTEGER),
+        ({"state": "QUEUED", "submitted_at": True}, "submitted_at", _NOT_INTEGER),
+        ({"state": "RUNNING", "started_at": 1.5}, "started_at", _NOT_INTEGER),
+        ({"state": "COMPLETED", "finished_at": [1]}, "finished_at", _NOT_INTEGER),
+        ({"state": "COMPLETED", "exit_code": "0"}, "exit_code", _NOT_INTEGER),
+        (
+            {"state": "QUEUED", "submitted_at": "a", "started_at": "b"},
+            "submitted_at",
+            _NOT_INTEGER,
+        ),
+        (
+            {"state": "RUNNING", "submitted_at": 10, "started_at": 5, "exit_code": "x"},
+            "exit_code",
+            _NOT_INTEGER,
+        ),
+        (
+            {"state": "RUNNING", "submitted_at": 10, "started_at": 5},
+            "started_at",
+            "precedes submitted_at",
+        ),
+        (
+            {"state": "COMPLETED", "started_at": 10, "finished_at": 9},
+            "finished_at",
+            "precedes started_at",
+        ),
+        (
+            {"state": "COMPLETED", "submitted_at": 10, "started_at": 5, "finished_at": 1},
+            "started_at",
+            "precedes submitted_at",
+        ),
+    ],
+)
+def test_parse_status_refuses_each_malformed_status(raw, field, reason):
+    """Each status a peer may send wrongly is refused with one exact field
+    and reason: unknown fields first, then the state, then each time in
+    order, then the order of the times."""
+    with pytest.raises(ValidationError) as err:
+        parse_status(raw)
+    assert (err.value.field, err.value.reason) == (field, reason)

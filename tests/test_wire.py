@@ -208,7 +208,7 @@ def _reference_decode(line: bytes) -> _Request | _Response:
         text = line.decode("utf-8")
         data = json.loads(text)
         if "\\u" in text:
-            wire.canonical_json_bytes(data)
+            wire.canonical_encode(data)
     except (ValueError, RecursionError) as exc:
         raise FramingError(f"not JSON: {exc}") from None
     if not isinstance(data, dict):
