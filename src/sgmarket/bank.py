@@ -92,14 +92,6 @@ class Account:
     kind: AccountKind
     balance: int  # millicredits, never negative
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "account_id": self.account_id,
-            "owner": self.owner,
-            "kind": self.kind.value,
-            "balance": money(self.balance),
-        }
-
 
 @dataclass
 class EscrowRecord:
@@ -109,16 +101,6 @@ class EscrowRecord:
     amount: int  # millicredits, > 0
     job_id: str
     state: EscrowState
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "escrow_id": self.escrow_id,
-            "payer": self.payer,
-            "payee": self.payee,
-            "amount": money(self.amount),
-            "job_id": self.job_id,
-            "state": self.state.value,
-        }
 
 
 def _account_id(owner: str, kind: AccountKind) -> str:
@@ -357,13 +339,6 @@ class BankCore:
     def account_balances(self) -> dict[str, int]:
         with self._lock:
             return {a.account_id: a.balance for a in self._accounts.values()}
-
-    def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "accounts": {k: a.to_dict() for k, a in self._accounts.items()},
-                "escrows": {k: e.to_dict() for k, e in self._escrows.items()},
-            }
 
 
 def rpc_handlers(core: BankCore) -> dict[str, wire.Handler]:

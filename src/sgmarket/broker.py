@@ -61,7 +61,6 @@ from .domain import (
     JobSpec,
     ServiceError,
     ValidationError,
-    check_int,
     money,
     price_at,
     refusal_reason,
@@ -70,7 +69,7 @@ from .domain import (
 )
 
 DEFAULT_LISTEN = "127.0.0.1:7701"
-DEFAULT_BID_TIMEOUT_MS = 2000
+BID_TIMEOUT_MS = 2000  # a quote round's wait; two rounds fit in ``client.TIMEOUT_MS``
 MIN_TTL_S = 5
 MAX_TTL_S = 3600
 
@@ -130,12 +129,7 @@ class BrokerCore:
     the quote rounds never hold it while waiting on the network.
     """
 
-    def __init__(
-        self,
-        bid_timeout_ms: int = DEFAULT_BID_TIMEOUT_MS,
-        clock: VirtualClock | WallClock | None = None,
-    ):
-        self.bid_timeout_ms = check_int("bid_timeout_ms", bid_timeout_ms, minimum=1)
+    def __init__(self, clock: VirtualClock | WallClock | None = None):
         self.clock = clock if clock is not None else WallClock()
         self._lock = threading.Lock()
         self._registry: dict[str, Registration] = {}
@@ -212,7 +206,7 @@ class BrokerCore:
                 [eligible[cid].descriptor.address for cid in cluster_ids],
                 "node.quote",
                 {"spec": spec.to_dict()},
-                self.bid_timeout_ms,
+                BID_TIMEOUT_MS,
             )
             for cluster_id, reply in zip(cluster_ids, replies):
                 answer = _parse_quote(reply)
@@ -307,9 +301,8 @@ def rpc_handlers(core: BrokerCore) -> dict[str, wire.Handler]:
 
 def start_service(config: Mapping[str, Any], stack: ExitStack) -> str:
     """Start ``sg-broker``, each step of its shutdown on ``stack``; its address."""
-    reject_unknown(config, frozenset({"listen", "bid_timeout_ms"}), "broker config")
-    core = BrokerCore(bid_timeout_ms=config.get("bid_timeout_ms", DEFAULT_BID_TIMEOUT_MS))
-    server = wire.serve(config.get("listen", DEFAULT_LISTEN), rpc_handlers(core))
+    reject_unknown(config, frozenset({"listen"}), "broker config")
+    server = wire.serve(config.get("listen", DEFAULT_LISTEN), rpc_handlers(BrokerCore()))
     stack.callback(server.shutdown)
     return server.address
 

@@ -32,7 +32,6 @@ from .domain import (
     ValidationError,
     canonical_encode,
     check_address,
-    check_int,
     load_config,
     money,
     parse_money,
@@ -47,6 +46,11 @@ EXIT_NO_ELIGIBLE = 2
 EXIT_INSUFFICIENT_FUNDS = 3
 EXIT_UNKNOWN_ENTITY = 4
 EXIT_REJECTED = 5
+
+# How long each call waits for its reply. A find of two bid rounds waits at
+# most ``2 * broker.BID_TIMEOUT_MS``, so one hanging cluster costs a find no
+# more than this.
+TIMEOUT_MS = 5000
 
 
 class ClientError(Exception):
@@ -84,14 +88,12 @@ class ClientConfig:
     broker: str
     bank: str
     account_id: str
-    timeout_ms: int = 5000
 
     def __post_init__(self) -> None:
         for name in ("broker", "bank"):
             check_address(name, getattr(self, name))
         if not isinstance(self.account_id, str) or not self.account_id:
             raise ValidationError("account_id", "must be a non-empty string")
-        check_int("timeout_ms", self.timeout_ms, minimum=1)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ClientConfig":
@@ -100,7 +102,7 @@ class ClientConfig:
         fields = dataclasses.fields(cls)
         reject_unknown(data, frozenset(f.name for f in fields), "client config")
         for f in fields:
-            if f.default is dataclasses.MISSING and f.name not in data:
+            if f.name not in data:
                 raise ValidationError(f.name, "missing required field")
         return cls(**data)
 
@@ -137,6 +139,15 @@ def _field(reply: Any, name: str) -> Any:
     return reply[name]
 
 
+def _text(reply: Any, name: str) -> str:
+    """Field ``name`` of a peer's reply, or a ``ClientError`` if it is not a
+    non-empty string."""
+    value = _field(reply, name)
+    if not isinstance(value, str) or not value:
+        raise ClientError(f"malformed reply: {name} must be a non-empty string")
+    return value
+
+
 def _map_rpc_error(exc: wire.RpcError) -> ClientError:
     name = exc.app_error_name()
     if name == "InsufficientFunds":
@@ -155,9 +166,7 @@ class ClientSession:
 
     def _call(self, address: str, method: str, params: Mapping[str, Any]) -> Any:
         try:
-            return wire.rpc_call(
-                address, method, params, timeout_ms=self.config.timeout_ms
-            )
+            return wire.rpc_call(address, method, params, timeout_ms=TIMEOUT_MS)
         except wire.RpcError as exc:
             raise _map_rpc_error(exc) from None
 
@@ -178,12 +187,17 @@ class ClientSession:
         )
         if isinstance(found, Mapping) and "no_eligible" in found:
             raise NoEligibleClusterError(_field(found["no_eligible"], "reasons"))
+        # Every field is checked before any money is held for it.
         selection = _field(found, "selection")
         price = parse_money("price", _field(selection, "price"))
-        payee_account = _field(selection, "payee_account")
+        payee_account = _text(selection, "payee_account")
         address = _field(selection, "address")
-        bid_token = _field(selection, "bid_token")
-        cluster_id = _field(selection, "cluster_id")
+        try:
+            check_address("address", address)
+        except ValidationError as exc:
+            raise ClientError(f"malformed reply: {exc}") from None
+        bid_token = _text(selection, "bid_token")
+        cluster_id = _text(selection, "cluster_id")
 
         escrow_id = _field(self._call(self.config.bank, "bank.hold_escrow", {
             "payer": self.config.account_id, "payee": payee_account, "amount": price,
@@ -195,7 +209,7 @@ class ClientSession:
                 address,
                 "node.submit",
                 {"spec": spec.to_dict(), "bid_token": bid_token, "escrow_id": escrow_id},
-                timeout_ms=self.config.timeout_ms,
+                timeout_ms=TIMEOUT_MS,
             )
         except wire.RpcError as exc:
             if exc.app_error_name() is not None:

@@ -37,7 +37,6 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from . import wire
-from .broker import MAX_TTL_S, MIN_TTL_S
 from .clock import VirtualClock, WallClock
 from .domain import (
     Bid,
@@ -62,7 +61,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LISTEN = "127.0.0.1:7710"
 QUOTE_TTL_S = 60  # a quote's life, and how long it then answers QuoteExpired
-DEFAULT_ANNOUNCE_TTL_S = 60
+ANNOUNCE_TTL_S = 60  # the lease each announcement asks of the broker; renewed at half
 HORIZON_S = 3600  # seconds of work on every node that make a load ratio of 1
 TICK_INTERVAL_S = 0.1  # how often ``sg-node``'s ticker catches up with its clock
 BANK_TIMEOUT_MS = 5000  # how long a front-end waits on each call to its bank
@@ -390,15 +389,19 @@ class FrontendCore:
         try:
             with self._lock:
                 price = self._check_quote(spec, bid_token)
-            # Bank round-trip happens unlocked; re-validate afterwards.
+            # Bank round-trip happens unlocked; re-validate afterwards. Any
+            # answer but an object with a bool ``ok`` is no check at all.
             try:
-                covered = wire.rpc_call(self.bank, "bank.verify_escrow", {
+                reply = wire.rpc_call(self.bank, "bank.verify_escrow", {
                     "escrow_id": escrow_id, "payee": self.card.payee_account,
                     "job_id": spec.job_id, "min_amount": price,
-                }, BANK_TIMEOUT_MS)["ok"]
+                }, BANK_TIMEOUT_MS)
             except wire.RpcError as exc:
-                log.warning("check of escrow %s failed: %s", escrow_id, exc)
-                raise EscrowInvalid(f"escrow {escrow_id!r} could not be checked") from None
+                reply = exc
+            covered = reply.get("ok") if isinstance(reply, dict) else None
+            if not isinstance(covered, bool):
+                log.warning("check of escrow %s failed: %s", escrow_id, reply)
+                raise EscrowInvalid(f"escrow {escrow_id!r} could not be checked")
             if not covered:
                 raise EscrowInvalid(
                     f"escrow {escrow_id!r} does not cover job {spec.job_id!r}"
@@ -474,20 +477,11 @@ class FrontendService:
     def __init__(
         self, config: Mapping[str, Any], clock: VirtualClock | WallClock | None = None
     ):
-        settings = _CARD + (
-            "listen", "broker", "bank", "cluster_secret", "load_coefficient",
-            "announce_ttl_s",
-        )
+        settings = _CARD + ("listen", "broker", "bank", "cluster_secret", "load_coefficient")
         reject_unknown(config, frozenset(settings), "node config")
         self.config = dict(config)
         self.clock = clock if clock is not None else WallClock()
         self.boot_id = secrets.token_hex(8)  # tells the broker a renewal from a restart
-        self.announce_ttl_s = check_int(
-            "announce_ttl_s",
-            self.config.get("announce_ttl_s", DEFAULT_ANNOUNCE_TTL_S),
-            minimum=MIN_TTL_S,
-            maximum=MAX_TTL_S,
-        )
         for name in ("broker", "bank"):
             check_address(name, self.config.get(name))
         # The broker's own parser checks the identity and rate card this
@@ -519,7 +513,7 @@ class FrontendService:
             "broker.register_cluster",
             {
                 "descriptor": self.core.descriptor(self.address).to_dict(),
-                "ttl_s": self.announce_ttl_s,
+                "ttl_s": ANNOUNCE_TTL_S,
                 "boot_id": self.boot_id,
             },
             timeout_ms=2000,
@@ -547,7 +541,7 @@ class FrontendService:
                 log.info("announce failed (%s); retrying", exc)
                 self._stop.wait(retry_wait)
                 continue
-            self._stop.wait(self.announce_ttl_s / 2)
+            self._stop.wait(ANNOUNCE_TTL_S / 2)
 
     def _tick_loop(self) -> None:
         while not self._stop.wait(TICK_INTERVAL_S):

@@ -1,5 +1,6 @@
 """Ledger semantics: accounts, escrow lifecycle, conservation, log replay."""
 
+import dataclasses
 import random
 import threading
 
@@ -35,6 +36,12 @@ def _funded(core, deposit=10000):
     cluster = core.create_account("clusterA", "CLUSTER")
     core.deposit(alice, deposit)
     return alice, cluster
+
+
+def _ledger(core):
+    """Every balance by account id (``kind:owner``) and a copy of every
+    escrow record, so a later change to the ledger does not reach it."""
+    return core.account_balances(), [dataclasses.asdict(e) for e in core.escrow_records()]
 
 
 def test_create_account_starts_at_zero(core):
@@ -420,7 +427,7 @@ def test_log_replay_reproduces_state(tmp_path):
     core.close()
 
     replayed = BankCore(cluster_secrets=SECRETS, log_path=log_path)
-    assert replayed.snapshot() == core.snapshot()
+    assert _ledger(replayed) == _ledger(core)
     replayed.close()
 
 
@@ -460,7 +467,7 @@ def test_restarted_bank_keeps_its_ledger(tmp_path):
     core.close()
 
     restarted = BankCore(cluster_secrets=SECRETS, log_path=log_path)
-    assert restarted.snapshot() == core.snapshot()
+    assert _ledger(restarted) == _ledger(core)
     assert restarted.balance("user:alice") == 300
     with pytest.raises(DuplicateAccount):
         restarted.create_account("alice", "USER")
@@ -470,7 +477,7 @@ def test_restarted_bank_keeps_its_ledger(tmp_path):
     restarted.close()
 
     replayed = BankCore(cluster_secrets=SECRETS, log_path=log_path)
-    assert replayed.snapshot() == restarted.snapshot()
+    assert _ledger(replayed) == _ledger(restarted)
     assert replayed.audit() == {"total_balances": 400, "total_held": 100}
     replayed.close()
 
@@ -480,19 +487,19 @@ def test_torn_last_log_line_is_dropped_on_restart(tmp_path):
     core = BankCore(cluster_secrets=SECRETS, log_path=log_path)
     alice, cluster = _funded(core)
     core.hold_escrow(alice, cluster, 1500, "a" * 32)
-    prefix = core.snapshot()
+    prefix = _ledger(core)
     core.close()
     with open(log_path, "ab") as fh:  # a crash before the write finished
         fh.write(b'{"account_id":"user:alice","amount":7')
 
     restarted = BankCore(cluster_secrets=SECRETS, log_path=log_path)
-    assert restarted.snapshot() == prefix
+    assert _ledger(restarted) == prefix
     restarted.deposit(alice, 700)
-    after = restarted.snapshot()
+    after = _ledger(restarted)
     restarted.close()
 
     again = BankCore(cluster_secrets=SECRETS, log_path=log_path)
-    assert again.snapshot() == after
+    assert _ledger(again) == after
     assert again.balance(alice) == 10000 - 1500 + 700
     again.close()
     assert log_path.read_bytes().endswith(b"\n")
@@ -520,7 +527,7 @@ def test_failed_log_write_leaves_the_ledger_unchanged(tmp_path):
     core = BankCore(cluster_secrets=SECRETS, log_path=tmp_path / "bank.log")
     alice, cluster = _funded(core)
     escrow_id = core.hold_escrow(alice, cluster, 1000, "a" * 32)
-    before = core.snapshot()
+    before = _ledger(core)
     log_file, core._log_file = core._log_file, _FailingLog()
     try:
         with pytest.raises(OSError):
@@ -533,7 +540,7 @@ def test_failed_log_write_leaves_the_ledger_unchanged(tmp_path):
             core.settle_escrow(escrow_id, "a" * 32, "COMPLETED", "sekrit")
     finally:
         log_file.close()
-    assert core.snapshot() == before
+    assert _ledger(core) == before
 
 
 def test_audit_counts_exactly_the_held_escrows():

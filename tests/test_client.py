@@ -11,7 +11,13 @@ from sgmarket.client import (
     MissingRequiredField,
     parse_spec,
 )
-from sgmarket.domain import JOB_ID_RE, ValidationError, canonical_encode
+from sgmarket.domain import (
+    JOB_ID_RE,
+    ClusterDescriptor,
+    ValidationError,
+    canonical_encode,
+    validate_jobspec,
+)
 
 from local_network import LocalNetwork
 
@@ -327,30 +333,6 @@ def test_identical_markets_produce_byte_identical_receipts(tmp_path, market_fact
     assert receipts[0] == receipts[1]
 
 
-@pytest.mark.parametrize("timeout_ms", [0, -1, True, "5000", 1.5, None])
-def test_timeout_ms_must_be_a_positive_integer(timeout_ms):
-    with pytest.raises(ValidationError) as err:
-        ClientConfig.from_dict(
-            {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "account_id": "alice",
-             "timeout_ms": timeout_ms}
-        )
-    assert err.value.field == "timeout_ms"
-
-
-def test_zero_timeout_config_exits_1_without_a_traceback(tmp_path, capsys):
-    """``timeout_ms: 0`` once reached the transport and escaped ``main`` as
-    a raw ValueError."""
-    path = tmp_path / "client.json"
-    path.write_text(json.dumps(
-        {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "account_id": "alice",
-         "timeout_ms": 0}
-    ))
-    assert client.main(["balance", "--config", str(path)]) == client.EXIT_OTHER
-    err = capsys.readouterr().err
-    assert err.startswith("error: timeout_ms")
-    assert "Traceback" not in err
-
-
 _CONFIG = {"broker": "127.0.0.1:1", "bank": "127.0.0.1:2", "account_id": "alice"}
 
 
@@ -384,7 +366,8 @@ def test_config_refuses_the_removed_credentials(field):
 
 
 def test_config_refuses_a_misspelt_setting():
-    """``timeout`` for ``timeout_ms`` once loaded on the default timeout."""
+    """``timeout`` for the old ``timeout_ms`` once loaded on the default
+    timeout."""
     with pytest.raises(ValidationError) as err:
         ClientConfig.from_dict({**_CONFIG, "timeout": 100})
     assert err.value.field == "timeout"
@@ -440,6 +423,51 @@ def test_malformed_reply_exits_1_without_a_traceback(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("address", value) for value in (5, "", "nohost", "127.0.0.1:0", None)]
+    + [(name, value) for name in ("cluster_id", "bid_token", "payee_account")
+       for value in (5, ["x"], "", None)],
+)
+def test_unusable_selection_exits_1_before_any_hold(tmp_path, capsys, field, value):
+    """A selection field of the wrong type was once held for: ``address: 5``
+    then escaped ``main`` as a ValueError, and ``bid_token: 5`` was refused
+    by ``node.submit`` before its refund path; both left the escrow held."""
+    bank_core = bank.BankCore(cluster_secrets={"solo": "cs-solo"})
+    alice = bank_core.create_account("alice", "USER")
+    payee = bank_core.create_account("solo", "CLUSTER")
+    bank_core.deposit(alice, 1000)
+    node = frontend.FrontendCore(
+        card=ClusterDescriptor(
+            cluster_id="solo", address=_NODE, capacity_nodes=8, capabilities=frozenset(),
+            base_rate=1, payee_account=payee, feature_multipliers={},
+        ),
+        cluster_secret="cs-solo",
+        bank=_CONFIG["bank"],
+    )
+
+    def find_cluster(params):
+        bid = node.quote(validate_jobspec(params["spec"]))
+        selection = {"cluster_id": "solo", "address": _NODE, "price": {"amount": bid.price},
+                     "bid_token": bid.bid_token, "payee_account": payee}
+        return {"selection": selection | {field: value}}
+
+    path = tmp_path / "client.json"
+    path.write_text(json.dumps({**_CONFIG, "account_id": alice}))
+    hosts = {
+        _BROKER: {"broker.find_cluster": find_cluster},
+        _CONFIG["bank"]: bank.rpc_handlers(bank_core),
+        _NODE: frontend.rpc_handlers(node),
+    }
+    with LocalNetwork(hosts) as network:
+        rc = client.main(["submit", "--config", str(path), *_SUBMIT[1:]])
+    err = capsys.readouterr().err
+    assert rc == client.EXIT_OTHER
+    assert err.startswith("error: malformed reply") and err.count("\n") == 1
+    assert network.sent("bank.hold_escrow") == []
+    assert bank_core.balance(alice) == 1000
+
+
 def test_malformed_reply_lands_in_the_report_errors(market_factory):
     """The simulator reports a submission whose broker reply lacks a field
     as an error of that job, and runs on."""
@@ -464,6 +492,7 @@ def test_malformed_reply_lands_in_the_report_errors(market_factory):
         [_CONFIG],
         "alice",
         {**_CONFIG, "rng_seed": [1]},
+        {**_CONFIG, "timeout_ms": 5000},  # each call's wait is fixed
     ],
 )
 def test_malformed_config_exits_1_without_a_traceback(tmp_path, capsys, config):
@@ -474,5 +503,5 @@ def test_malformed_config_exits_1_without_a_traceback(tmp_path, capsys, config):
     path.write_text(json.dumps(config))
     assert client.main(["balance", "--config", str(path)]) == client.EXIT_OTHER
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err

@@ -876,6 +876,32 @@ def test_escrow_check_timeout_is_a_named_rejection_and_refunded(network):
     assert _settlements(network) == [refund, refund]  # answered
 
 
+@pytest.mark.parametrize("reply", [{}, {"ok": "yes"}, []], ids=["empty", "ok-not-bool", "list"])
+def test_malformed_escrow_check_is_a_named_rejection_and_refunded(network, reply):
+    """A ``bank.verify_escrow`` reply that is not an object with a bool
+    ``ok`` once escaped ``node.submit`` as ``InternalError: KeyError('ok')``,
+    sent no refund and left the escrow held."""
+    bank = BankCore(cluster_secrets={"clusterA": "cs-A"})
+    network.hosts[BANK] = bank_handlers(bank) | {"bank.verify_escrow": lambda p: reply}
+    alice = bank.create_account("alice", "USER")
+    cluster = bank.create_account("clusterA", "CLUSTER")
+    bank.deposit(alice, 10000)
+    core = _core()
+    node = "127.0.0.1:7710"
+    network.hosts[node] = rpc_handlers(core)
+    spec = _spec()
+    bid = core.quote(spec)
+    escrow_id = bank.hold_escrow(alice, cluster, bid.price, spec.job_id)
+    params = {"spec": spec.to_dict(), "bid_token": bid.bid_token, "escrow_id": escrow_id}
+    with pytest.raises(wire.RpcError) as err:
+        wire.rpc_call(node, "node.submit", params, timeout_ms=2000)
+    assert err.value.app_error_name() == "EscrowInvalid"
+    assert core.scheduler.jobs == {}
+    assert _settlements(network) == [(escrow_id, spec.job_id, "FAILED", "cs-A")]
+    assert bank.get_escrow(escrow_id).state is EscrowState.REFUNDED
+    assert bank.balance(alice) == 10000
+
+
 def test_settlement_the_bank_refuses_is_sent_once(network):
     refusal = wire.RpcError(
         wire.RpcErrorCode.INVALID_PARAMS, "InvalidParams: reporter_secret must be a string"

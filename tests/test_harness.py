@@ -162,19 +162,20 @@ def test_registrations_outlive_the_brokers_longest_ttl(rpc_methods):
     assert set(rpc_methods) == MARKET_METHODS
 
 
-def test_in_process_registration_matches_an_announce(market_factory):
+def test_in_process_registration_matches_an_announce(market_factory, monkeypatch):
     """The harness registers each front-end as ``sg-node``'s announcer
-    would: the same descriptor, ttl and boot id, recorded the same way."""
+    would: the same descriptor, ttl and boot id, recorded the same way.
+    A run of 500 s registers for 560 s, so the announcer asks that too."""
+    monkeypatch.setattr("sgmarket.frontend.ANNOUNCE_TTL_S", 560)
     runtime = market_factory(
         clusters=[
-            {"cluster_id": "A", "capacity_nodes": 8, "base_rate": 1, "announce_ttl_s": 560},
+            {"cluster_id": "A", "capacity_nodes": 8, "base_rate": 1},
             {
                 "cluster_id": "B",
                 "capacity_nodes": 16,
                 "base_rate": 2,
                 "capabilities": ["gpu"],
                 "feature_multipliers": {"gpu": [5, 2]},
-                "announce_ttl_s": 560,
             },
         ],
         users=[{"account": "alice", "initial_deposit": 100}],
@@ -393,6 +394,8 @@ def test_scenario_times_must_be_integers(mutation, message):
         lambda d: d["clusters"][0].update(policy="flat"),
         # A quote's life is fixed.
         lambda d: d["clusters"][0].update(quote_ttl_s=60),
+        # So is the lease a front-end announces.
+        lambda d: d["clusters"][0].update(announce_ttl_s=60),
     ],
 )
 def test_sim_cli_answers_a_malformed_scenario_without_a_traceback(

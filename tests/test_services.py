@@ -98,9 +98,7 @@ def test_describe_surfaces_descriptor():
 
 def test_announcer_retries_until_broker_appears():
     port = _reserved_port()
-    service = FrontendService(
-        _frontend_config(broker=f"127.0.0.1:{port}", announce_ttl_s=5)
-    )
+    service = FrontendService(_frontend_config(broker=f"127.0.0.1:{port}"))
     broker = None
     try:
         service.start_background()
@@ -296,14 +294,6 @@ def test_a_renewal_keeps_the_load_report_and_a_restart_drops_it():
         server.shutdown()
 
 
-@pytest.mark.parametrize("value", [0, 4, 3601, -60, True, "60", 60.0, None])
-def test_announce_ttl_s_must_be_a_ttl_the_broker_accepts(value):
-    """Otherwise the announcer retries a refused registration forever."""
-    with pytest.raises(ValidationError) as err:
-        FrontendService(_frontend_config(announce_ttl_s=value))
-    assert err.value.field == "announce_ttl_s"
-
-
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -370,7 +360,7 @@ _NODE = _frontend_config(listen="127.0.0.1:0")
         (frontend, {**_NODE, "horizon_s": 0}),
         (frontend, {**_NODE, "feature_multipliers": [1]}),
         (frontend, {**_NODE, "listen": "{busy}"}),
-        (broker, {"listen": "127.0.0.1:0", "bid_timeout_ms": "x"}),
+        (broker, {"listen": "127.0.0.1:0", "bid_timeout_ms": 2000}),  # a round's wait is fixed
         (broker, {"listen": 7701}),
         (broker, {"listen": "{busy}"}),
         (bank, {"listen": "127.0.0.1:0", "cluster_secrets": [1]}),
@@ -381,6 +371,7 @@ _NODE = _frontend_config(listen="127.0.0.1:0")
         (frontend, {**_NODE, "horizon_s": 3600}),  # the load coefficient sets it
         (frontend, {**_NODE, "policy": "flat"}),  # load coefficient 0
         (frontend, {**_NODE, "quote_ttl_s": 60}),  # a quote's life is fixed
+        (frontend, {**_NODE, "announce_ttl_s": 60}),  # so is its announced lease
     ],
 )
 def test_services_answer_a_bad_config_with_an_error_line(tmp_path, capsys, service, config):
